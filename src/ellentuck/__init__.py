@@ -44,7 +44,6 @@ from .space import (
     position_info,
     project,
     r_approx,
-    tail_after,
     validate_approx,
     wk_node,
 )

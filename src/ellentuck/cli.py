@@ -30,6 +30,7 @@ from .formats import (
     to_dot,
 )
 from .ramsey import (
+    Budget,
     canonize_one_extensions,
     canonize_relation,
     front_cover_check,
@@ -68,6 +69,14 @@ def _load(flag, value, loader, **kwargs):
         return loader(text, **kwargs)
     except (ValueError, EllentuckError) as err:
         raise _UsageError(flag, str(err))
+
+
+def _budget():
+    """The search budget ELLENTUCK_BUDGET sets, or the default."""
+    try:
+        return Budget()
+    except ValueError as err:
+        raise _UsageError("ELLENTUCK_BUDGET", str(err))
 
 
 def _approx(flag, value, fmt="json", member=False):
@@ -159,7 +168,7 @@ def _cmd_pigeonhole(args, out):
     a = _approx("--a", args.a)
     member = _approx("--member", args.member, member=True)
     coloring = _load("--coloring", args.coloring, load_coloring)
-    got = pigeonhole(a, member, coloring, args.len)
+    got = pigeonhole(a, member, coloring, args.len, _budget())
     if isinstance(got, Exhausted):
         return _exhausted(got, out)
     homogeneous, color = got
@@ -173,7 +182,7 @@ def _cmd_canonize_ext(args, out):
     s = _approx("--s", args.s)
     member = _approx("--member", args.member, member=True)
     coloring = _load("--coloring", args.coloring, load_coloring)
-    got = canonize_one_extensions(s, member, coloring, args.len)
+    got = canonize_one_extensions(s, member, coloring, args.len, _budget())
     if isinstance(got, Exhausted):
         return _exhausted(got, out)
     if isinstance(got, AmbiguousAtScale):
@@ -193,7 +202,7 @@ def _cmd_canonize_ext(args, out):
 def _cmd_canonize_arn(args, out):
     relation = _load("--relation", args.relation, load_relation)
     member = _approx("--member", args.member, member=True)
-    got = canonize_relation(relation, args.k, args.n, member, args.len)
+    got = canonize_relation(relation, args.k, args.n, member, args.len, _budget())
     if isinstance(got, Exhausted):
         return _exhausted(got, out)
     if isinstance(got, NotCanonicalAtScale):

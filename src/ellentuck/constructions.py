@@ -16,11 +16,12 @@ from .space import (
     Approx,
     Member,
     _as_node,
+    _require_valid,
+    _Slot,
     decode_node,
     depth_of,
     one_extensions,
     position_info,
-    validate_approx,
 )
 from .wellorder import domain_at
 
@@ -62,12 +63,6 @@ class NodeOracle:
 
     def candidates(self) -> tuple:
         return self._candidates
-
-
-def _require_valid(a, what="approximation"):
-    report = validate_approx(a)
-    if not report.ok:
-        raise ValueError(f"{what} does not validate: {report.message}")
 
 
 def construct_in_basic_set(a, A, target_len: int):
@@ -131,17 +126,15 @@ def fuse(a, A, B, target_len: int):
     maxi = max((max(w) for w in nodes), default=-1)
     while len(nodes) < target_len:
         n = len(nodes)
-        l, anchor = position_info(k, n)
-        if l == 0:
-            pool, prefix = inner_pool, None
+        slot = _Slot(k, nodes, maxi)
+        if slot.level == 0:
+            use_inner = True
+        elif position_info(k, n)[1] < d:
+            use_inner = slot.prefix in a_prefixes
         else:
-            prefix = nodes[anchor][:l]
-            if anchor < d:
-                use_inner = prefix in a_prefixes
-            else:
-                use_inner = prefix in inner_prefixes
-            pool = inner_pool if use_inner else ambient_pool
-        picked = _pick(pool, l, prefix, maxi)
+            use_inner = slot.prefix in inner_prefixes
+        pool = inner_pool if use_inner else ambient_pool
+        picked = next(slot.candidates(pool), None)
         if picked is None:
             side = "inner" if pool is inner_pool else "ambient"
             return Exhausted("supply", f"step {n}: the {side} member has no fitting node")
@@ -171,9 +164,7 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
     maxi = -1
     while len(nodes) < target_len:
         n = len(nodes)
-        l, anchor = position_info(k, n)
-        prefix = nodes[anchor][:l] if l else None
-        picked = _pick(candidates, l, prefix, maxi)
+        picked = next(_Slot(k, nodes, maxi).candidates(candidates), None)
         if picked is None:
             return Exhausted("supply", f"oracle denies every candidate at step {n}")
         nodes.append(picked)
@@ -289,7 +280,6 @@ def thin_to_subcopy(a, X, V, target_len: int):
         while len(nodes) < target_len:
             p = len(nodes)
             l, anchor = position_info(k, p)
-            prefix = nodes[anchor][:l] if l else None
             # a position holds a one-step extension of a exactly when it
             # sits on a's branch and its node does not continue one of
             # a's own deeper prefixes (those have too-small indices at
@@ -298,7 +288,7 @@ def thin_to_subcopy(a, X, V, target_len: int):
                 l == level or nodes[anchor][: level + 1] not in a_deep
             )
             pool = usable if constrained else x_pool
-            picked = _pick(pool, l, prefix, maxi)
+            picked = next(_Slot(k, nodes, maxi).candidates(pool), None)
             if picked is None:
                 return Exhausted("supply", f"step {p}: no fitting node")
             nodes.append(picked)
@@ -315,16 +305,14 @@ def thin_to_subcopy(a, X, V, target_len: int):
         fresh_pool = sorted((w for blk in good_blocks.values() for w in blk), key=max)
         while len(nodes) < target_len:
             p = len(nodes)
-            l, anchor = position_info(k, p)
-            if l == 0:
-                picked = _pick(fresh_pool, 0, None, maxi)
+            slot = _Slot(k, nodes, maxi)
+            if slot.level == 0:
+                pool = fresh_pool
+            elif slot.prefix[0] > max_a:
+                pool = good_blocks.get(slot.prefix[0], ())
             else:
-                prefix = nodes[anchor][:l]
-                if prefix[0] > max_a:
-                    pool = good_blocks.get(prefix[0], ())
-                else:
-                    pool = x_pool
-                picked = _pick(pool, l, prefix, maxi)
+                pool = x_pool
+            picked = next(slot.candidates(pool), None)
             if picked is None:
                 return Exhausted("supply", f"step {p}: no fitting node")
             nodes.append(picked)
@@ -337,14 +325,3 @@ def thin_to_subcopy(a, X, V, target_len: int):
             raise AssertionError("thinning certificate failed; this is a bug")
     return result
 
-
-def _pick(pool, l, prefix, maxi):
-    """Least node in pool admissible at a step with the given forced
-    prefix (None for a fresh-branch step) and running maximum."""
-    for w in pool:
-        if prefix is None:
-            if w[0] > maxi:
-                return w
-        elif w[:l] == prefix and w[l] > maxi:
-            return w
-    return None

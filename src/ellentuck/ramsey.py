@@ -7,6 +7,11 @@ well-order (least fresh node first) with a budget on visited states;
 when the budget runs out the outcome is an Exhausted value rather than
 a wrong answer.  Budgets default to ELLENTUCK_BUDGET from the
 environment, or 10**6 states.
+
+Which node may fill the next position is decided by space._Slot and
+nowhere else here.  The filters build the one-step extensions they judge
+with the trusted space._extend, since their nodes come from a member
+that was checked when it was built.
 """
 
 import itertools
@@ -22,16 +27,16 @@ from .errors import (
 from .space import (
     Approx,
     Member,
-    admits,
+    _extend,
+    _require_valid,
+    _Slot,
     depth_of,
     one_extensions,
-    position_info,
-    r_approx,
-    validate_approx,
 )
 from .wellorder import classify_n, domain_at, seq_str
 
 DEFAULT_BUDGET = 10 ** 6
+_BAD_BUDGET = "budget limit must be a positive integer, got %r"
 
 
 class Budget:
@@ -39,9 +44,13 @@ class Budget:
 
     def __init__(self, limit=None):
         if limit is None:
-            limit = int(os.environ.get("ELLENTUCK_BUDGET", DEFAULT_BUDGET))
+            raw = os.environ.get("ELLENTUCK_BUDGET", str(DEFAULT_BUDGET))
+            try:
+                limit = int(raw)
+            except ValueError:
+                raise ValueError(_BAD_BUDGET % raw) from None
         if limit <= 0:
-            raise ValueError("budget limit must be positive")
+            raise ValueError(_BAD_BUDGET % limit)
         self.limit = limit
         self.used = 0
 
@@ -207,39 +216,41 @@ def _search_member(k, base, supply, target_len, budget, flt):
     returns True it has recorded state and flt.pop() undoes it on
     backtrack.  flt.accept(nodes) gates completed members.  Returns
     the node tuple, or None when the space is exhausted.  Raises
-    _Blown when the budget runs out.
+    _Blown when the budget runs out.  The depth is not bounded by the
+    interpreter's stack: each open position keeps its own lazy
+    candidate stream on an explicit stack.
     """
     nodes = list(base)
-    maxis = [max((max(w) for w in nodes), default=-1)]
-
-    def descend():
-        if len(nodes) == target_len:
-            return flt.accept(nodes)
-        l, anchor = position_info(k, len(nodes))
-        prefix = nodes[anchor][:l] if l else None
-        maxi = maxis[-1]
-        for w in supply:
-            if prefix is None:
-                if w[0] <= maxi:
-                    continue
-            elif w[:l] != prefix or w[l] <= maxi:
-                continue
+    if len(nodes) == target_len:
+        return tuple(nodes) if flt.accept(nodes) else None
+    floor = max((max(w) for w in nodes), default=-1)
+    stack = [_Slot(k, nodes, floor).candidates(supply)]
+    while stack:
+        for w in stack[-1]:
             if not budget.spend():
                 raise _Blown()
-            if not flt.try_push(nodes, w):
-                continue
-            nodes.append(w)
-            maxis.append(max(maxi, max(w)))
-            if descend():
-                return True
-            maxis.pop()
+            if flt.try_push(nodes, w):
+                break
+        else:
+            stack.pop()
+            if stack:
+                nodes.pop()
+                flt.pop()
+            continue
+        nodes.append(w)
+        if len(nodes) < target_len:
+            # w passed the slot, so its maximum is the new running maximum
+            stack.append(_Slot(k, nodes, max(w)).candidates(supply))
+        elif flt.accept(nodes):
+            return tuple(nodes)
+        else:
             nodes.pop()
             flt.pop()
-        return False
-
-    if descend():
-        return tuple(nodes)
     return None
+
+
+def _out_of_budget(budget):
+    return Exhausted("budget", "state budget ran out at %d" % budget.used)
 
 
 class _NoFilter:
@@ -258,14 +269,14 @@ class _MonochromeFilter:
 
     def __init__(self, a, coloring, color):
         self.a = a
+        self.slot = _Slot.of(a)
         self.coloring = coloring
         self.color = color
         self.hits = []
 
     def try_push(self, nodes, w):
-        if admits(self.a, w):
-            b = Approx(self.a.k, self.a.nodes + (w,))
-            if self.coloring.of(b) != self.color:
+        if self.slot.admits(w):
+            if self.coloring.of(_extend(self.a, w)) != self.color:
                 return False
             self.hits.append(True)
         else:
@@ -297,27 +308,23 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     budget = budget or Budget()
     base = X.nodes[:d]
     colors = sorted({coloring.of(b) for b in one_extensions(a, X)})
-    if not colors:
-        got = _search_member(X.k, base, X.nodes, target_len, budget, _NoFilter())
-        if got is None:
-            return Exhausted("supply", "no completion from the depth prefix")
-        return Member(X.k, got), None
-    blown = False
-    for color in colors:
-        flt = _MonochromeFilter(a, coloring, color)
-        try:
+    try:
+        if not colors:
+            got = _search_member(X.k, base, X.nodes, target_len, budget, _NoFilter())
+            if got is None:
+                return Exhausted("supply", "no completion from the depth prefix")
+            return Member(X.k, got), None
+        for color in colors:
+            flt = _MonochromeFilter(a, coloring, color)
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
-        except _Blown:
-            blown = True
-            break
-        if got is not None:
-            Y = Member(X.k, got)
-            seen = {coloring.of(b) for b in one_extensions(a, Y)}
-            if seen != {color}:
-                raise AssertionError("homogeneity certificate failed")
-            return Y, color
-    if blown:
-        return Exhausted("budget", "state budget ran out at %d" % budget.used)
+            if got is not None:
+                Y = Member(X.k, got)
+                seen = {coloring.of(b) for b in one_extensions(a, Y)}
+                if seen != {color}:
+                    raise AssertionError("homogeneity certificate failed")
+                return Y, color
+    except _Blown:
+        return _out_of_budget(budget)
     return Exhausted("supply", "no color admits a homogeneous sub-member")
 
 
@@ -331,6 +338,7 @@ class _LevelFitFilter:
 
     def __init__(self, s, coloring, level, floor_pairs):
         self.s = s
+        self.slot = _Slot.of(s)
         self.coloring = coloring
         self.level = level
         self.floor_pairs = floor_pairs
@@ -340,10 +348,10 @@ class _LevelFitFilter:
         self.trail = []
 
     def try_push(self, nodes, w):
-        if not admits(self.s, w):
+        if not self.slot.admits(w):
             self.trail.append(None)
             return True
-        c = self.coloring.of(Approx(self.s.k, self.s.nodes + (w,)))
+        c = self.coloring.of(_extend(self.s, w))
         p = w[: self.level]
         if p in self.proj_color:
             if self.proj_color[p] != c:
@@ -390,7 +398,9 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     and l+1..k where l is the branching level at step |s|.  Returns
     (Y, CanonicalRelation) when exactly one level fits, an
     AmbiguousAtScale when several levels fit their own witnesses, or
-    Exhausted.
+    Exhausted.  When the budget runs out after two levels already fit,
+    the outcome is still AmbiguousAtScale, listing the levels that fit
+    before it ran out; otherwise it is Exhausted("budget").
     """
     s = _checked_approx(s, X.k)
     d = depth_of(X, s)
@@ -416,13 +426,13 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
             break
         if got is not None:
             fits.append((level, Member(X.k, got)))
-    if len(fits) == 1:
-        level, Y = fits[0]
-        return Y, CanonicalRelation(level)
     if len(fits) > 1:
         return AmbiguousAtScale(candidates=tuple(level for level, _ in fits))
     if blown:
-        return Exhausted("budget", "state budget ran out at %d" % budget.used)
+        return _out_of_budget(budget)
+    if fits:
+        level, Y = fits[0]
+        return Y, CanonicalRelation(level)
     return Exhausted("supply", "no projection level fits a sub-member")
 
 
@@ -466,96 +476,70 @@ def admissible_vectors(k, n):
     ]
 
 
-def _approxs_of_length(k, pool, n):
-    """All valid n-approximations with nodes drawn from pool."""
-    pool = sorted(set(pool), key=lambda w: (max(w), w))
-    out = []
-    cur = []
-
-    def rec():
-        if len(cur) == n:
-            out.append(Approx(k, tuple(cur)))
-            return
-        l, anchor = position_info(k, len(cur))
-        prefix = cur[anchor][:l] if l else None
-        maxi = max((max(w) for w in cur), default=-1)
-        for w in pool:
-            if prefix is None:
-                if w[0] <= maxi:
-                    continue
-            elif w[:l] != prefix or w[l] <= maxi:
-                continue
-            cur.append(w)
-            rec()
-            cur.pop()
-
-    rec()
-    return out
-
-
 class _VectorFitFilter:
     """Relation must equal projection-key agreement on n-approximations.
 
     As in _LevelFitFilter, the fit condition is the map from projection
     keys to relation classes being a bijection on the approximations
-    formed so far; both directions are kept as dicts.
+    formed so far; both directions are kept as dicts.  tables[j] holds
+    the valid j-approximations (j < n) formed from the placed nodes,
+    each with the slot of its next node, so a push only extends the
+    approximations the new node can follow and a pop truncates them.
     """
 
     def __init__(self, relation, vector, k, n):
         self.relation = relation
         self.vector = vector
-        self.k = k
         self.n = n
         self.key_class = {}
         self.class_key = {}
+        empty = Approx(k)
+        self.tables = [[(empty, _Slot.of(empty))]] + [[] for _ in range(n - 1)]
         self.trail = []
 
     def _key(self, b):
         return tuple(b.nodes[i][: self.vector[i]] for i in range(self.n))
 
-    def _fresh(self, nodes, w):
-        if self.n == 1:
-            return [Approx(self.k, (w,))]
-        if self.n == 2:
-            l1, _ = position_info(self.k, 1)
-            head = w[:l1]
-            return [
-                Approx(self.k, (u, w))
-                for u in nodes
-                if u[:l1] == head and w[l1] > u[-1]
-            ]
-        out = []
-        for c in _approxs_of_length(self.k, nodes, self.n - 1):
-            if admits(c, w):
-                out.append(Approx(self.k, c.nodes + (w,)))
-        return out
-
     def try_push(self, nodes, w):
+        grown = []
         inserted = []
-        for b in self._fresh(nodes, w):
-            kb = self._key(b)
-            cb = self.relation.class_id(b)
-            if kb in self.key_class:
-                if self.key_class[kb] != cb:
-                    break
-            elif cb in self.class_key:
-                break
-            else:
-                self.key_class[kb] = cb
-                self.class_key[cb] = kb
-                inserted.append((kb, cb))
-        else:
-            self.trail.append(inserted)
-            return True
+        for j, table in enumerate(self.tables):
+            for c, slot in table:
+                if not slot.admits(w):
+                    continue
+                b = _extend(c, w)
+                if j + 1 < self.n:
+                    grown.append(b)
+                    continue
+                kb = self._key(b)
+                cb = self.relation.class_id(b)
+                if kb in self.key_class:
+                    if self.key_class[kb] != cb:
+                        self._undo(inserted)
+                        return False
+                elif cb in self.class_key:
+                    self._undo(inserted)
+                    return False
+                else:
+                    self.key_class[kb] = cb
+                    self.class_key[cb] = kb
+                    inserted.append((kb, cb))
+        floor = max(w)
+        for b in grown:
+            self.tables[len(b.nodes)].append((b, _Slot(b.k, b.nodes, floor)))
+        self.trail.append((inserted, grown))
+        return True
+
+    def _undo(self, inserted):
         for kb, cb in inserted:
             del self.key_class[kb]
             del self.class_key[cb]
-        return False
 
     def pop(self):
-        for kb, cb in self.trail.pop():
-            del self.key_class[kb]
-            del self.class_key[cb]
+        inserted, grown = self.trail.pop()
+        self._undo(inserted)
+        for b in grown:
+            self.tables[len(b.nodes)].pop()
 
     def accept(self, nodes):
         return True
@@ -570,7 +554,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     Returns a RelationCanonization carrying the least fitting vector,
     its witness, and all fits; NotCanonicalAtScale when the search
     space was exhausted with no fit; Exhausted when the budget ran out
-    first.
+    before every vector was tried, even if some had fit by then.
     """
     if X.k != k:
         raise ValueError("member dimension does not match k")
@@ -580,21 +564,17 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         raise ValueError("target length cannot be below the approximation length")
     budget = budget or Budget()
     fits = []
-    blown = False
     for vector in admissible_vectors(k, n):
         flt = _VectorFitFilter(relation, vector, k, n)
         try:
             got = _search_member(k, (), X.nodes, target_len, budget, flt)
         except _Blown:
-            blown = True
-            break
+            return _out_of_budget(budget)
         if got is not None:
             fits.append((vector, Member(k, got)))
     if fits:
         vector, member = fits[0]
         return RelationCanonization(vector, member, tuple(fits))
-    if blown:
-        return Exhausted("budget", "state budget ran out at %d" % budget.used)
     return NotCanonicalAtScale(vectors_checked=len(admissible_vectors(k, n)))
 
 
@@ -624,23 +604,18 @@ def front_cover_check(family, X):
     if not nash_williams_check(approxs):
         raise ValueError("family fails the no-end-extension check")
     hits = set(approxs)
-
-    def walk(cur):
-        if cur in hits:
-            return None
-        exts = one_extensions(cur, X)
-        if not exts:
-            return cur
-        for nxt in exts:
-            bad = walk(nxt)
-            if bad is not None:
-                return bad
-        return None
-
-    bad = walk(Approx(X.k))
-    if bad is None:
-        return CoverReport(True)
-    return CoverReport(False, counterexample=bad)
+    # one iterator of pending siblings per level of the walk
+    stack = [iter((Approx(X.k),))]
+    while stack:
+        cur = next(stack[-1], None)
+        if cur is None:
+            stack.pop()
+        elif cur not in hits:
+            exts = one_extensions(cur, X)
+            if not exts:
+                return CoverReport(False, counterexample=cur)
+            stack.append(iter(exts))
+    return CoverReport(True)
 
 
 def proj_image(a, vector):
@@ -778,7 +753,7 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
     try:
         got = _search_member(X.k, (), X.nodes, target_len, budget, flt)
     except _Blown:
-        return Exhausted("budget", "state budget ran out at %d" % budget.used)
+        return _out_of_budget(budget)
     if got is None:
         return Exhausted("supply", "no sub-member carries an agreeing family member")
     return Member(X.k, got), True
@@ -786,12 +761,6 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
 
 def _approx_str(a):
     return "[" + ",".join(seq_str(w) for w in a.nodes) + "]"
-
-
-def _require_valid(a, what="approximation"):
-    report = validate_approx(a)
-    if not report.ok:
-        raise ValueError(f"{what} does not validate: {report.message}")
 
 
 def _checked_approx(a, k):

@@ -6,6 +6,13 @@ Truncations keep the first n values in position order. Validation checks
 the three tree conditions: nodes decode (i), branch maxima grow along
 the order of the represented prefixes (ii), and node prefixes coincide
 exactly when the underlying index prefixes do (iii).
+
+Which nodes may come next is one rule, held by the private _Slot: the
+n-th node has length k, repeats the prefix forced at position n, and its
+next index exceeds every index used so far. admits, one_extensions, the
+searches in ramsey and the constructions all ask a _Slot. Public Approx
+and Member construction checks every entry; the private _extend appends
+a node of an already-built member without re-checking, for hot loops.
 """
 
 from __future__ import annotations
@@ -62,8 +69,17 @@ class Member(Approx):
 
     declared_complete: bool = False
 
-    def approx(self) -> Approx:
-        return Approx(self.k, self.nodes)
+
+def _extend(a: Approx, w: Node) -> Approx:
+    """a with w appended, skipping the entry checks of Approx.
+
+    Trusted: w must be a node of an already-built member, whose entries
+    were checked when it was built.
+    """
+    b = object.__new__(Approx)
+    object.__setattr__(b, "k", a.k)
+    object.__setattr__(b, "nodes", a.nodes + (w,))
+    return b
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +187,12 @@ def validate_approx(x) -> ValidationReport:
     return ValidationReport(True)
 
 
+def _require_valid(a, what="approximation"):
+    report = validate_approx(a)
+    if not report.ok:
+        raise ValueError(f"{what} does not validate: {report.message}")
+
+
 def r_approx(x, n: int) -> Approx:
     """The first n nodes as an approximation."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -224,16 +246,42 @@ def position_info(k: int, n: int):
     raise AssertionError("forced prefix must occur earlier")  # pragma: no cover
 
 
+class _Slot:
+    """Where the node after `nodes` may go: the forced level, the forced
+    prefix (empty at a fresh-branch step) and the floor, the largest
+    index of `nodes`, which the callers keep as a running maximum."""
+
+    __slots__ = ("k", "level", "prefix", "floor")
+
+    def __init__(self, k: int, nodes, floor: int):
+        level, anchor = position_info(k, len(nodes))
+        self.k = k
+        self.level = level
+        self.prefix = nodes[anchor][:level] if level else ()
+        self.floor = floor
+
+    @classmethod
+    def of(cls, a: Approx) -> "_Slot":
+        return cls(a.k, a.nodes, a.max_index())
+
+    def admits(self, w: Node) -> bool:
+        """Whether w may fill the slot: candidates on a one-node pool, so
+        the rule is written only once."""
+        return any(self.candidates((w,)))
+
+    def candidates(self, pool):
+        """The admitted nodes of pool, lazily and in pool order."""
+        # Hot: every search state is drawn here. Most nodes fail on the
+        # prefix, so it goes first; the length test then guards w[l].
+        k, l, prefix, floor = self.k, self.level, self.prefix, self.floor
+        for w in pool:
+            if w[:l] == prefix and len(w) == k and w[l] > floor:
+                yield w
+
+
 def admits(a: Approx, w: Node) -> bool:
     """Whether appending w to a yields a valid one-step extension."""
-    n = len(a.nodes)
-    l, anchor = position_info(a.k, n)
-    maxi = a.max_index()
-    if len(w) != a.k:
-        return False
-    if l == 0:
-        return w[0] > maxi
-    return w[:l] == a.nodes[anchor][:l] and w[l] > maxi
+    return _Slot.of(a).admits(w)
 
 
 def one_extensions(a: Approx, X) -> list[Approx]:
@@ -241,26 +289,8 @@ def one_extensions(a: Approx, X) -> list[Approx]:
     ascending by the new node's maximum."""
     if a.k != X.k:
         raise ValueError("dimension mismatch")
-    n = len(a.nodes)
-    l, anchor = position_info(a.k, n)
-    maxi = a.max_index()
-    head = a.nodes[anchor][:l] if l else None
-    picked = []
-    for w in X.nodes:
-        if l == 0:
-            ok = w[0] > maxi
-        else:
-            ok = w[:l] == head and w[l] > maxi
-        if ok:
-            picked.append(w)
-    picked.sort(key=max)
-    return [Approx(a.k, a.nodes + (w,)) for w in picked]
-
-
-def tail_after(X, s) -> list[Node]:
-    """Nodes of X whose maximum exceeds every index of s."""
-    cut = s.max_index()
-    return [w for w in X.nodes if max(w) > cut]
+    picked = sorted(_Slot.of(a).candidates(X.nodes), key=max)
+    return [_extend(a, w) for w in picked]
 
 
 def basic_set_contains(a: Approx, B, X) -> bool:

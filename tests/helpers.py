@@ -5,7 +5,26 @@ re-derive extension sets by full revalidation so the structural shortcut
 rules have something definition-shaped to answer to.
 """
 
+import contextlib
+import sys
+
 from ellentuck.space import Approx, Member, one_extensions, validate_approx
+
+
+@contextlib.contextmanager
+def shallow_stack(frames):
+    """Lower the recursion limit to `frames` above the caller's depth, so
+    code that recurses once per node fails fast on a long input."""
+    depth, f = 0, sys._getframe()
+    while f is not None:
+        depth += 1
+        f = f.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def oracle_extensions(a, X):

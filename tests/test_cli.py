@@ -19,6 +19,7 @@ from ellentuck.ramsey import Coloring, InnerMap, Relation
 from ellentuck.space import Approx, build_w, one_extensions
 
 from figures import R10_E2, R6_E2
+from helpers import shallow_stack
 
 
 def run(*argv):
@@ -219,6 +220,25 @@ def test_pigeonhole_budget_env(tmp_path, monkeypatch):
     assert "budget" in out
 
 
+@pytest.mark.parametrize("raw,shown", [("abc", "'abc'"), ("0", "0"), ("-3", "-3")])
+def test_malformed_budget_env_is_a_usage_error(tmp_path, monkeypatch, raw, shown):
+    X = build_w(2, 20)
+    member = write(tmp_path, "x.json", dump_approx(X))
+    coloring = write(
+        tmp_path, "c.json",
+        dump_coloring(Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))),
+    )
+    monkeypatch.setenv("ELLENTUCK_BUDGET", raw)
+    code, out, err = run(
+        "pigeonhole", "--a", '{"k":2,"nodes":[]}', "--member", member,
+        "--coloring", coloring, "--len", "4",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ELLENTUCK_BUDGET: budget limit must be a positive integer, got %s\n" % shown
+    )
+
+
 def test_canonize_ext(tmp_path):
     X = build_w(2, 100)
     member = write(tmp_path, "x.json", dump_approx(X))
@@ -295,6 +315,15 @@ def test_check_front(tmp_path):
     code, out, _ = run("check-front", "--family", partial, "--member", member)
     assert code == 1
     assert out.startswith("NOT COVERED: ")
+
+
+def test_check_front_long_counterexample(tmp_path):
+    X = build_w(2, 300)
+    member = write(tmp_path, "x.json", dump_approx(X))
+    with shallow_stack(250):
+        code, out, err = run("check-front", "--family", "[]", "--member", member)
+    assert (code, err) == (1, "")
+    assert out == "NOT COVERED: %s\n" % dump_approx(X)
 
 
 def test_check_front_rejects_non_front(tmp_path):

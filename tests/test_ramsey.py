@@ -9,6 +9,8 @@ enumerator from helpers.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellentuck.errors import (
     AmbiguousAtScale,
@@ -17,6 +19,7 @@ from ellentuck.errors import (
     NotCanonicalAtScale,
 )
 from ellentuck.ramsey import (
+    DEFAULT_BUDGET,
     Budget,
     CanonicalRelation,
     Coloring,
@@ -43,7 +46,7 @@ from ellentuck.space import (
 )
 from ellentuck.wellorder import classify_n
 
-from helpers import all_sub_members, sub_approxs_up_to
+from helpers import all_sub_members, shallow_stack, sub_approxs_up_to
 
 
 def approxs_of_length(X, n):
@@ -68,6 +71,67 @@ def test_budget_env_default(monkeypatch):
 def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         Budget(0)
+
+
+def _budget_cases():
+    """One small instance per budgeted search, as (name, run(budget))."""
+    x30, x20, w3 = build_w(2, 30), build_w(2, 20), build_w(3, 20)
+    exts = one_extensions(Approx(2), x30)
+    by_branch = Coloring.from_function(lambda b: int(b.nodes[-1][0] != 0), exts)
+    constant = Coloring.from_function(lambda b: 0, exts)
+    # level-2 prefix inside branch 0, level-1 prefix elsewhere: levels 1
+    # and 2 both fit, and level 3, tried last, does not
+    two_levels = Coloring.from_function(
+        lambda b: b.nodes[-1][1] if b.nodes[-1][0] == 0 else -1 - b.nodes[-1][0],
+        one_extensions(Approx(3), w3),
+    )
+    related = Relation.from_key_function(lambda b: 0, approxs_of_length(x20, 2))
+    return [
+        ("pigeonhole", lambda bud: pigeonhole(Approx(2), x30, by_branch, 6, bud)),
+        ("level", lambda bud: canonize_one_extensions(Approx(2), x30, constant, 6, bud)),
+        ("ambiguous", lambda bud: canonize_one_extensions(Approx(3), w3, two_levels, 4, bud)),
+        ("relation", lambda bud: canonize_relation(related, 2, 2, x20, 4, bud)),
+    ]
+
+
+_BUDGET_CASES = _budget_cases()
+
+
+def _unbounded(run):
+    budget = Budget(DEFAULT_BUDGET)
+    return run(budget), budget.used
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_budgeted_outcome_is_exhausted_or_the_unbounded_one(data):
+    """A run cut short by its budget says so; it never returns a different
+    answer."""
+    name, run = data.draw(st.sampled_from(_BUDGET_CASES))
+    full, used = _unbounded(run)
+    limit = data.draw(st.integers(1, used - 1), label=name)
+    got = run(Budget(limit))
+    if isinstance(got, Exhausted):
+        assert got.reason == "budget"
+    else:
+        assert got == full
+
+
+def test_budget_cases_cover_the_outcomes():
+    full = {name: _unbounded(run) for name, run in _BUDGET_CASES}
+    assert full["pigeonhole"][0][1] == 1  # after color 0 is refuted
+    assert full["level"][0][1] == CanonicalRelation(0)
+    assert full["level"][1] == 457
+    assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
+    assert full["ambiguous"][1] == 144
+    assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
+
+
+def test_level_fit_found_before_the_budget_ran_out_is_not_final():
+    X = build_w(2, 30)
+    constant = Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))
+    got = canonize_one_extensions(Approx(2), X, constant, 6, budget=Budget(20))
+    assert got == Exhausted("budget", "state budget ran out at 21")
 
 
 # -------------------------------------------------------------- coloring
@@ -205,6 +269,24 @@ def test_pigeonhole_budget_blowout():
     got = pigeonhole(Approx(2), X, f, 8, budget=Budget(3))
     assert isinstance(got, Exhausted)
     assert got.reason == "budget"
+
+
+def test_pigeonhole_no_extensions_honours_the_budget():
+    X = build_w(2, 19)
+    a = Approx(2, ((18, 19),))
+    assert one_extensions(a, X) == []
+    got = pigeonhole(a, X, Coloring({}), 19, budget=Budget(2))
+    assert isinstance(got, Exhausted) and got.reason == "budget"
+
+
+def test_pigeonhole_deep_target_does_not_recurse():
+    X = build_w(2, 1500)
+    constant = Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))
+    budget = Budget()
+    Y, color = pigeonhole(Approx(2), X, constant, 1000, budget)
+    assert color == 0
+    assert Y.nodes == X.nodes[:1000]
+    assert budget.used == 1000
 
 
 def test_pigeonhole_coloring_must_be_total():
@@ -499,6 +581,14 @@ def test_front_cover_empty_family():
     report = front_cover_check([], X)
     assert not report
     assert len(report.counterexample.nodes) > 0
+
+
+def test_front_cover_long_chain_does_not_recurse():
+    X = build_w(2, 300)
+    with shallow_stack(250):
+        report = front_cover_check([], X)
+    assert not report
+    assert report.counterexample.nodes == X.nodes
 
 
 def test_front_cover_requires_nash_williams():

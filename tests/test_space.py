@@ -12,6 +12,7 @@ from ellentuck.errors import (
 from ellentuck.space import (
     Approx,
     Member,
+    admits,
     basic_set_contains,
     build_w,
     decode_node,
@@ -20,7 +21,6 @@ from ellentuck.space import (
     one_extensions,
     project,
     r_approx,
-    tail_after,
     validate_approx,
     wk_node,
 )
@@ -227,24 +227,32 @@ def test_one_extensions_agree_with_revalidation_oracle(k, n):
 
 
 @pytest.mark.parametrize("k", [2, 3])
+def test_admits_and_one_extensions_follow_the_oracle(k):
+    x = build_w(k, 20)
+    for a in sub_approxs_up_to(x, 3):
+        want = oracle_extensions(a, x)
+        assert [b.nodes for b in one_extensions(a, x)] == [b.nodes for b in want]
+        new = {b.nodes[-1] for b in want}
+        assert [w for w in x.nodes if admits(a, w)] == [w for w in x.nodes if w in new]
+
+
+def test_wrong_length_nodes_are_never_admitted():
+    # (5,) opens a fresh branch above every index, (0,) matches the forced
+    # prefix of step 1, (0, 3, 7) is too long; none has length k = 2
+    x = member(2, [(0, 1), (5,), (0,), (0, 3, 7), (0, 2)])
+    for a in (Approx(2), approx(2, [(0, 1)]), approx(2, [(0, 1), (0, 2)])):
+        for w in [(5,), (0,), (0, 3, 7)]:
+            assert not admits(a, w)
+        assert all(len(b.nodes[-1]) == 2 for b in one_extensions(a, x))
+    assert [b.nodes[-1] for b in one_extensions(Approx(2), x)] == [(0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
 def test_classify_matches_definitional_oracle_small(k):
     x = build_w(k, 300)
     for n in range(25):
         levels = oracle_level(r_approx(x, n), x)
         assert levels == [wo.classify_n(k, n)]
-
-
-# ------------------------------------------------------------- tails
-
-
-def test_tail_after():
-    x = build_w(2, 15)
-    a = approx(2, [(0, 1), (0, 2)])
-    tail = tail_after(x, a)
-    assert len(tail) == 13
-    assert all(max(w) > 2 for w in tail)
-    assert tail_after(x, Approx(2)) == list(x.nodes)
-    assert tail_after(x, r_approx(x, 15)) == []
 
 
 def test_basic_set_contains():
