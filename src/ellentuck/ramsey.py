@@ -9,7 +9,12 @@ a wrong answer.  Budgets default to ELLENTUCK_BUDGET from the
 environment, or 10**6 states.
 
 Which node may fill the next position is decided by space._Slot and
-nowhere else here.  The filters build the one-step extensions they judge
+nowhere else here.  The search core draws each position's candidates
+from a space._Pool, the supply indexed by forced prefix, which only
+narrows what the slot is shown.  The filters that judge the one-step
+extensions of a fixed approximation (pigeonhole, canonize_one_extensions)
+get a {new node: color} map built once from one_extensions, so a push
+is one lookup; _VectorFitFilter builds the approximations it judges
 with the trusted space._extend, since their nodes come from a member
 that was checked when it was built.
 """
@@ -28,6 +33,7 @@ from .space import (
     Approx,
     Member,
     _extend,
+    _Pool,
     _require_valid,
     _Slot,
     depth_of,
@@ -212,19 +218,27 @@ def _search_member(k, base, supply, target_len, budget, flt):
 
     Candidates are drawn from supply in order (callers pass nodes
     sorted ascending by maximum, so the least fresh node is tried
-    first).  flt.try_push(nodes, w) may veto a placement; when it
-    returns True it has recorded state and flt.pop() undoes it on
-    backtrack.  flt.accept(nodes) gates completed members.  Returns
-    the node tuple, or None when the space is exhausted.  Raises
-    _Blown when the budget runs out.  The depth is not bounded by the
+    first).  The supply is indexed once per call in a space._Pool,
+    which hands each slot only the nodes of its forced-prefix group
+    past its floor, in supply order; the slot still decides.
+    flt.try_push(nodes, w) may veto a placement; when it returns True
+    it has recorded state and flt.pop() undoes it on backtrack.
+    flt.accept(nodes) gates completed members.  Returns the node
+    tuple, or None when the space is exhausted.  Raises _Blown when
+    the budget runs out.  The depth is not bounded by the
     interpreter's stack: each open position keeps its own lazy
     candidate stream on an explicit stack.
     """
     nodes = list(base)
     if len(nodes) == target_len:
         return tuple(nodes) if flt.accept(nodes) else None
-    floor = max((max(w) for w in nodes), default=-1)
-    stack = [_Slot(k, nodes, floor).candidates(supply)]
+    pool = _Pool(supply)
+
+    def candidates(floor):
+        slot = _Slot(k, nodes, floor)
+        return slot.candidates(pool.near(slot))
+
+    stack = [candidates(max((max(w) for w in nodes), default=-1))]
     while stack:
         for w in stack[-1]:
             if not budget.spend():
@@ -240,7 +254,7 @@ def _search_member(k, base, supply, target_len, budget, flt):
         nodes.append(w)
         if len(nodes) < target_len:
             # w passed the slot, so its maximum is the new running maximum
-            stack.append(_Slot(k, nodes, max(w)).candidates(supply))
+            stack.append(candidates(max(w)))
         elif flt.accept(nodes):
             return tuple(nodes)
         else:
@@ -264,23 +278,32 @@ class _NoFilter:
         return True
 
 
-class _MonochromeFilter:
-    """Keep every one-step extension of `a` inside one color class."""
+def _color_map(a, X, coloring):
+    """{new node: color} over the one-step extensions of a in X; raises
+    ValueError when the coloring misses one of them."""
+    return {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
 
-    def __init__(self, a, coloring, color):
-        self.a = a
-        self.slot = _Slot.of(a)
-        self.coloring = coloring
+
+class _MonochromeFilter:
+    """Keep every one-step extension of `a` inside one color class.
+
+    color_of maps the new node of each extension of `a` in the supply
+    to its color, so a node it lacks does not extend `a`.
+    """
+
+    def __init__(self, color_of, color):
+        self.color_of = color_of
         self.color = color
         self.hits = []
 
     def try_push(self, nodes, w):
-        if self.slot.admits(w):
-            if self.coloring.of(_extend(self.a, w)) != self.color:
-                return False
-            self.hits.append(True)
-        else:
+        c = self.color_of.get(w)
+        if c is None:
             self.hits.append(False)
+        elif c != self.color:
+            return False
+        else:
+            self.hits.append(True)
         return True
 
     def pop(self):
@@ -307,7 +330,8 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
         raise ValueError("target length is below the depth of the approximation")
     budget = budget or Budget()
     base = X.nodes[:d]
-    colors = sorted({coloring.of(b) for b in one_extensions(a, X)})
+    color_of = _color_map(a, X, coloring)
+    colors = sorted(set(color_of.values()))
     try:
         if not colors:
             got = _search_member(X.k, base, X.nodes, target_len, budget, _NoFilter())
@@ -315,7 +339,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
         for color in colors:
-            flt = _MonochromeFilter(a, coloring, color)
+            flt = _MonochromeFilter(color_of, color)
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -333,13 +357,13 @@ class _LevelFitFilter:
 
     Color agreement coinciding with agreement of the level-j prefix is
     the same as the map color <-> prefix being a bijection on the
-    extensions seen so far, which is an O(1) check per node.
+    extensions seen so far, which is an O(1) check per node.  As in
+    _MonochromeFilter, color_of maps the new node of each extension
+    of s in the supply to its color.
     """
 
-    def __init__(self, s, coloring, level, floor_pairs):
-        self.s = s
-        self.slot = _Slot.of(s)
-        self.coloring = coloring
+    def __init__(self, color_of, level, floor_pairs):
+        self.color_of = color_of
         self.level = level
         self.floor_pairs = floor_pairs
         self.quals = []
@@ -348,10 +372,10 @@ class _LevelFitFilter:
         self.trail = []
 
     def try_push(self, nodes, w):
-        if not self.slot.admits(w):
+        c = self.color_of.get(w)
+        if c is None:
             self.trail.append(None)
             return True
-        c = self.coloring.of(_extend(self.s, w))
         p = w[: self.level]
         if p in self.proj_color:
             if self.proj_color[p] != c:
@@ -409,8 +433,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     if target_len < d:
         raise ValueError("target length is below the depth of the approximation")
     budget = budget or Budget()
-    for b in one_extensions(s, X):
-        coloring.of(b)
+    color_of = _color_map(s, X, coloring)
     l = classify_n(X.k, len(s.nodes))
     candidates = [0] + list(range(l + 1, X.k + 1))
     floor_pairs = list(zip(candidates, candidates[1:]))
@@ -418,7 +441,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     fits = []
     blown = False
     for level in candidates:
-        flt = _LevelFitFilter(s, coloring, level, floor_pairs)
+        flt = _LevelFitFilter(color_of, level, floor_pairs)
         try:
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
         except _Blown:
@@ -563,8 +586,9 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
     budget = budget or Budget()
+    vectors = admissible_vectors(k, n)
     fits = []
-    for vector in admissible_vectors(k, n):
+    for vector in vectors:
         flt = _VectorFitFilter(relation, vector, k, n)
         try:
             got = _search_member(k, (), X.nodes, target_len, budget, flt)
@@ -575,17 +599,23 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     if fits:
         vector, member = fits[0]
         return RelationCanonization(vector, member, tuple(fits))
-    return NotCanonicalAtScale(vectors_checked=len(admissible_vectors(k, n)))
+    return NotCanonicalAtScale(vectors_checked=len(vectors))
 
 
 def nash_williams_check(family):
-    """True when no member of the family properly end-extends another."""
+    """True when no member of the family properly end-extends another.
+
+    Compares node tuples only, whatever the dimension, so it is one
+    lookup per proper prefix of each member.
+    """
     approxs = list(dict.fromkeys(family))
     for a in approxs:
         _require_valid(a)
-    for a, b in itertools.permutations(approxs, 2):
-        if len(a.nodes) < len(b.nodes) and b.nodes[: len(a.nodes)] == a.nodes:
-            return False
+    members = {a.nodes for a in approxs}
+    for b in approxs:
+        for m in range(len(b.nodes)):
+            if b.nodes[:m] in members:
+                return False
     return True
 
 
@@ -684,16 +714,16 @@ def irreducible_check(phi, family):
     if not inner_check(phi, approxs):
         return False
     images = {a: phi.image(a) for a in approxs}
-    for a in approxs:
-        for b in approxs:
-            vb = phi.vector_for(b)
-            full = images[b]
-            for n in range(len(b.nodes) + 1):
-                partial = frozenset(
-                    b.nodes[i][: vb[i]] for i in range(n)
-                )
-                if images[a] == partial and images[a] != full:
-                    return False
+    seen = set(images.values())
+    for b in approxs:
+        full = images[b]
+        partial = set()
+        for w, l in zip(b.nodes, phi.vector_for(b)):
+            # a partial image is a subset of the full one, so it differs
+            # from it exactly when it is smaller
+            if len(partial) < len(full) and frozenset(partial) in seen:
+                return False
+            partial.add(w[:l])
     return True
 
 

@@ -10,16 +10,21 @@ exactly when the underlying index prefixes do (iii).
 Which nodes may come next is one rule, held by the private _Slot: the
 n-th node has length k, repeats the prefix forced at position n, and its
 next index exceeds every index used so far. admits, one_extensions, the
-searches in ramsey and the constructions all ask a _Slot. Public Approx
-and Member construction checks every entry; the private _extend appends
-a node of an already-built member without re-checking, for hot loops.
+searches in ramsey and the constructions all ask a _Slot. The private
+_Pool indexes a supply by forced prefix for searches that draw from it
+at every step; it only narrows what a slot is shown and never decides.
+Public Approx and Member construction checks every entry; the private
+_extend appends a node of an already-built member without re-checking,
+for hot loops.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from .errors import (
     LevelOutOfRangeError,
@@ -265,18 +270,50 @@ class _Slot:
         return cls(a.k, a.nodes, a.max_index())
 
     def admits(self, w: Node) -> bool:
-        """Whether w may fill the slot: candidates on a one-node pool, so
-        the rule is written only once."""
-        return any(self.candidates((w,)))
+        """Whether w may fill the slot. The one statement of the rule."""
+        # In a scan of a whole supply most nodes fail on the prefix, so
+        # it goes first; the length test then guards w[l].
+        l = self.level
+        return w[:l] == self.prefix and len(w) == self.k and w[l] > self.floor
 
     def candidates(self, pool):
         """The admitted nodes of pool, lazily and in pool order."""
-        # Hot: every search state is drawn here. Most nodes fail on the
-        # prefix, so it goes first; the length test then guards w[l].
-        k, l, prefix, floor = self.k, self.level, self.prefix, self.floor
-        for w in pool:
-            if w[:l] == prefix and len(w) == k and w[l] > floor:
-                yield w
+        return filter(self.admits, pool)
+
+
+class _Pool:
+    """A supply grouped by each proper prefix of its nodes, every group in
+    supply order, so a search need not rescan the whole supply per slot.
+
+    With each group goes the running maximum of the index after the
+    prefix; near(slot) starts the slot's group at the first node whose
+    running maximum exceeds the floor. No node it skips can be admitted,
+    and it keeps the order, so the slot still decides over what is left.
+    A running maximum, not a sort: a Member is not checked for order.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, supply):
+        groups: dict[Node, tuple[list, list]] = {}
+        for w in supply:
+            for l in range(len(w)):
+                group = groups.get(w[:l])
+                if group is None:
+                    groups[w[:l]] = ([w], [w[l]])
+                else:
+                    group[0].append(w)
+                    group[1].append(max(group[1][-1], w[l]))
+        self.groups = groups
+
+    def near(self, slot: _Slot):
+        """The nodes of the slot's prefix group past those at or below
+        its floor."""
+        group = self.groups.get(slot.prefix)
+        if group is None:
+            return ()
+        nodes, peaks = group
+        return islice(nodes, bisect_right(peaks, slot.floor), None)
 
 
 def admits(a: Approx, w: Node) -> bool:

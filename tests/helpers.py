@@ -130,3 +130,35 @@ def all_sub_members(X, base, length):
             nodes.pop()
 
     yield from rec(list(base))
+
+
+def oracle_nash_williams(family):
+    """The pairwise definition: no member's nodes are a proper initial
+    segment of another's. Validity of the members is not checked."""
+    approxs = list(family)
+    return not any(
+        len(a.nodes) < len(b.nodes) and b.nodes[: len(a.nodes)] == a.nodes
+        for a in approxs
+        for b in approxs
+    )
+
+
+def oracle_irreducible(phi, family):
+    """The definition-shaped double loop: phi is inner, and no image of
+    a member equals a partial image of a member b (its first n nodes
+    projected) unless it equals b's full image too."""
+    from ellentuck.ramsey import inner_check
+
+    approxs = list(dict.fromkeys(family))
+    if not inner_check(phi, approxs):
+        return False
+    images = {a: phi.image(a) for a in approxs}
+    for a in approxs:
+        for b in approxs:
+            vb = phi.vector_for(b)
+            full = images[b]
+            for n in range(len(b.nodes) + 1):
+                partial = frozenset(b.nodes[i][: vb[i]] for i in range(n))
+                if images[a] == partial and images[a] != full:
+                    return False
+    return True

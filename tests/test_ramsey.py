@@ -46,7 +46,13 @@ from ellentuck.space import (
 )
 from ellentuck.wellorder import classify_n
 
-from helpers import all_sub_members, shallow_stack, sub_approxs_up_to
+from helpers import (
+    all_sub_members,
+    oracle_irreducible,
+    oracle_nash_williams,
+    shallow_stack,
+    sub_approxs_up_to,
+)
 
 
 def approxs_of_length(X, n):
@@ -132,6 +138,43 @@ def test_level_fit_found_before_the_budget_ran_out_is_not_final():
     constant = Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))
     got = canonize_one_extensions(Approx(2), X, constant, 6, budget=Budget(20))
     assert got == Exhausted("budget", "state budget ran out at 21")
+
+
+def test_state_counts_are_pinned():
+    """States spent by a few cheap searches, as recorded at commit
+    41e1879, before the search core indexed its supply by prefix. An
+    index or a filter that only saves time leaves them exactly as they
+    are; a change that moves the search must say why and update them."""
+    X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
+    relation = Relation.from_key_function(
+        lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
+    )
+    fresh = r_approx(X100, 2)
+    assert classify_n(2, 2) == 0
+    by_branch = Coloring.from_function(
+        lambda b: b.nodes[-1][0], one_extensions(fresh, X100)
+    )
+    continuing = r_approx(X100, 1)
+    assert classify_n(2, 1) == 1
+    injective = Coloring(
+        {b: i for i, b in enumerate(one_extensions(continuing, X100))}
+    )
+    parity = Coloring.from_function(
+        lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), X300)
+    )
+    cases = {
+        "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 6128),
+        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 12067),
+        "continuing": (
+            lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
+            1787,
+        ),
+        "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
+    }
+    for name, (run, states) in cases.items():
+        budget = Budget(DEFAULT_BUDGET)
+        assert run(budget), name
+        assert budget.used == states, (name, budget.used)
 
 
 # -------------------------------------------------------------- coloring
@@ -557,6 +600,27 @@ def test_nash_williams_worked_examples():
     assert nash_williams_check([a, b])
 
 
+# small approximations of two dimensions, the empty ones included
+_SMALL = sub_approxs_up_to(build_w(2, 8), 3) + sub_approxs_up_to(build_w(3, 6), 2)
+
+
+def test_nash_williams_edge_cases():
+    W = build_w(2, 8)
+    a, b = r_approx(W, 1), r_approx(W, 2)
+    assert nash_williams_check([a, a, a])
+    assert not nash_williams_check([b, Approx(2), b])
+    assert nash_williams_check([Approx(2), Approx(3)])
+    # prefixes are compared as node tuples, whatever the dimension
+    assert not nash_williams_check([Approx(3), a])
+    assert not nash_williams_check([b, a, b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_SMALL), max_size=6))
+def test_nash_williams_matches_the_pairwise_definition(family):
+    assert nash_williams_check(family) == oracle_nash_williams(family)
+
+
 def test_front_cover_ar1_is_covered():
     X = build_w(2, 15)
     family = [Approx(2, (w,)) for w in X.nodes]
@@ -647,6 +711,19 @@ def test_irreducible_fails_on_prefix_pattern():
     assert inner_check(phi, family)
     # image of a is exactly the first-stage partial image of b
     assert not irreducible_check(phi, family)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_irreducible_check_matches_the_double_loop(data):
+    family = data.draw(st.lists(st.sampled_from(_SMALL), max_size=6))
+    phi = InnerMap(
+        {
+            a: data.draw(st.tuples(*[st.integers(0, a.k)] * len(a.nodes)))
+            for a in family
+        }
+    )
+    assert irreducible_check(phi, family) == oracle_irreducible(phi, family)
 
 
 def test_irreducible_agreement_trivial():

@@ -12,6 +12,8 @@ from ellentuck.errors import (
 from ellentuck.space import (
     Approx,
     Member,
+    _Pool,
+    _Slot,
     admits,
     basic_set_contains,
     build_w,
@@ -236,6 +238,20 @@ def test_admits_and_one_extensions_follow_the_oracle(k):
         assert [w for w in x.nodes if admits(a, w)] == [w for w in x.nodes if w in new]
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_pool_hands_each_slot_every_admitted_node_in_order(k):
+    # reversed and shuffled supplies are out of order, so the pool's
+    # running maximum, not the order of the nodes, must decide the skip
+    x = build_w(k, 20)
+    shuffled = list(x.nodes)
+    random.Random(4).shuffle(shuffled)
+    for supply in (x.nodes, x.nodes[::-1], tuple(shuffled)):
+        pool = _Pool(supply)
+        for a in sub_approxs_up_to(x, 3):
+            slot = _Slot.of(a)
+            assert list(slot.candidates(pool.near(slot))) == list(slot.candidates(supply))
+
+
 def test_wrong_length_nodes_are_never_admitted():
     # (5,) opens a fresh branch above every index, (0,) matches the forced
     # prefix of step 1, (0, 3, 7) is too long; none has length k = 2
@@ -244,6 +260,8 @@ def test_wrong_length_nodes_are_never_admitted():
         for w in [(5,), (0,), (0, 3, 7)]:
             assert not admits(a, w)
         assert all(len(b.nodes[-1]) == 2 for b in one_extensions(a, x))
+        slot = _Slot.of(a)
+        assert list(slot.candidates(_Pool(x.nodes).near(slot))) == list(slot.candidates(x.nodes))
     assert [b.nodes[-1] for b in one_extensions(Approx(2), x)] == [(0, 1), (0, 2)]
 
 
