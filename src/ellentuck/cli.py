@@ -261,6 +261,18 @@ def _exhausted(got, out):
 # ---------------------------------------------------------------- parser
 
 
+def _count(text):
+    """argparse type of --nodes, --count, --len and --n: a nonnegative
+    integer, so a negative one is a usage error."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ellentuck",
@@ -270,13 +282,13 @@ def _build_parser():
 
     p = sub.add_parser("enum", help="list the well-order from its minimum")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--full-length-only", action="store_true")
     p.set_defaults(run=_cmd_enum)
 
     p = sub.add_parser("build-w", help="build the prototype member")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nodes", type=int, required=True)
+    p.add_argument("--nodes", type=_count, required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(run=_cmd_build_w)
 
@@ -287,7 +299,7 @@ def _build_parser():
 
     p = sub.add_parser("classify-n", help="level of the n-th position")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.set_defaults(run=_cmd_classify_n)
 
     p = sub.add_parser("project", help="initial segment of a node")
@@ -303,42 +315,42 @@ def _build_parser():
     p = sub.add_parser("construct", help="greedy completion inside a member")
     p.add_argument("--a", required=True)
     p.add_argument("--member", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("fuse", help="completion staying compatible with both members")
     p.add_argument("--a", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_fuse)
 
     p = sub.add_parser("embed", help="greedy member from an availability oracle")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("pigeonhole", help="search a color-homogeneous sub-member")
     p.add_argument("--a", required=True)
     p.add_argument("--member", required=True)
     p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_pigeonhole)
 
     p = sub.add_parser("canonize-ext", help="canonical form of an extension coloring")
     p.add_argument("--s", required=True)
     p.add_argument("--member", required=True)
     p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_canonize_ext)
 
     p = sub.add_parser("canonize-arn", help="projection vector canonizing a relation")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--member", required=True)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_count, required=True)
     p.set_defaults(run=_cmd_canonize_arn)
 
     p = sub.add_parser("check-front", help="does the family cover the member")

@@ -65,6 +65,26 @@ class NodeOracle:
         return self._candidates
 
 
+def _greedy(k: int, nodes: list, target_len: int, pool_of):
+    """Fill nodes up to target_len, each step appending the first node of
+    pool_of(nodes, slot) that the step's slot admits.
+
+    Returns None when nodes is full, or else the pool that had no fitting
+    node, with nodes left as far as it got.
+    """
+    floor = max((max(w) for w in nodes), default=-1)
+    while len(nodes) < target_len:
+        slot = _Slot(k, nodes, floor)
+        pool = pool_of(nodes, slot)
+        picked = next(slot.candidates(pool), None)
+        if picked is None:
+            return pool
+        nodes.append(picked)
+        # picked passed the slot, so its maximum is the new running maximum
+        floor = max(picked)
+    return None
+
+
 def construct_in_basic_set(a, A, target_len: int):
     """Extend a to target_len nodes drawing from A, greedily.
 
@@ -83,13 +103,11 @@ def construct_in_basic_set(a, A, target_len: int):
     if not math.isfinite(d):
         raise ValueError("approximation does not sit inside the member")
     _require_valid(a)
-    cur = Approx(a.k, a.nodes)
-    while len(cur.nodes) < target_len:
-        exts = one_extensions(cur, A)
-        if not exts:
-            return Exhausted("supply", f"no admissible node at step {len(cur.nodes)}")
-        cur = exts[0]
-    return cur
+    pool = sorted(A.nodes, key=max)
+    nodes = list(a.nodes)
+    if _greedy(a.k, nodes, target_len, lambda nodes, slot: pool) is not None:
+        return Exhausted("supply", f"no admissible node at step {len(nodes)}")
+    return Approx(a.k, tuple(nodes))
 
 
 def fuse(a, A, B, target_len: int):
@@ -122,24 +140,20 @@ def fuse(a, A, B, target_len: int):
     inner_pool = sorted(set(A.nodes), key=max)
     ambient_pool = sorted(set(B.nodes), key=max)
 
-    nodes = list(B.nodes[:d])
-    maxi = max((max(w) for w in nodes), default=-1)
-    while len(nodes) < target_len:
-        n = len(nodes)
-        slot = _Slot(k, nodes, maxi)
+    def pool_of(nodes, slot):
         if slot.level == 0:
             use_inner = True
-        elif position_info(k, n)[1] < d:
+        elif position_info(k, len(nodes))[1] < d:
             use_inner = slot.prefix in a_prefixes
         else:
             use_inner = slot.prefix in inner_prefixes
-        pool = inner_pool if use_inner else ambient_pool
-        picked = next(slot.candidates(pool), None)
-        if picked is None:
-            side = "inner" if pool is inner_pool else "ambient"
-            return Exhausted("supply", f"step {n}: the {side} member has no fitting node")
-        nodes.append(picked)
-        maxi = max(maxi, max(picked))
+        return inner_pool if use_inner else ambient_pool
+
+    nodes = list(B.nodes[:d])
+    pool = _greedy(k, nodes, target_len, pool_of)
+    if pool is not None:
+        side = "inner" if pool is inner_pool else "ambient"
+        return Exhausted("supply", f"step {len(nodes)}: the {side} member has no fitting node")
     return Member(k, tuple(nodes))
 
 
@@ -161,14 +175,8 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
         candidates.append(w)
 
     nodes: list = []
-    maxi = -1
-    while len(nodes) < target_len:
-        n = len(nodes)
-        picked = next(_Slot(k, nodes, maxi).candidates(candidates), None)
-        if picked is None:
-            return Exhausted("supply", f"oracle denies every candidate at step {n}")
-        nodes.append(picked)
-        maxi = max(maxi, max(picked))
+    if _greedy(k, nodes, target_len, lambda nodes, slot: candidates) is not None:
+        return Exhausted("supply", f"oracle denies every candidate at step {len(nodes)}")
     return Approx(k, tuple(nodes))
 
 
@@ -267,8 +275,6 @@ def thin_to_subcopy(a, X, V, target_len: int):
 
     x_pool = sorted(set(X.nodes), key=max)
     max_a = a.max_index()
-    nodes = list(a.nodes)
-    maxi = max_a
 
     if level >= 1:
         if usable:
@@ -277,7 +283,8 @@ def thin_to_subcopy(a, X, V, target_len: int):
                 raise ValueError(f"V's new nodes are not a subcopy above level {level}: {verdict.reason}")
         branch_dom = domain_at(n, k)[:level]
         a_deep = {w[: level + 1] for w in a.nodes}
-        while len(nodes) < target_len:
+
+        def pool_of(nodes, slot):
             p = len(nodes)
             l, anchor = position_info(k, p)
             # a position holds a one-step extension of a exactly when it
@@ -287,12 +294,7 @@ def thin_to_subcopy(a, X, V, target_len: int):
             constrained = domain_at(p, k)[:level] == branch_dom and (
                 l == level or nodes[anchor][: level + 1] not in a_deep
             )
-            pool = usable if constrained else x_pool
-            picked = next(_Slot(k, nodes, maxi).candidates(pool), None)
-            if picked is None:
-                return Exhausted("supply", f"step {p}: no fitting node")
-            nodes.append(picked)
-            maxi = max(maxi, max(picked))
+            return usable if constrained else x_pool
     else:
         blocks: dict = {}
         for w in usable:
@@ -303,21 +305,17 @@ def thin_to_subcopy(a, X, V, target_len: int):
             if not isinstance(subcopy_check(blk, k, 1), NotIsomorphic)
         }
         fresh_pool = sorted((w for blk in good_blocks.values() for w in blk), key=max)
-        while len(nodes) < target_len:
-            p = len(nodes)
-            slot = _Slot(k, nodes, maxi)
-            if slot.level == 0:
-                pool = fresh_pool
-            elif slot.prefix[0] > max_a:
-                pool = good_blocks.get(slot.prefix[0], ())
-            else:
-                pool = x_pool
-            picked = next(slot.candidates(pool), None)
-            if picked is None:
-                return Exhausted("supply", f"step {p}: no fitting node")
-            nodes.append(picked)
-            maxi = max(maxi, max(picked))
 
+        def pool_of(nodes, slot):
+            if slot.level == 0:
+                return fresh_pool
+            if slot.prefix[0] > max_a:
+                return good_blocks.get(slot.prefix[0], ())
+            return x_pool
+
+    nodes = list(a.nodes)
+    if _greedy(k, nodes, target_len, pool_of) is not None:
+        return Exhausted("supply", f"step {len(nodes)}: no fitting node")
     result = Member(k, tuple(nodes))
     allowed = set(wanted)
     for b in one_extensions(a, result):

@@ -30,55 +30,45 @@ class TruncationExhaustedError(EllentuckError, LookupError):
     """The truncation is too short to answer the query."""
 
 
-# Shortfalls below are ordinary return values, not exceptions: running out
-# of finite data is an expected outcome for most searches here. They are
-# all falsy so callers can write `if result:` to test for success.
+class _Falsy:
+    """Base of the shortfalls below. They are ordinary return values, not
+    exceptions: running out of finite data is an expected outcome for most
+    searches here. They are all falsy so callers can write `if result:` to
+    test for success."""
+
+    def __bool__(self) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
-class Exhausted:
+class Exhausted(_Falsy):
     reason: str = "supply"
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class NotIsomorphic:
+class NotIsomorphic(_Falsy):
     reason: str = ""
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class AmbiguousAtScale:
+class AmbiguousAtScale(_Falsy):
     """More than one canonical form fits the truncated data."""
 
     candidates: tuple = ()
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class NotCanonicalAtScale:
+class NotCanonicalAtScale(_Falsy):
     """No projection vector fits the relation on the available data."""
 
     vectors_checked: int = 0
 
-    def __bool__(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
-class DisagreeWitness:
+class DisagreeWitness(_Falsy):
     """Pair of approximations on which two maps part ways."""
 
     a: object = None
     b: object = None
     detail: str = ""
-
-    def __bool__(self) -> bool:
-        return False

@@ -11,12 +11,16 @@ environment, or 10**6 states.
 Which node may fill the next position is decided by space._Slot and
 nowhere else here.  The search core draws each position's candidates
 from a space._Pool, the supply indexed by forced prefix, which only
-narrows what the slot is shown.  The filters that judge the one-step
-extensions of a fixed approximation (pigeonhole, canonize_one_extensions)
-get a {new node: color} map built once from one_extensions, so a push
-is one lookup; _VectorFitFilter builds the approximations it judges
-with the trusted space._extend, since their nodes come from a member
-that was checked when it was built.
+narrows what the slot is shown.  pigeonhole is canonization at level
+0: a coloring is constant on the one-step extensions exactly when "same
+color" is E_0, agreement on the empty projection.  So there is no
+separate monochrome filter; pigeonhole and canonize_one_extensions share
+one prologue and one _LevelFitFilter, pigeonhole with the level at 0 and
+the color pinned, and both judge a push by one lookup in a {new node:
+color} map built once from one_extensions.  _VectorFitFilter builds the
+approximations it judges with the trusted space._extend, since their
+nodes come from a member that was checked when it was built.
+Coloring, Relation and InnerMap are one extensional table, _Table.
 """
 
 import itertools
@@ -70,49 +74,65 @@ class _Blown(Exception):
     """Internal signal that the search budget ran out."""
 
 
-class Coloring:
-    """Finite map from approximations to integer colors.
+class _Table:
+    """Finite map keyed by approximations.
 
     The table is extensional: only approximations listed in it have a
-    color, and looking up anything else is an error.  This keeps every
-    homogeneity claim checkable by enumeration.
+    value, and looking up anything else is an error.  This keeps every
+    claim about the map checkable by enumeration.  Subclasses name what
+    they hold (_what) and how a value is stored (_value).
     """
+
+    @staticmethod
+    def _value(v):
+        return v
 
     def __init__(self, table):
         self._table = {}
-        for a, c in dict(table).items():
+        for a, v in dict(table).items():
             if not isinstance(a, Approx):
-                raise TypeError("coloring keys must be approximations")
-            self._table[a] = int(c)
+                raise TypeError("%s keys must be approximations" % self._what)
+            self._table[a] = self._value(v)
 
-    @classmethod
-    def from_function(cls, fn, domain):
-        return cls({a: fn(a) for a in domain})
-
-    def of(self, a):
+    def _lookup(self, a):
         try:
             return self._table[a]
         except KeyError:
             raise ValueError(
-                "coloring is not defined on %s" % (tuple(a.nodes),)
+                "%s is not defined on %s" % (self._what, tuple(a.nodes))
             ) from None
 
     def items(self):
         return self._table.items()
 
+    def domain(self):
+        return tuple(self._table)
+
     def __len__(self):
         return len(self._table)
 
 
-class Relation:
+class Coloring(_Table):
+    """Finite map from approximations to integer colors."""
+
+    _what = "coloring"
+    _value = int
+    of = _Table._lookup
+
+    @classmethod
+    def from_function(cls, fn, domain):
+        return cls({a: fn(a) for a in domain})
+
+
+class Relation(_Table):
     """Equivalence relation on a finite set of approximations.
 
     Stored as a class id per approximation, so `related` is a lookup
     and the relation is an equivalence by construction.
     """
 
-    def __init__(self, class_of):
-        self._class_of = dict(class_of)
+    _what = "relation"
+    class_id = _Table._lookup
 
     @classmethod
     def from_classes(cls, classes):
@@ -152,25 +172,11 @@ class Relation:
     def related(self, a, b):
         return self.class_id(a) == self.class_id(b)
 
-    def class_id(self, a):
-        try:
-            return self._class_of[a]
-        except KeyError:
-            raise ValueError(
-                "relation is not defined on %s" % (tuple(a.nodes),)
-            ) from None
-
-    def domain(self):
-        return tuple(self._class_of)
-
     def classes(self):
         groups = {}
-        for a, i in self._class_of.items():
+        for a, i in self._table.items():
             groups.setdefault(i, []).append(a)
         return [tuple(g) for _, g in sorted(groups.items())]
-
-    def __len__(self):
-        return len(self._class_of)
 
 
 @dataclass(frozen=True)
@@ -278,39 +284,22 @@ class _NoFilter:
         return True
 
 
-def _color_map(a, X, coloring):
-    """{new node: color} over the one-step extensions of a in X; raises
-    ValueError when the coloring misses one of them."""
-    return {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
+def _colored_extensions(a, X, coloring, target_len):
+    """The prologue of the searches over one-step extensions of a in X.
 
-
-class _MonochromeFilter:
-    """Keep every one-step extension of `a` inside one color class.
-
-    color_of maps the new node of each extension of `a` in the supply
-    to its color, so a node it lacks does not extend `a`.
+    Checks a and target_len, and returns the depth prefix of a in X,
+    which every witness keeps, with the {new node: color} map over the
+    one-step extensions of a in X; raises ValueError when the coloring
+    misses one of them.
     """
-
-    def __init__(self, color_of, color):
-        self.color_of = color_of
-        self.color = color
-        self.hits = []
-
-    def try_push(self, nodes, w):
-        c = self.color_of.get(w)
-        if c is None:
-            self.hits.append(False)
-        elif c != self.color:
-            return False
-        else:
-            self.hits.append(True)
-        return True
-
-    def pop(self):
-        self.hits.pop()
-
-    def accept(self, nodes):
-        return any(self.hits)
+    a = _checked_approx(a, X.k)
+    d = depth_of(X, a)
+    if d == float("inf"):
+        raise ValueError("the approximation does not sit inside the member")
+    if target_len < d:
+        raise ValueError("target length is below the depth of the approximation")
+    color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
+    return X.nodes[:d], color_of
 
 
 def pigeonhole(a, X, coloring, target_len, budget=None):
@@ -319,27 +308,20 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     Searches for Y with r_d(Y) = r_d(X) (d the depth of a in X) and
     target_len nodes such that every one-step extension of a inside Y
     gets the same color.  Returns (Y, color), trying colors in
-    ascending order, or Exhausted.  The homogeneity certificate is
-    re-checked by enumeration before returning.
+    ascending order, or Exhausted.  Each color is tried as a level-0
+    canonization with that color pinned.  The homogeneity certificate
+    is re-checked by enumeration before returning.
     """
-    a = _checked_approx(a, X.k)
-    d = depth_of(X, a)
-    if d == float("inf"):
-        raise ValueError("the approximation does not sit inside the member")
-    if target_len < d:
-        raise ValueError("target length is below the depth of the approximation")
+    base, color_of = _colored_extensions(a, X, coloring, target_len)
     budget = budget or Budget()
-    base = X.nodes[:d]
-    color_of = _color_map(a, X, coloring)
-    colors = sorted(set(color_of.values()))
     try:
-        if not colors:
+        if not color_of:
             got = _search_member(X.k, base, X.nodes, target_len, budget, _NoFilter())
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
-        for color in colors:
-            flt = _MonochromeFilter(color_of, color)
+        for color in sorted(set(color_of.values())):
+            flt = _LevelFitFilter(color_of, 0, (), color)
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -357,18 +339,23 @@ class _LevelFitFilter:
 
     Color agreement coinciding with agreement of the level-j prefix is
     the same as the map color <-> prefix being a bijection on the
-    extensions seen so far, which is an O(1) check per node.  As in
-    _MonochromeFilter, color_of maps the new node of each extension
-    of s in the supply to its color.
+    extensions seen so far, which is an O(1) check per node.  color_of
+    maps the new node of each extension of s in the supply to its
+    color, so a node it lacks does not extend s.  A pinned color starts
+    the bijection with () <-> color; at level 0 every extension then
+    has to take that color.
     """
 
-    def __init__(self, color_of, level, floor_pairs):
+    def __init__(self, color_of, level, floor_pairs, pinned=None):
         self.color_of = color_of
         self.level = level
         self.floor_pairs = floor_pairs
         self.quals = []
         self.proj_color = {}
         self.color_proj = {}
+        if pinned is not None:
+            self.proj_color[()] = pinned
+            self.color_proj[pinned] = ()
         self.trail = []
 
     def try_push(self, nodes, w):
@@ -401,8 +388,11 @@ class _LevelFitFilter:
             del self.color_proj[c]
 
     def accept(self, nodes):
-        # Demand witnesses separating every adjacent pair of candidate
-        # levels, so no other level can fit the same data.
+        # Demand at least one extension, and witnesses separating every
+        # adjacent pair of candidate levels, so no other level can fit
+        # the same data.
+        if not self.quals:
+            return False
         for c1, c2 in self.floor_pairs:
             if not any(
                 u[:c1] == v[:c1] and u[:c2] != v[:c2]
@@ -426,18 +416,11 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     the outcome is still AmbiguousAtScale, listing the levels that fit
     before it ran out; otherwise it is Exhausted("budget").
     """
-    s = _checked_approx(s, X.k)
-    d = depth_of(X, s)
-    if d == float("inf"):
-        raise ValueError("the approximation does not sit inside the member")
-    if target_len < d:
-        raise ValueError("target length is below the depth of the approximation")
+    base, color_of = _colored_extensions(s, X, coloring, target_len)
     budget = budget or Budget()
-    color_of = _color_map(s, X, coloring)
     l = classify_n(X.k, len(s.nodes))
     candidates = [0] + list(range(l + 1, X.k + 1))
     floor_pairs = list(zip(candidates, candidates[1:]))
-    base = X.nodes[:d]
     fits = []
     blown = False
     for level in candidates:
@@ -660,33 +643,22 @@ def proj_image(a, vector):
     return frozenset(out)
 
 
-class InnerMap:
+class InnerMap(_Table):
     """Projection vector assigned to each approximation of a family."""
 
-    def __init__(self, vectors):
-        self._vectors = {}
-        for a, v in dict(vectors).items():
-            if not isinstance(a, Approx):
-                raise TypeError("inner map keys must be approximations")
-            self._vectors[a] = tuple(int(c) for c in v)
+    _what = "inner map"
+    vector_for = _Table._lookup
+
+    @staticmethod
+    def _value(v):
+        return tuple(int(c) for c in v)
 
     @classmethod
     def uniform(cls, vector, family):
         return cls({a: tuple(vector) for a in family})
 
-    def vector_for(self, a):
-        try:
-            return self._vectors[a]
-        except KeyError:
-            raise ValueError(
-                "inner map is not defined on %s" % (tuple(a.nodes),)
-            ) from None
-
     def image(self, a):
         return proj_image(a, self.vector_for(a))
-
-    def domain(self):
-        return tuple(self._vectors)
 
 
 def inner_check(phi, family):

@@ -31,9 +31,13 @@ from .errors import (
     MalformedNodeError,
     TruncationExhaustedError,
 )
-from .wellorder import classify_n, domain_at, rank_of, seq_at_rank, seq_str
+from .wellorder import _CACHE_SIZE, classify_n, domain_at, rank_of, seq_at_rank, seq_str
 
 Node = tuple[int, ...]
+
+# A built member holds every node of its truncation, so fewer of them
+# are memoized than of the small entries bounded by _CACHE_SIZE.
+_MEMBER_CACHE_SIZE = 32
 
 
 def _as_node(node) -> Node:
@@ -87,7 +91,7 @@ def _extend(a: Approx, w: Node) -> Approx:
     return b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def decode_node(node: Node, k: int):
     """The index sequence a node represents; raises MalformedNodeError."""
     if not node:
@@ -119,9 +123,11 @@ def wk_node(seq, k=None) -> Node:
     return tuple(rank_of(s[:p], k) for p in range(1, len(s) + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMBER_CACHE_SIZE)
 def build_w(k: int, n: int) -> Member:
     """The first n nodes of the prototype member for dimension k."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
     return Member(k, tuple(wk_node(domain_at(p, k), k) for p in range(n)))
 
 
@@ -237,7 +243,7 @@ def depth_of(X: Member, a) -> int | float:
         ) from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def position_info(k: int, n: int):
     """(level, anchor) for step n: the forced prefix length and the
     earliest earlier position sharing it (None at level 0)."""

@@ -22,6 +22,10 @@ from .errors import EmptySequenceError
 
 Seq = tuple[int, ...]
 
+# Every memo here is bounded, so a long-lived process cannot grow it
+# without limit; the bound is far above what one search touches.
+_CACHE_SIZE = 1 << 16
+
 
 def _as_seq(seq, k=None):
     s = tuple(seq)
@@ -121,7 +125,7 @@ def _ext_count(d, rem):
     return comb(d + rem, rem - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def rank_of(seq: Seq, k: int) -> int:
     """0-based position of a nonempty sequence among nonempty ones."""
     s = _as_seq(seq, k)
@@ -139,7 +143,7 @@ def rank_of(seq: Seq, k: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def seq_at_rank(rank: int, k: int) -> Seq:
     """Inverse of rank_of."""
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
@@ -174,7 +178,7 @@ def _full_count(e, v, rem):
     return comb(e - v + rem - 1, rem - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def domain_rank(seq: Seq, k: int) -> int:
     """0-based position of a full-length sequence among full-length ones."""
     s = _as_seq(seq, k)
@@ -189,7 +193,7 @@ def domain_rank(seq: Seq, k: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def domain_at(n: int, k: int) -> Seq:
     """The n-th full-length sequence (the n-th position of a member)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -214,7 +218,7 @@ def domain_at(n: int, k: int) -> Seq:
     return prefix
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def classify_n(k: int, n: int) -> int:
     """The level l such that step n forces a length-l prefix but not l+1.
 

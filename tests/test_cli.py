@@ -384,3 +384,21 @@ def test_usage_errors():
     )
     assert code == 2
     assert "--file" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-w", "--k", "2", "--nodes", "-2"),
+        ("enum", "--k", "2", "--count", "-1"),
+        ("classify-n", "--k", "2", "--n", "-1"),
+        ("construct", "--a", '{"k":2,"nodes":[]}', "--member", '{"k":2,"nodes":[]}', "--len", "-1"),
+        ("embed", "--k", "2", "--oracle", "[]", "--len", "-3"),
+        ("build-w", "--k", "2", "--nodes", "many"),
+    ],
+)
+def test_negative_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        run(*argv)
+    assert stop.value.code == 2
+    assert capsys.readouterr().out == ""

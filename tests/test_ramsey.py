@@ -162,6 +162,10 @@ def test_state_counts_are_pinned():
     parity = Coloring.from_function(
         lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), X300)
     )
+    X30 = build_w(2, 30)
+    by_root = Coloring.from_function(
+        lambda b: int(b.nodes[-1][0] != 0), one_extensions(Approx(2), X30)
+    )
     cases = {
         "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 6128),
         "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 12067),
@@ -170,6 +174,8 @@ def test_state_counts_are_pinned():
             1787,
         ),
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
+        # color 0 refuted, then color 1 found
+        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 193),
     }
     for name, (run, states) in cases.items():
         budget = Budget(DEFAULT_BUDGET)
@@ -189,9 +195,14 @@ def test_coloring_is_extensional():
         f.of(Approx(2, ((0, 1), (0, 2))))
 
 
-def test_coloring_rejects_non_approx_keys():
+@pytest.mark.parametrize(
+    "table,value",
+    [(Coloring, 0), (Relation, 0), (InnerMap, (1,))],
+    ids=["Coloring", "Relation", "InnerMap"],
+)
+def test_coloring_rejects_non_approx_keys(table, value):
     with pytest.raises(TypeError):
-        Coloring({((0, 1),): 0})
+        table({((0, 1),): value})
 
 
 # -------------------------------------------------------------- relation
@@ -351,16 +362,20 @@ def test_pigeonhole_agrees_with_exhaustive_search(k, xlen, tlen):
         rng = random.Random(seed)
         f = Coloring.from_function(lambda b: rng.randrange(2), exts)
         got = pigeonhole(a, X, f, tlen)
-        brute = False
-        for Y in all_sub_members(X, X.nodes[:1], tlen):
-            colors = {f.of(b) for b in one_extensions(a, Y)}
-            if len(colors) == 1:
-                brute = True
+        # the least color with a homogeneous completion, and the first
+        # such completion in enumeration order
+        brute = None
+        for color in sorted({f.of(b) for b in exts}):
+            for Y in all_sub_members(X, X.nodes[:1], tlen):
+                if {f.of(b) for b in one_extensions(a, Y)} == {color}:
+                    brute = (Y, color)
+                    break
+            if brute:
                 break
-        assert bool(got) == brute
-        if got:
-            seen = {f.of(b) for b in one_extensions(a, got[0])}
-            assert len(seen) == 1 and seen == {got[1]}
+        if brute is None:
+            assert got == Exhausted("supply", "no color admits a homogeneous sub-member")
+        else:
+            assert got == brute
 
 
 # ------------------------------------------------- canonize 1-extensions

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ellentuck import cli, constructions, formats, ramsey, space
 from ellentuck import wellorder as wo
 from ellentuck.errors import (
     LevelOutOfRangeError,
@@ -84,6 +85,25 @@ def test_build_w_matches_figures():
     assert list(build_w(2, 15).nodes) == W2_LEAVES
     assert list(build_w(3, 20).nodes) == W3_LEAVES
     assert build_w(2, 0).nodes == ()
+
+
+def test_build_w_rejects_a_negative_length():
+    with pytest.raises(ValueError):
+        build_w(2, -2)
+
+
+def test_every_cache_is_bounded():
+    """Every memo cache of the package holds at most a fixed number of
+    entries, so a long-lived process cannot grow it without limit."""
+    caches = {
+        value
+        for module in (cli, constructions, formats, ramsey, space, wo)
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    }
+    assert decode_node in caches and wo.rank_of in caches
+    for cache in caches:
+        assert cache.cache_info().maxsize is not None, cache.__wrapped__.__name__
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
