@@ -261,16 +261,19 @@ def _exhausted(got, out):
 # ---------------------------------------------------------------- parser
 
 
-def _count(text):
-    """argparse type of --nodes, --count, --len and --n: a nonnegative
-    integer, so a negative one is a usage error."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("must be a nonnegative integer, got %r" % text)
+def _at_least(lo):
+    """argparse type of an integer no smaller than lo, so a smaller one
+    is a usage error."""
+
+    def parse(text):
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("must be an integer >= %d, got %r" % (lo, text))
+
+    return parse
 
 
 def _build_parser():
@@ -281,14 +284,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="list the well-order from its minimum")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=_count, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
+    p.add_argument("--count", type=_at_least(0), required=True)
     p.add_argument("--full-length-only", action="store_true")
     p.set_defaults(run=_cmd_enum)
 
     p = sub.add_parser("build-w", help="build the prototype member")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nodes", type=_count, required=True)
+    p.add_argument("--k", type=_at_least(2), required=True)
+    p.add_argument("--nodes", type=_at_least(0), required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(run=_cmd_build_w)
 
@@ -298,13 +301,13 @@ def _build_parser():
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("classify-n", help="level of the n-th position")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
+    p.add_argument("--n", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_classify_n)
 
     p = sub.add_parser("project", help="initial segment of a node")
     p.add_argument("--node", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_project)
 
     p = sub.add_parser("extensions", help="one-node extensions inside a member")
@@ -315,42 +318,42 @@ def _build_parser():
     p = sub.add_parser("construct", help="greedy completion inside a member")
     p.add_argument("--a", required=True)
     p.add_argument("--member", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("fuse", help="completion staying compatible with both members")
     p.add_argument("--a", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_fuse)
 
     p = sub.add_parser("embed", help="greedy member from an availability oracle")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_at_least(2), required=True)
     p.add_argument("--oracle", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_embed)
 
     p = sub.add_parser("pigeonhole", help="search a color-homogeneous sub-member")
     p.add_argument("--a", required=True)
     p.add_argument("--member", required=True)
     p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_pigeonhole)
 
     p = sub.add_parser("canonize-ext", help="canonical form of an extension coloring")
     p.add_argument("--s", required=True)
     p.add_argument("--member", required=True)
     p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_canonize_ext)
 
     p = sub.add_parser("canonize-arn", help="projection vector canonizing a relation")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--k", type=_at_least(2), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.add_argument("--relation", required=True)
     p.add_argument("--member", required=True)
-    p.add_argument("--len", type=_count, required=True)
+    p.add_argument("--len", type=_at_least(0), required=True)
     p.set_defaults(run=_cmd_canonize_arn)
 
     p = sub.add_parser("check-front", help="does the family cover the member")

@@ -11,16 +11,17 @@ environment, or 10**6 states.
 Which node may fill the next position is decided by space._Slot and
 nowhere else here.  The search core draws each position's candidates
 from a space._Pool, the supply indexed by forced prefix, which only
-narrows what the slot is shown.  pigeonhole is canonization at level
-0: a coloring is constant on the one-step extensions exactly when "same
-color" is E_0, agreement on the empty projection.  So there is no
-separate monochrome filter; pigeonhole and canonize_one_extensions share
-one prologue and one _LevelFitFilter, pigeonhole with the level at 0 and
-the color pinned, and both judge a push by one lookup in a {new node:
-color} map built once from one_extensions.  _VectorFitFilter builds the
-approximations it judges with the trusted space._extend, since their
-nodes come from a member that was checked when it was built.
-Coloring, Relation and InnerMap are one extensional table, _Table.
+narrows what the slot is shown.  A canonical relation is agreement of
+coordinatewise projections, which on finite data is one check: the map
+from projection key to class stays a bijection.  _FitFilter alone holds
+that map, and each candidate hands it a source of (key, class) pairs.  A
+level fit looks up the pair of a new node in a map built once per level
+from one_extensions; pigeonhole is level 0 with the color pinned, since
+a coloring is constant on the one-step extensions exactly when "same
+color" is E_0.  A relation fit forms the n-approximations a new node
+completes as node tuples, and looks up their classes in a map built once
+from the Relation.  Coloring, Relation and InnerMap are one extensional
+table, _Table.
 """
 
 import itertools
@@ -36,7 +37,6 @@ from .errors import (
 from .space import (
     Approx,
     Member,
-    _extend,
     _Pool,
     _require_valid,
     _Slot,
@@ -244,12 +244,13 @@ def _search_member(k, base, supply, target_len, budget, flt):
         slot = _Slot(k, nodes, floor)
         return slot.candidates(pool.near(slot))
 
+    spend, try_push = budget.spend, flt.try_push  # once, not per state
     stack = [candidates(max((max(w) for w in nodes), default=-1))]
     while stack:
         for w in stack[-1]:
-            if not budget.spend():
+            if not spend():
                 raise _Blown()
-            if flt.try_push(nodes, w):
+            if try_push(nodes, w):
                 break
         else:
             stack.pop()
@@ -282,6 +283,89 @@ class _NoFilter:
 
     def accept(self, nodes):
         return True
+
+
+class _FitFilter:
+    """A relation must coincide with agreement of projection keys: the
+    map key <-> class stays a bijection on the pairs formed so far, an
+    O(1) check per pair with both directions kept as dicts.
+
+    pairs(w, nodes) gives the (key, class) pairs that placing w after
+    nodes forms; each is checked before the next is drawn, so a veto
+    comes before any later class lookup.  Pinned pairs hold from the
+    start.  accept asks for at least one pair and, for each floor pair
+    (c1, c2) of levels, two placed nodes that agree up to c1 but not up
+    to c2, so no other candidate level can fit the same data.
+    """
+
+    def __init__(self, pairs, pinned=(), floor_pairs=()):
+        self.pairs = pairs
+        self.floor_pairs = floor_pairs
+        self.key_class = dict(pinned)
+        self.class_key = {c: key for key, c in pinned}
+        self.placed = []  # the pushed nodes that formed a pair
+        self.trail = []  # per push, the keys it inserted; None if no pair
+
+    def try_push(self, nodes, w):
+        key_class, class_key = self.key_class, self.class_key
+        # a list once a pair passes; most pushes are vetoed at their first
+        inserted = None
+        for key, c in self.pairs(w, nodes):
+            if key in key_class:
+                if key_class[key] != c:
+                    break
+                if inserted is None:
+                    inserted = []
+            elif c in class_key:
+                break
+            else:
+                key_class[key] = c
+                class_key[c] = key
+                if inserted is None:
+                    inserted = [key]
+                else:
+                    inserted.append(key)
+        else:
+            self.trail.append(inserted)
+            if inserted is not None:
+                self.placed.append(w)
+            return True
+        if inserted:
+            self._undo(inserted)
+        return False
+
+    def _undo(self, inserted):
+        for key in inserted:
+            del self.class_key[self.key_class.pop(key)]
+
+    def pop(self):
+        inserted = self.trail.pop()
+        if inserted is not None:
+            self.placed.pop()
+            self._undo(inserted)
+
+    def accept(self, nodes):
+        placed = self.placed
+        if not placed:
+            return False
+        for c1, c2 in self.floor_pairs:
+            if not any(
+                u[:c1] == v[:c1] and u[:c2] != v[:c2]
+                for i, u in enumerate(placed)
+                for v in placed[:i]
+            ):
+                return False
+        return True
+
+
+def _level_pairs(color_of, level, supply):
+    """pairs of a level fit: get on a map from each supply node to its
+    (level prefix, color) pair, or to none when it does not extend s.
+    The search only draws supply nodes, so get's default is unused."""
+    pairs = dict.fromkeys(supply, ())
+    for w, c in color_of.items():
+        pairs[w] = ((w[:level], c),)
+    return pairs.get
 
 
 def _colored_extensions(a, X, coloring, target_len):
@@ -320,8 +404,9 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
+        pairs = _level_pairs(color_of, 0, X.nodes)
         for color in sorted(set(color_of.values())):
-            flt = _LevelFitFilter(color_of, 0, (), color)
+            flt = _FitFilter(pairs, pinned=[((), color)])
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -332,75 +417,6 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     except _Blown:
         return _out_of_budget(budget)
     return Exhausted("supply", "no color admits a homogeneous sub-member")
-
-
-class _LevelFitFilter:
-    """Colors of extensions of s must match projection-level agreement.
-
-    Color agreement coinciding with agreement of the level-j prefix is
-    the same as the map color <-> prefix being a bijection on the
-    extensions seen so far, which is an O(1) check per node.  color_of
-    maps the new node of each extension of s in the supply to its
-    color, so a node it lacks does not extend s.  A pinned color starts
-    the bijection with () <-> color; at level 0 every extension then
-    has to take that color.
-    """
-
-    def __init__(self, color_of, level, floor_pairs, pinned=None):
-        self.color_of = color_of
-        self.level = level
-        self.floor_pairs = floor_pairs
-        self.quals = []
-        self.proj_color = {}
-        self.color_proj = {}
-        if pinned is not None:
-            self.proj_color[()] = pinned
-            self.color_proj[pinned] = ()
-        self.trail = []
-
-    def try_push(self, nodes, w):
-        c = self.color_of.get(w)
-        if c is None:
-            self.trail.append(None)
-            return True
-        p = w[: self.level]
-        if p in self.proj_color:
-            if self.proj_color[p] != c:
-                return False
-            self.trail.append((w, None))
-        elif c in self.color_proj:
-            return False
-        else:
-            self.proj_color[p] = c
-            self.color_proj[c] = p
-            self.trail.append((w, (p, c)))
-        self.quals.append((w, c))
-        return True
-
-    def pop(self):
-        mark = self.trail.pop()
-        if mark is None:
-            return
-        self.quals.pop()
-        if mark[1] is not None:
-            p, c = mark[1]
-            del self.proj_color[p]
-            del self.color_proj[c]
-
-    def accept(self, nodes):
-        # Demand at least one extension, and witnesses separating every
-        # adjacent pair of candidate levels, so no other level can fit
-        # the same data.
-        if not self.quals:
-            return False
-        for c1, c2 in self.floor_pairs:
-            if not any(
-                u[:c1] == v[:c1] and u[:c2] != v[:c2]
-                for i, (u, _) in enumerate(self.quals)
-                for (v, _) in self.quals[:i]
-            ):
-                return False
-        return True
 
 
 def canonize_one_extensions(s, X, coloring, target_len, budget=None):
@@ -424,7 +440,8 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     fits = []
     blown = False
     for level in candidates:
-        flt = _LevelFitFilter(color_of, level, floor_pairs)
+        pairs = _level_pairs(color_of, level, X.nodes)
+        flt = _FitFilter(pairs, floor_pairs=floor_pairs)
         try:
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
         except _Blown:
@@ -482,73 +499,37 @@ def admissible_vectors(k, n):
     ]
 
 
-class _VectorFitFilter:
-    """Relation must equal projection-key agreement on n-approximations.
+class _Approximations:
+    """pairs of a relation fit: (projection key, class) of each
+    n-approximation a placed node completes.
 
-    As in _LevelFitFilter, the fit condition is the map from projection
-    keys to relation classes being a bijection on the approximations
-    formed so far; both directions are kept as dicts.  tables[j] holds
-    the valid j-approximations (j < n) formed from the placed nodes,
-    each with the slot of its next node, so a push only extends the
-    approximations the new node can follow and a pop truncates them.
+    tables[j] holds the j-approximations (j < n) of the placed nodes, as
+    node tuples with the slot of their next node, in order of formation,
+    and sizes[m] the table lengths after m placed nodes.  A call first
+    cuts the tables back to len(nodes), so nothing needs undoing.
     """
 
-    def __init__(self, relation, vector, k, n):
-        self.relation = relation
+    def __init__(self, class_of, vector, k):
+        self.class_of = class_of
         self.vector = vector
-        self.n = n
-        self.key_class = {}
-        self.class_key = {}
-        empty = Approx(k)
-        self.tables = [[(empty, _Slot.of(empty))]] + [[] for _ in range(n - 1)]
-        self.trail = []
+        self.k = k
+        self.tables = [[((), _Slot(k, (), -1))]] + [[] for _ in vector[1:]]
+        self.sizes = [[len(table) for table in self.tables]]
 
-    def _key(self, b):
-        return tuple(b.nodes[i][: self.vector[i]] for i in range(self.n))
-
-    def try_push(self, nodes, w):
-        grown = []
-        inserted = []
-        for j, table in enumerate(self.tables):
-            for c, slot in table:
-                if not slot.admits(w):
-                    continue
-                b = _extend(c, w)
-                if j + 1 < self.n:
-                    grown.append(b)
-                    continue
-                kb = self._key(b)
-                cb = self.relation.class_id(b)
-                if kb in self.key_class:
-                    if self.key_class[kb] != cb:
-                        self._undo(inserted)
-                        return False
-                elif cb in self.class_key:
-                    self._undo(inserted)
-                    return False
-                else:
-                    self.key_class[kb] = cb
-                    self.class_key[cb] = kb
-                    inserted.append((kb, cb))
+    def __call__(self, w, nodes):
+        tables, m = self.tables, len(nodes)
+        for table, size in zip(tables, self.sizes[m]):
+            del table[size:]
+        grown = [c + (w,) for table in tables[:-1] for c, slot in table
+                 if slot.admits(w)]
+        for c, slot in tables[-1]:
+            if slot.admits(w):
+                b = c + (w,)
+                yield tuple(u[:l] for u, l in zip(b, self.vector)), self.class_of(b)
         floor = max(w)
         for b in grown:
-            self.tables[len(b.nodes)].append((b, _Slot(b.k, b.nodes, floor)))
-        self.trail.append((inserted, grown))
-        return True
-
-    def _undo(self, inserted):
-        for kb, cb in inserted:
-            del self.key_class[kb]
-            del self.class_key[cb]
-
-    def pop(self):
-        inserted, grown = self.trail.pop()
-        self._undo(inserted)
-        for b in grown:
-            self.tables[len(b.nodes)].pop()
-
-    def accept(self, nodes):
-        return True
+            tables[len(b)].append((b, _Slot(self.k, b, floor)))
+        self.sizes[m + 1:] = [[len(table) for table in tables]]
 
 
 def canonize_relation(relation, k, n, X, target_len, budget=None):
@@ -570,9 +551,18 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         raise ValueError("target length cannot be below the approximation length")
     budget = budget or Budget()
     vectors = admissible_vectors(k, n)
+    # only the keys a lookup by Approx(k, nodes) finds
+    classes = {a.nodes: c for a, c in relation.items() if type(a) is Approx and a.k == k}
+
+    def class_of(nodes):
+        try:
+            return classes[nodes]
+        except KeyError:  # then the relation raises its own error
+            return relation.class_id(Approx(k, nodes))
+
     fits = []
     for vector in vectors:
-        flt = _VectorFitFilter(relation, vector, k, n)
+        flt = _FitFilter(_Approximations(class_of, vector, k))
         try:
             got = _search_member(k, (), X.nodes, target_len, budget, flt)
         except _Blown:
@@ -731,8 +721,10 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
     """Two canonizing inner maps agree pointwise on some sub-member.
 
     First checks that each map canonizes the relation on the family
-    restricted to X (relation holds exactly when images agree); a
-    failing pair is returned as a DisagreeWitness.  Then searches for
+    restricted to X (relation holds exactly when images agree), as one
+    image <-> class bijection in family order.  When a map fails, the
+    DisagreeWitness names the first member b that breaks the bijection
+    and the first earlier member that disagrees with it.  Then searches for
     a sub-member A of X such that phi1 and phi2 give the same image to
     every family member inside A, with at least one such member.
     """
@@ -742,8 +734,12 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
             raise ValueError("family and member dimensions differ")
     for phi, tag in ((phi1, "first"), (phi2, "second")):
         images = {a: phi.image(a) for a in approxs}
-        for a, b in itertools.combinations(approxs, 2):
-            if relation.related(a, b) != (images[a] == images[b]):
+        flt = _FitFilter(lambda a, _: ((images[a], relation.class_id(a)),))
+        for j, b in enumerate(approxs):
+            if not flt.try_push((), b):
+                # b breaks the bijection, so an earlier member disagrees with it
+                a = next(a for a in approxs[:j]
+                         if relation.related(a, b) != (images[a] == images[b]))
                 return DisagreeWitness(
                     a=a,
                     b=b,

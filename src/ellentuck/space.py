@@ -14,8 +14,8 @@ searches in ramsey and the constructions all ask a _Slot. The private
 _Pool indexes a supply by forced prefix for searches that draw from it
 at every step; it only narrows what a slot is shown and never decides.
 Public Approx and Member construction checks every entry; the private
-_extend appends a node of an already-built member without re-checking,
-for hot loops.
+_extend, which one_extensions uses, appends a node of an already-built
+member without re-checking.
 """
 
 from __future__ import annotations

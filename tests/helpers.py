@@ -162,3 +162,41 @@ def oracle_irreducible(phi, family):
                 if images[a] == partial and images[a] != full:
                     return False
     return True
+
+
+def oracle_relation_fits(relation, k, n, X, target_len):
+    """The (vector, member) fits of canonize_relation by definition: for
+    each admissible vector in order, the first sub-member of X with
+    target_len nodes, in all_sub_members order, on which relation holds
+    between two of its n-approximations exactly when their projection
+    keys under the vector are equal. Nothing is pruned."""
+    from ellentuck.ramsey import admissible_vectors
+
+    fits = []
+    for v in admissible_vectors(k, n):
+        def key(b):
+            return tuple(w[:l] for w, l in zip(b.nodes, v))
+
+        for Y in all_sub_members(X, (), target_len):
+            inside = [b for b in sub_approxs_up_to(Y, n) if len(b.nodes) == n]
+            if all(
+                relation.related(a, b) == (key(a) == key(b))
+                for a in inside
+                for b in inside
+            ):
+                fits.append((v, Y))
+                break
+    return fits
+
+
+def oracle_disagreement(phi, relation, family):
+    """The first pair (a, b) of family members, a before b, on which the
+    relation and equality of phi-images disagree, or None when phi
+    canonizes the relation on the family. The pairwise definition."""
+    import itertools
+
+    approxs = list(dict.fromkeys(family))
+    for a, b in itertools.combinations(approxs, 2):
+        if relation.related(a, b) != (phi.image(a) == phi.image(b)):
+            return a, b
+    return None

@@ -402,3 +402,37 @@ def test_negative_counts_are_usage_errors(argv, capsys):
         run(*argv)
     assert stop.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+_SIX = build_w(2, 6)
+_SIX_SINGLES = [Approx(2, (w,)) for w in _SIX.nodes]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("build-w", "--k", "1", "--nodes", "3"), id="build-w"),
+        pytest.param(("enum", "--k", "0", "--count", "3"), id="enum"),
+        pytest.param(("classify-n", "--k", "0", "--n", "1"), id="classify-n"),
+        pytest.param(("embed", "--k", "1", "--oracle", "[]", "--len", "2"), id="embed"),
+        pytest.param(("project", "--node", "[0,1]", "--level", "-1"), id="project"),
+        pytest.param(
+            (
+                "canonize-arn", "--k", "2", "--n", "0",
+                "--relation", dump_relation(Relation.from_key_function(len, _SIX_SINGLES)),
+                "--member", dump_approx(_SIX), "--len", "3",
+            ),
+            id="canonize-arn",
+        ),
+    ],
+)
+def test_out_of_range_integers_are_usage_errors(argv, capsys):
+    """Integers argparse accepts but the command cannot use: --k below 2
+    where a member is built, below 1 otherwise, a negative --level and
+    an approximation length of 0."""
+    with pytest.raises(SystemExit) as stop:
+        run(*argv)
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer >=" in captured.err

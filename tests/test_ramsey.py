@@ -48,8 +48,10 @@ from ellentuck.wellorder import classify_n
 
 from helpers import (
     all_sub_members,
+    oracle_disagreement,
     oracle_irreducible,
     oracle_nash_williams,
+    oracle_relation_fits,
     shallow_stack,
     sub_approxs_up_to,
 )
@@ -602,6 +604,53 @@ def test_canonize_relation_argument_checks():
         canonize_relation(rel, 2, 2, X, 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_canonize_relation_matches_the_oracle(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    X = build_w(k, data.draw(st.integers(4, 12 if k == 2 else 10)))
+    n = data.draw(st.sampled_from([1, 2]))
+    tlen = data.draw(st.integers(min(len(X.nodes), n + 2), min(len(X.nodes), n + 5)))
+    dom = approxs_of_length(X, n)
+    if data.draw(st.booleans(), label="induced"):
+        v = data.draw(st.sampled_from(admissible_vectors(k, n)))
+        relation = Relation.from_key_function(
+            lambda b: tuple(w[:l] for w, l in zip(b.nodes, v)), dom
+        )
+    else:
+        top = data.draw(st.integers(1, 3))
+        classes = st.lists(st.integers(0, top), min_size=len(dom), max_size=len(dom))
+        relation = Relation(dict(zip(dom, data.draw(classes))))
+    got = canonize_relation(relation, k, n, X, tlen)
+    want = oracle_relation_fits(relation, k, n, X, tlen)
+    assert getattr(got, "fits", ()) == tuple(want)
+    if want:
+        assert (got.vector, got.member) == want[0]
+    else:
+        assert got == NotCanonicalAtScale(vectors_checked=len(admissible_vectors(k, n)))
+
+
+@pytest.mark.parametrize("index,used", [(0, 2), (5, 73), (17, 163), (34, 225)])
+def test_relation_missing_an_approximation_fails_where_it_is_first_needed(index, used):
+    """The equality relation on the 2-approximations of a 20-node
+    truncation, less one. The search raises at the first lookup of the
+    missing approximation, after the states recorded here at commit
+    bc2ad43. A push vetoed by an approximation it completes earlier
+    never looks the missing one up, so index 5 raises only after 73
+    states."""
+    X = build_w(2, 20)
+    dom = approxs_of_length(X, 2)
+    missing = dom[index]
+    relation = Relation.from_key_function(
+        lambda b: b.nodes, [a for a in dom if a != missing]
+    )
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError) as err:
+        canonize_relation(relation, 2, 2, X, 6, budget)
+    assert str(err.value) == "relation is not defined on %s" % (missing.nodes,)
+    assert budget.used == used
+
+
 # ----------------------------------------------------------------- fronts
 
 
@@ -783,6 +832,41 @@ def test_irreducible_agreement_exhausts_without_supply():
     phi = InnerMap.uniform((1,), family)
     got = irreducible_agreement(phi, phi, rel, family, X, target_len=30)
     assert isinstance(got, Exhausted)
+
+
+_FAMILY_X = build_w(2, 10)
+_FAMILY = sub_approxs_up_to(_FAMILY_X, 2)[1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_irreducible_agreement_disagrees_exactly_when_a_pair_fails(data):
+    family = data.draw(st.lists(st.sampled_from(_FAMILY), min_size=1, max_size=8))
+
+    def inner_map():
+        return InnerMap(
+            {a: data.draw(st.tuples(*[st.integers(0, 2)] * len(a.nodes))) for a in family}
+        )
+
+    phi1, phi2 = inner_map(), inner_map()
+    if data.draw(st.booleans(), label="phi1 canonizes"):
+        relation = Relation.from_key_function(phi1.image, family)
+    else:
+        relation = Relation(
+            {a: data.draw(st.integers(0, 2)) for a in dict.fromkeys(family)}
+        )
+    got = irreducible_agreement(
+        phi1, phi2, relation, family, _FAMILY_X, target_len=3, budget=Budget(500)
+    )
+    first = oracle_disagreement(phi1, relation, family)
+    second = oracle_disagreement(phi2, relation, family)
+    if first is None and second is None:
+        assert not isinstance(got, DisagreeWitness)
+        return
+    assert isinstance(got, DisagreeWitness)
+    phi, tag = (phi1, "first") if first is not None else (phi2, "second")
+    assert tag in got.detail
+    assert relation.related(got.a, got.b) != (phi.image(got.a) == phi.image(got.b))
 
 
 def test_canonize_relation_vectors_are_irreducible_maps():
