@@ -18,15 +18,18 @@ that map, and each candidate hands it a source of (key, class) pairs.  A
 level fit looks up the pair of a new node in a map built once per level
 from one_extensions; pigeonhole is level 0 with the color pinned, since
 a coloring is constant on the one-step extensions exactly when "same
-color" is E_0.  A relation fit forms the n-approximations a new node
-completes as node tuples, and looks up their classes in a map built once
-from the Relation.  Coloring, Relation and InnerMap are one extensional
-table, _Table.
+color" is E_0.  canonize_relation runs one search for every projection
+vector, which finds the n-approximations a new node completes and their
+classes once for all of them; a state is one placement tried, however
+many vectors it serves.  Coloring, Relation and InnerMap are one
+extensional table, _Table.
 """
 
 import itertools
 import os
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem
 
 from .errors import (
     AmbiguousAtScale,
@@ -42,6 +45,7 @@ from .space import (
     _Slot,
     depth_of,
     one_extensions,
+    position_info,
 )
 from .wellorder import classify_n, domain_at, seq_str
 
@@ -229,15 +233,16 @@ def _search_member(k, base, supply, target_len, budget, flt):
     past its floor, in supply order; the slot still decides.
     flt.try_push(nodes, w) may veto a placement; when it returns True
     it has recorded state and flt.pop() undoes it on backtrack.
-    flt.accept(nodes) gates completed members.  Returns the node
-    tuple, or None when the space is exhausted.  Raises _Blown when
-    the budget runs out.  The depth is not bounded by the
-    interpreter's stack: each open position keeps its own lazy
-    candidate stream on an explicit stack.
+    flt.accept(nodes) says how many nodes of a completed member to
+    keep: all ends the search with them, fewer backtracks to that many,
+    and fewer than base ends it.  Returns the node tuple, or None when
+    the space is exhausted.  Raises _Blown when the budget runs out.
+    The depth is not bounded by the interpreter's stack: each open
+    position keeps its own lazy candidate stream on an explicit stack.
     """
     nodes = list(base)
     if len(nodes) == target_len:
-        return tuple(nodes) if flt.accept(nodes) else None
+        return tuple(nodes) if flt.accept(nodes) == target_len else None
     pool = _Pool(supply)
 
     def candidates(floor):
@@ -262,9 +267,14 @@ def _search_member(k, base, supply, target_len, budget, flt):
         if len(nodes) < target_len:
             # w passed the slot, so its maximum is the new running maximum
             stack.append(candidates(max(w)))
-        elif flt.accept(nodes):
+            continue
+        keep = flt.accept(nodes)
+        if keep == target_len:
             return tuple(nodes)
-        else:
+        if keep < len(base):
+            return None
+        del stack[keep - len(base) + 1:]
+        for _ in range(target_len - keep):
             nodes.pop()
             flt.pop()
     return None
@@ -282,7 +292,7 @@ class _NoFilter:
         pass
 
     def accept(self, nodes):
-        return True
+        return len(nodes)
 
 
 class _FitFilter:
@@ -293,9 +303,9 @@ class _FitFilter:
     pairs(w, nodes) gives the (key, class) pairs that placing w after
     nodes forms; each is checked before the next is drawn, so a veto
     comes before any later class lookup.  Pinned pairs hold from the
-    start.  accept asks for at least one pair and, for each floor pair
-    (c1, c2) of levels, two placed nodes that agree up to c1 but not up
-    to c2, so no other candidate level can fit the same data.
+    start.  accept keeps a member with at least one pair and, for each
+    floor pair (c1, c2) of levels, two placed nodes that agree up to c1
+    but not up to c2, so no other candidate level can fit the same data.
     """
 
     def __init__(self, pairs, pinned=(), floor_pairs=()):
@@ -346,16 +356,15 @@ class _FitFilter:
 
     def accept(self, nodes):
         placed = self.placed
-        if not placed:
-            return False
-        for c1, c2 in self.floor_pairs:
-            if not any(
+        fits = bool(placed) and all(
+            any(
                 u[:c1] == v[:c1] and u[:c2] != v[:c2]
                 for i, u in enumerate(placed)
                 for v in placed[:i]
-            ):
-                return False
-        return True
+            )
+            for c1, c2 in self.floor_pairs
+        )
+        return len(nodes) if fits else len(nodes) - 1
 
 
 def _level_pairs(color_of, level, supply):
@@ -477,71 +486,115 @@ def admissible_vectors(k, n):
     for i in range(n):
         choices.append([0] + list(range(classify_n(k, i) + 1, k + 1)))
     domains = [domain_at(i, k) for i in range(n)]
-    shared = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = 0
-            while c < k and domains[i][c] == domains[j][c]:
-                c += 1
-            shared[i, j] = c
 
     def redundant(v):
-        for i in range(n):
-            if v[i] == 0:
-                continue
-            for j in range(i + 1, n):
-                if v[j] >= v[i] and shared[i, j] >= v[i]:
-                    return True
-        return False
+        return any(
+            v[i] and v[j] >= v[i] and domains[i][: v[i]] == domains[j][: v[i]]
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
 
     return [
         tuple(v) for v in itertools.product(*choices) if not redundant(tuple(v))
     ]
 
 
-class _Approximations:
-    """pairs of a relation fit: (projection key, class) of each
-    n-approximation a placed node completes.
+class _VectorFits:
+    """Every vector's fit in one search: a _FitFilter per vector, all fed
+    the n-approximations a push completes, found once with their classes.
 
-    tables[j] holds the j-approximations (j < n) of the placed nodes, as
-    node tuples with the slot of their next node, in order of formation,
-    and sizes[m] the table lengths after m placed nodes.  A call first
-    cuts the tables back to len(nodes), so nothing needs undoing.
+    tables[j] (j < n) groups the j-approximations of the placed nodes, with
+    the slot of their next node, by its forced prefix (of length levels[j]),
+    so a push reads one group per table and the slot still decides.
+    live[m] lists the unresolved filters that took the first m placed
+    nodes.  A vector is resolved at its first leaf or at the first class
+    it misses; accept then backtracks to the deepest level still live.
+    So each vector gets its solo witness, and the states are the union of
+    the solo searches' states.
     """
 
-    def __init__(self, class_of, vector, k):
-        self.class_of = class_of
-        self.vector = vector
-        self.k = k
-        self.tables = [[((), _Slot(k, (), -1))]] + [[] for _ in vector[1:]]
-        self.sizes = [[len(table) for table in self.tables]]
+    def __init__(self, relation, k, n, vectors):
+        # only the keys a lookup by Approx(k, nodes) finds
+        classes = {a.nodes: c for a, c in relation.items() if type(a) is Approx and a.k == k}
+        self.k, self.relation, self.class_of = k, relation, classes.get
+        self.levels = [position_info(k, j)[0] for j in range(n)]
+        self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
+        self.trail, self.completed = [], []
+        self.filters = [_FitFilter(partial(self._pairs, [slice(l) for l in v]))
+                        for v in vectors]
+        self.live = [self.filters]
+        self.found = {}  # filter -> witness nodes, or the error its search raised
 
-    def __call__(self, w, nodes):
-        tables, m = self.tables, len(nodes)
-        for table, size in zip(tables, self.sizes[m]):
-            del table[size:]
-        grown = [c + (w,) for table in tables[:-1] for c, slot in table
-                 if slot.admits(w)]
-        for c, slot in tables[-1]:
-            if slot.admits(w):
-                b = c + (w,)
-                yield tuple(u[:l] for u, l in zip(b, self.vector)), self.class_of(b)
-        floor = max(w)
-        for b in grown:
-            tables[len(b)].append((b, _Slot(self.k, b, floor)))
-        self.sizes[m + 1:] = [[len(table) for table in tables]]
+    def _pairs(self, slices, w, nodes):
+        for b, c in self.completed:
+            if c is None:  # a miss: the relation's lookup raises (or finds None)
+                c = self.relation.class_id(Approx(self.k, b))
+            yield tuple(map(getitem, b, slices)), c
+
+    def _extended(self, j, w):
+        group = self.tables[j].get(w[:self.levels[j]], ())
+        return [c + (w,) for c, slot in group if slot.admits(w)]
+
+    def try_push(self, nodes, w):
+        self.completed = [(b, self.class_of(b)) for b in self._extended(-1, w)]
+        live = []
+        for f in self.live[-1]:
+            try:
+                if f.try_push(nodes, w):
+                    live.append(f)
+            except ValueError as err:
+                self._resolve(f, err)
+        if not live:
+            return False
+        self.live.append(live)
+        grown = [(b, _Slot(self.k, b, max(w)))
+                 for j in range(len(self.tables) - 1) for b in self._extended(j, w)]
+        self.trail.append([self.tables[len(b)].setdefault(slot.prefix, []) for b, slot in grown])
+        for group, entry in zip(self.trail[-1], grown):
+            group.append(entry)
+        return True
+
+    def pop(self):
+        for f in self.live.pop():
+            f.pop()
+        for group in self.trail.pop():
+            group.pop()
+
+    def accept(self, nodes):
+        for f in self.live[-1]:
+            if f.accept(nodes) == len(nodes):
+                self._resolve(f, tuple(nodes))
+        # live lists only shrink with depth, so the nonempty ones lead
+        return sum(map(bool, self.live[:-1])) - 1
+
+    def _resolve(self, f, outcome):
+        self.found[f] = outcome
+        self.live = [[g for g in level if g is not f] for level in self.live]
+        self.settle(done=False)
+
+    def settle(self, done):
+        """Raise the error of the least vector that raised once those before
+        it fit, as one search per vector would; done: the rest did not fit."""
+        for f in self.filters:
+            got = self.found.get(f)
+            if isinstance(got, ValueError):
+                raise got
+            if got is None and not done:
+                return
 
 
 def canonize_relation(relation, k, n, X, target_len, budget=None):
     """Canonical projection vector for a relation on n-approximations.
 
-    Tries every admissible vector in ascending lexicographic order,
-    searching for a sub-member of X of target_len nodes on which the
-    relation coincides with agreement of coordinatewise projections.
-    Returns a RelationCanonization carrying the least fitting vector,
-    its witness, and all fits; NotCanonicalAtScale when the search
-    space was exhausted with no fit; Exhausted when the budget ran out
-    before every vector was tried, even if some had fit by then.
+    Tries every admissible vector in one search for sub-members of X of
+    target_len nodes on which the relation coincides with agreement of
+    coordinatewise projections, each vector getting the first witness of
+    its own search in ascending order.  A state is one placement tried,
+    however many vectors it serves.  Returns a RelationCanonization
+    carrying the least fitting vector, its witness, and all fits;
+    NotCanonicalAtScale when the search space was exhausted with no fit;
+    Exhausted when the budget ran out before every vector was resolved,
+    even if some had fit by then.
     """
     if X.k != k:
         raise ValueError("member dimension does not match k")
@@ -551,24 +604,14 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         raise ValueError("target length cannot be below the approximation length")
     budget = budget or Budget()
     vectors = admissible_vectors(k, n)
-    # only the keys a lookup by Approx(k, nodes) finds
-    classes = {a.nodes: c for a, c in relation.items() if type(a) is Approx and a.k == k}
-
-    def class_of(nodes):
-        try:
-            return classes[nodes]
-        except KeyError:  # then the relation raises its own error
-            return relation.class_id(Approx(k, nodes))
-
-    fits = []
-    for vector in vectors:
-        flt = _FitFilter(_Approximations(class_of, vector, k))
-        try:
-            got = _search_member(k, (), X.nodes, target_len, budget, flt)
-        except _Blown:
-            return _out_of_budget(budget)
-        if got is not None:
-            fits.append((vector, Member(k, got)))
+    flt = _VectorFits(relation, k, n, vectors)
+    try:
+        _search_member(k, (), X.nodes, target_len, budget, flt)
+    except _Blown:
+        return _out_of_budget(budget)
+    flt.settle(done=True)
+    fits = [(v, Member(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
+            if f in flt.found]
     if fits:
         vector, member = fits[0]
         return RelationCanonization(vector, member, tuple(fits))
@@ -690,31 +733,34 @@ def irreducible_check(phi, family):
 
 
 class _AgreementFilter:
-    """Images under two inner maps must agree on family members inside."""
+    """Images under two inner maps must agree on family members inside.
+    A push reads the members holding its node against the placed set;
+    the search starts from no nodes."""
 
     def __init__(self, phi1, phi2, family):
         self.phi1 = phi1
         self.phi2 = phi2
-        self.family = family
-        self.hits = []
+        self.by_node = {}
+        for a in family:
+            for w in set(a.nodes):
+                self.by_node.setdefault(w, []).append(a)
+        self.placed = set()
+        self.hits = []  # per push, its node and the members it completed
 
     def try_push(self, nodes, w):
-        have = set(nodes)
-        have.add(w)
-        count = 0
-        for a in self.family:
-            if w in a.nodes and set(a.nodes) <= have:
-                if self.phi1.image(a) != self.phi2.image(a):
-                    return False
-                count += 1
-        self.hits.append(count)
+        self.placed.add(w)
+        inside = [a for a in self.by_node.get(w, ()) if self.placed.issuperset(a.nodes)]
+        if any(self.phi1.image(a) != self.phi2.image(a) for a in inside):
+            self.placed.remove(w)
+            return False
+        self.hits.append((w, len(inside)))
         return True
 
     def pop(self):
-        self.hits.pop()
+        self.placed.remove(self.hits.pop()[0])
 
     def accept(self, nodes):
-        return sum(self.hits) > 0
+        return len(nodes) if any(count for _, count in self.hits) else len(nodes) - 1
 
 
 def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=None):

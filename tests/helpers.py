@@ -200,3 +200,32 @@ def oracle_disagreement(phi, relation, family):
         if relation.related(a, b) != (phi.image(a) == phi.image(b)):
             return a, b
     return None
+
+
+class ScanAgreementFilter:
+    """The filter of irreducible_agreement's search by definition: each
+    push rescans the whole family for the members it completes (those
+    holding the new node with every node placed) and is vetoed when the
+    two maps give one of them different images; a completed member is
+    accepted when some member was completed along the way. accept
+    answers in the search core's terms, the number of nodes to keep."""
+
+    def __init__(self, phi1, phi2, family):
+        self.phi1 = phi1
+        self.phi2 = phi2
+        self.family = family
+        self.hits = []
+
+    def try_push(self, nodes, w):
+        have = set(nodes) | {w}
+        inside = [a for a in self.family if w in a.nodes and set(a.nodes) <= have]
+        if any(self.phi1.image(a) != self.phi2.image(a) for a in inside):
+            return False
+        self.hits.append(len(inside))
+        return True
+
+    def pop(self):
+        self.hits.pop()
+
+    def accept(self, nodes):
+        return len(nodes) if sum(self.hits) else len(nodes) - 1

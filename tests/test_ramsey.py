@@ -7,11 +7,13 @@ enumerator from helpers.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellentuck import ramsey
 from ellentuck.errors import (
     AmbiguousAtScale,
     DisagreeWitness,
@@ -47,6 +49,7 @@ from ellentuck.space import (
 from ellentuck.wellorder import classify_n
 
 from helpers import (
+    ScanAgreementFilter,
     all_sub_members,
     oracle_disagreement,
     oracle_irreducible,
@@ -144,8 +147,10 @@ def test_level_fit_found_before_the_budget_ran_out_is_not_final():
 
 def test_state_counts_are_pinned():
     """States spent by a few cheap searches, as recorded at commit
-    41e1879, before the search core indexed its supply by prefix. An
-    index or a filter that only saves time leaves them exactly as they
+    41e1879, before the search core indexed its supply by prefix, except
+    the relation's: 6,128 there, 1,534 since canonize_relation searches
+    for every vector at once and a state serves every vector still live.
+    An index or a filter that only saves time leaves them exactly as they
     are; a change that moves the search must say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
@@ -169,7 +174,7 @@ def test_state_counts_are_pinned():
         lambda b: int(b.nodes[-1][0] != 0), one_extensions(Approx(2), X30)
     )
     cases = {
-        "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 6128),
+        "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
         "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 12067),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
@@ -630,14 +635,15 @@ def test_canonize_relation_matches_the_oracle(data):
         assert got == NotCanonicalAtScale(vectors_checked=len(admissible_vectors(k, n)))
 
 
-@pytest.mark.parametrize("index,used", [(0, 2), (5, 73), (17, 163), (34, 225)])
+@pytest.mark.parametrize("index,used", [(0, 2), (5, 73), (17, 165), (34, 227)])
 def test_relation_missing_an_approximation_fails_where_it_is_first_needed(index, used):
     """The equality relation on the 2-approximations of a 20-node
-    truncation, less one. The search raises at the first lookup of the
-    missing approximation, after the states recorded here at commit
-    bc2ad43. A push vetoed by an approximation it completes earlier
-    never looks the missing one up, so index 5 raises only after 73
-    states."""
+    truncation, less one. The search raises once the least vector whose
+    own search looks the missing approximation up does so, after the
+    states recorded here with every vector searched at once (2, 73, 163
+    and 225 at commit bc2ad43, when each vector had a search of its own).
+    A push vetoed by an approximation it completes earlier never looks
+    the missing one up, so index 5 raises only after 73 states."""
     X = build_w(2, 20)
     dom = approxs_of_length(X, 2)
     missing = dom[index]
@@ -649,6 +655,78 @@ def test_relation_missing_an_approximation_fails_where_it_is_first_needed(index,
         canonize_relation(relation, 2, 2, X, 6, budget)
     assert str(err.value) == "relation is not defined on %s" % (missing.nodes,)
     assert budget.used == used
+
+
+def _draw_relation_case(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    X = build_w(k, data.draw(st.integers(4, 14 if k == 2 else 10)))
+    n = data.draw(st.sampled_from([1, 2]))
+    tlen = data.draw(st.integers(min(len(X.nodes), n + 2), min(len(X.nodes), n + 5)))
+    dom = approxs_of_length(X, n)
+    if data.draw(st.booleans(), label="induced"):
+        v = data.draw(st.sampled_from(admissible_vectors(k, n)))
+        relation = Relation.from_key_function(
+            lambda b: tuple(w[:l] for w, l in zip(b.nodes, v)), dom
+        )
+    else:
+        classes = st.lists(st.integers(0, 3), min_size=len(dom), max_size=len(dom))
+        relation = Relation(dict(zip(dom, data.draw(classes))))
+    return relation, k, n, X, tlen
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_joint_relation_search_spends_the_union_of_the_solo_searches(data):
+    """A state is one placement, however many vectors are live: the joint
+    search spends exactly the distinct (nodes, w) states that searches for
+    one vector at a time visit, and gives each vector its solo witness."""
+    relation, k, n, X, tlen = _draw_relation_case(data)
+    budget = Budget(DEFAULT_BUDGET)
+    got = canonize_relation(relation, k, n, X, tlen, budget)
+    states, solo = set(), []
+    for v in admissible_vectors(k, n):
+        flt = ramsey._VectorFits(relation, k, n, [v])
+        (one,) = flt.filters
+
+        def recording(nodes, w, push=one.try_push):
+            states.add((tuple(nodes), w))
+            return push(nodes, w)
+
+        one.try_push = recording
+        ramsey._search_member(k, (), X.nodes, tlen, Budget(DEFAULT_BUDGET), flt)
+        if one in flt.found:
+            solo.append((v, Member(k, flt.found[one])))
+    assert budget.used == len(states)
+    assert getattr(got, "fits", ()) == tuple(solo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_missing_approximations_raise_what_one_search_per_vector_raises(data):
+    """With some approximations missing from the relation, the joint search
+    raises the error of the least vector whose own search raises, as
+    searching the vectors one by one does, whatever the joint order meets
+    first."""
+    relation, k, n, X, tlen = _draw_relation_case(data)
+    table = dict(relation.items())
+    dropped = data.draw(st.lists(st.sampled_from(list(table)), min_size=1, max_size=3))
+    incomplete = Relation({a: c for a, c in table.items() if a not in dropped})
+    want = None
+    for v in admissible_vectors(k, n):
+        flt = ramsey._VectorFits(incomplete, k, n, [v])
+        try:
+            ramsey._search_member(k, (), X.nodes, tlen, Budget(DEFAULT_BUDGET), flt)
+        except ValueError as err:
+            want = str(err)
+            break
+    if want is None:
+        assert canonize_relation(incomplete, k, n, X, tlen) == canonize_relation(
+            relation, k, n, X, tlen
+        )
+    else:
+        with pytest.raises(ValueError) as err:
+            canonize_relation(incomplete, k, n, X, tlen)
+        assert str(err.value) == want
 
 
 # ----------------------------------------------------------------- fronts
@@ -867,6 +945,38 @@ def test_irreducible_agreement_disagrees_exactly_when_a_pair_fails(data):
     phi, tag = (phi1, "first") if first is not None else (phi2, "second")
     assert tag in got.detail
     assert relation.related(got.a, got.b) != (phi.image(got.a) == phi.image(got.b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_irreducible_agreement_matches_the_scanning_filter(data):
+    """The node-indexed agreement filter gives the outcome and spends the
+    states of a filter that rescans the whole family on every push. The
+    full vectors give distinct images, so phi1 canonizes the identity
+    relation, and phi2 keeps or redraws each member's vector."""
+    family = data.draw(st.lists(st.sampled_from(_FAMILY), min_size=1, max_size=8))
+    approxs = list(dict.fromkeys(family))
+    phi1 = InnerMap({a: (2,) * len(a.nodes) for a in approxs})
+    phi2 = InnerMap(
+        {
+            a: phi1.vector_for(a)
+            if data.draw(st.booleans())
+            else data.draw(st.tuples(*[st.integers(0, 2)] * len(a.nodes)))
+            for a in approxs
+        }
+    )
+    identity = Relation({a: i for i, a in enumerate(approxs)})
+    tlen = data.draw(st.integers(2, 5))
+    limit = data.draw(st.integers(1, 2000))
+
+    def run():
+        budget = Budget(limit)
+        got = irreducible_agreement(phi1, phi2, identity, family, _FAMILY_X, tlen, budget)
+        return got, budget.used
+
+    got = run()
+    with mock.patch.object(ramsey, "_AgreementFilter", ScanAgreementFilter):
+        assert got == run()
 
 
 def test_canonize_relation_vectors_are_irreducible_maps():
