@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand wraps one library operation. Structured arguments
+Every subcommand wraps one library operation and is declared once, with
+its flags, by `_command` on its handler. Structured arguments
 (approximations, colorings, relations, families, maps, oracles) accept
-either a file path or the literal JSON/DOT text inline. Output is
-deterministic: identical inputs give identical bytes.
+either a file path or the literal JSON/DOT text inline. Output is deterministic: identical
+inputs give identical bytes.
 
 Exit codes: 0 success, 1 validation or logic failure, 2 usage error,
 3 search exhausted.
@@ -63,14 +64,6 @@ def _read(flag, value):
     raise _UsageError(flag, "no such file: %s" % value)
 
 
-def _load(flag, value, loader, **kwargs):
-    text = _read(flag, value)
-    try:
-        return loader(text, **kwargs)
-    except (ValueError, EllentuckError) as err:
-        raise _UsageError(flag, str(err))
-
-
 def _budget():
     """The search budget ELLENTUCK_BUDGET sets, or the default."""
     try:
@@ -79,15 +72,89 @@ def _budget():
         raise _UsageError("ELLENTUCK_BUDGET", str(err))
 
 
-def _approx(flag, value, fmt="json", member=False):
-    if fmt == "dot":
-        return _load(flag, value, from_dot, member=member)
-    return _load(flag, value, load_approx, member=member)
+# ------------------------------------------------------------------ flags
+# A flag is (name, argparse keywords, load). Integers, choices and
+# switches are argparse's alone and have no load. A structured flag's
+# load(text, args) reads its file or inline text once argparse is done.
+
+
+def _at_least(lo):
+    """argparse type of an integer no smaller than lo, so a smaller one
+    is a usage error."""
+
+    def parse(text):
+        try:
+            if int(text) >= lo:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("must be an integer >= %d, got %r" % (lo, text))
+
+    return parse
+
+
+def _int(name, lo):
+    return (name, {"type": _at_least(lo), "required": True}, None)
+
+
+def _input(name, loader, **kwargs):
+    """A structured flag, read by a formats loader."""
+    return (name, {"required": True}, lambda text, args: loader(text, **kwargs))
+
+
+def _approx_in_format(text, args):
+    return (from_dot if args.format == "dot" else load_approx)(text)
+
+
+def _node_list(text):
+    nodes = json.loads(text)
+    if not isinstance(nodes, list) or not all(isinstance(w, list) for w in nodes):
+        raise ValueError("expected a JSON list of nodes")
+    return nodes
+
+
+_K = _int("--k", 2)
+_LEN = _int("--len", 0)
+_A = _input("--a", load_approx)
+_MEMBER = _input("--member", load_approx, member=True)
+_COLORING = _input("--coloring", load_coloring)
+_FAMILY = _input("--family", load_family)
+_FORMAT = ("--format", {"choices": ("json", "dot"), "default": "json"}, None)
+
+_COMMANDS = {}  # name -> (help, flags, handler), in help order
+
+
+def _command(name, summary, *flags):
+    """Declare a subcommand with its flags in help order. The handler
+    gets the parsed flags, structured ones loaded, and returns an exit
+    status, an approximation to print, or an Exhausted to report."""
+
+    def declare(run):
+        _COMMANDS[name] = (summary, flags, run)
+        return run
+
+    return declare
+
+
+def _load(args, flags):
+    """Load the structured flags in declaration order, so a bad file or
+    text is a usage error naming the first bad flag."""
+    for name, _, load in flags:
+        if load is not None:
+            dest = name[2:].replace("-", "_")  # as argparse derives it
+            text = _read(name, getattr(args, dest))
+            try:
+                setattr(args, dest, load(text, args))
+            except (ValueError, EllentuckError) as err:
+                raise _UsageError(name, str(err))
 
 
 # ----------------------------------------------------------- subcommands
 
 
+@_command("enum", "list the well-order from its minimum",
+          _int("--k", 1), _int("--count", 0),
+          ("--full-length-only", {"action": "store_true"}, None))
 def _cmd_enum(args, out):
     seqs = (
         enumerate_k(args.k, args.count)
@@ -98,15 +165,17 @@ def _cmd_enum(args, out):
     return 0
 
 
+@_command("build-w", "build the prototype member", _K, _int("--nodes", 0), _FORMAT)
 def _cmd_build_w(args, out):
     w = build_w(args.k, args.nodes)
     out.write(to_dot(w) if args.format == "dot" else dump_approx(w) + "\n")
     return 0
 
 
+@_command("validate", "check the tree conditions",
+          ("--file", {"required": True}, _approx_in_format), _FORMAT)
 def _cmd_validate(args, out):
-    a = _approx("--file", args.file, fmt=args.format)
-    report = validate_approx(a)
+    report = validate_approx(args.file)
     if report:
         out.write("valid\n")
         return 0
@@ -114,63 +183,50 @@ def _cmd_validate(args, out):
     return 1
 
 
+@_command("classify-n", "level of the n-th position", _int("--k", 1), _int("--n", 0))
 def _cmd_classify_n(args, out):
     out.write("%d\n" % classify_n(args.k, args.n))
     return 0
 
 
+@_command("project", "initial segment of a node",
+          _input("--node", json.loads), _int("--level", 0))
 def _cmd_project(args, out):
-    node = _load("--node", args.node, json.loads)
-    out.write(canonical_json(list(project(node, args.level))) + "\n")
+    out.write(canonical_json(list(project(args.node, args.level))) + "\n")
     return 0
 
 
+@_command("extensions", "one-node extensions inside a member",
+          _input("--approx", load_approx), _MEMBER)
 def _cmd_extensions(args, out):
-    a = _approx("--approx", args.approx)
-    member = _approx("--member", args.member, member=True)
-    out.write(dump_family(one_extensions(a, member)) + "\n")
+    out.write(dump_family(one_extensions(args.approx, args.member)) + "\n")
     return 0
 
 
+@_command("construct", "greedy completion inside a member", _A, _MEMBER, _LEN)
 def _cmd_construct(args, out):
-    a = _approx("--a", args.a)
-    member = _approx("--member", args.member, member=True)
-    got = construct_in_basic_set(a, member, args.len)
-    if isinstance(got, Exhausted):
-        return _exhausted(got, out)
-    out.write(dump_approx(got) + "\n")
-    return 0
+    return construct_in_basic_set(args.a, args.member, args.len)
 
 
+@_command("fuse", "completion staying compatible with both members",
+          _A, _input("--A", load_approx, member=True),
+          _input("--B", load_approx, member=True), _LEN)
 def _cmd_fuse(args, out):
-    a = _approx("--a", args.a)
-    big_a = _approx("--A", args.A, member=True)
-    big_b = _approx("--B", args.B, member=True)
-    got = fuse(a, big_a, big_b, args.len)
-    if isinstance(got, Exhausted):
-        return _exhausted(got, out)
-    out.write(dump_approx(got) + "\n")
-    return 0
+    return fuse(args.a, args.A, args.B, args.len)
 
 
+@_command("embed", "greedy member from an availability oracle",
+          _K, _input("--oracle", _node_list), _LEN)
 def _cmd_embed(args, out):
-    nodes = _load("--oracle", args.oracle, json.loads)
-    if not isinstance(nodes, list):
-        raise _UsageError("--oracle", "expected a JSON list of nodes")
-    got = dense_embed(args.k, NodeOracle(nodes=map(tuple, nodes)), args.len)
-    if isinstance(got, Exhausted):
-        return _exhausted(got, out)
-    out.write(dump_approx(got) + "\n")
-    return 0
+    return dense_embed(args.k, NodeOracle(nodes=map(tuple, args.oracle)), args.len)
 
 
+@_command("pigeonhole", "search a color-homogeneous sub-member",
+          _A, _MEMBER, _COLORING, _LEN)
 def _cmd_pigeonhole(args, out):
-    a = _approx("--a", args.a)
-    member = _approx("--member", args.member, member=True)
-    coloring = _load("--coloring", args.coloring, load_coloring)
-    got = pigeonhole(a, member, coloring, args.len, _budget())
+    got = pigeonhole(args.a, args.member, args.coloring, args.len, _budget())
     if isinstance(got, Exhausted):
-        return _exhausted(got, out)
+        return got
     homogeneous, color = got
     out.write(
         canonical_json({"color": color, "member": approx_to_obj(homogeneous)}) + "\n"
@@ -178,13 +234,12 @@ def _cmd_pigeonhole(args, out):
     return 0
 
 
+@_command("canonize-ext", "canonical form of an extension coloring",
+          _input("--s", load_approx), _MEMBER, _COLORING, _LEN)
 def _cmd_canonize_ext(args, out):
-    s = _approx("--s", args.s)
-    member = _approx("--member", args.member, member=True)
-    coloring = _load("--coloring", args.coloring, load_coloring)
-    got = canonize_one_extensions(s, member, coloring, args.len, _budget())
+    got = canonize_one_extensions(args.s, args.member, args.coloring, args.len, _budget())
     if isinstance(got, Exhausted):
-        return _exhausted(got, out)
+        return got
     if isinstance(got, AmbiguousAtScale):
         out.write(
             "ambiguous at this scale: levels %s all fit\n"
@@ -199,12 +254,12 @@ def _cmd_canonize_ext(args, out):
     return 0
 
 
+@_command("canonize-arn", "projection vector canonizing a relation",
+          _K, _int("--n", 1), _input("--relation", load_relation), _MEMBER, _LEN)
 def _cmd_canonize_arn(args, out):
-    relation = _load("--relation", args.relation, load_relation)
-    member = _approx("--member", args.member, member=True)
-    got = canonize_relation(relation, args.k, args.n, member, args.len, _budget())
+    got = canonize_relation(args.relation, args.k, args.n, args.member, args.len, _budget())
     if isinstance(got, Exhausted):
-        return _exhausted(got, out)
+        return got
     if isinstance(got, NotCanonicalAtScale):
         out.write(
             "not canonical at this scale (%d vectors checked)\n" % got.vectors_checked
@@ -226,10 +281,11 @@ def _cmd_canonize_arn(args, out):
     return 0
 
 
+@_command("check-front", "does the family cover the member", _FAMILY, _MEMBER)
 def _cmd_check_front(args, out):
-    family = _load("--family", args.family, load_family)
-    member = _approx("--member", args.member, member=True)
-    report = front_cover_check(family, member)
+    report = front_cover_check(args.family, args.member, _budget())
+    if isinstance(report, Exhausted):
+        return report
     if report:
         out.write("covered\n")
         return 0
@@ -237,43 +293,23 @@ def _cmd_check_front(args, out):
     return 1
 
 
+@_command("check-irreducible", "inner and irreducible map checks",
+          _input("--map", load_inner_map), _FAMILY)
 def _cmd_check_irreducible(args, out):
-    phi = _load("--map", args.map, load_inner_map)
-    family = _load("--family", args.family, load_family)
-    if not nash_williams_check(family):
+    if not nash_williams_check(args.family):
         out.write("NOT A FRONT: some member end-extends another\n")
         return 1
-    if not inner_check(phi, family):
+    if not inner_check(args.map, args.family):
         out.write("NOT INNER\n")
         return 1
-    if not irreducible_check(phi, family):
+    if not irreducible_check(args.map, args.family):
         out.write("NOT IRREDUCIBLE\n")
         return 1
     out.write("irreducible\n")
     return 0
 
 
-def _exhausted(got, out):
-    out.write("exhausted: %s\n" % (got.detail or got.reason))
-    return 3
-
-
 # ---------------------------------------------------------------- parser
-
-
-def _at_least(lo):
-    """argparse type of an integer no smaller than lo, so a smaller one
-    is a usage error."""
-
-    def parse(text):
-        try:
-            if int(text) >= lo:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError("must be an integer >= %d, got %r" % (lo, text))
-
-    return parse
 
 
 def _build_parser():
@@ -282,100 +318,28 @@ def _build_parser():
         description="Finite truncations of high-dimensional Ellentuck spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum", help="list the well-order from its minimum")
-    p.add_argument("--k", type=_at_least(1), required=True)
-    p.add_argument("--count", type=_at_least(0), required=True)
-    p.add_argument("--full-length-only", action="store_true")
-    p.set_defaults(run=_cmd_enum)
-
-    p = sub.add_parser("build-w", help="build the prototype member")
-    p.add_argument("--k", type=_at_least(2), required=True)
-    p.add_argument("--nodes", type=_at_least(0), required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(run=_cmd_build_w)
-
-    p = sub.add_parser("validate", help="check the tree conditions")
-    p.add_argument("--file", required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("classify-n", help="level of the n-th position")
-    p.add_argument("--k", type=_at_least(1), required=True)
-    p.add_argument("--n", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_classify_n)
-
-    p = sub.add_parser("project", help="initial segment of a node")
-    p.add_argument("--node", required=True)
-    p.add_argument("--level", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_project)
-
-    p = sub.add_parser("extensions", help="one-node extensions inside a member")
-    p.add_argument("--approx", required=True)
-    p.add_argument("--member", required=True)
-    p.set_defaults(run=_cmd_extensions)
-
-    p = sub.add_parser("construct", help="greedy completion inside a member")
-    p.add_argument("--a", required=True)
-    p.add_argument("--member", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_construct)
-
-    p = sub.add_parser("fuse", help="completion staying compatible with both members")
-    p.add_argument("--a", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_fuse)
-
-    p = sub.add_parser("embed", help="greedy member from an availability oracle")
-    p.add_argument("--k", type=_at_least(2), required=True)
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_embed)
-
-    p = sub.add_parser("pigeonhole", help="search a color-homogeneous sub-member")
-    p.add_argument("--a", required=True)
-    p.add_argument("--member", required=True)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_pigeonhole)
-
-    p = sub.add_parser("canonize-ext", help="canonical form of an extension coloring")
-    p.add_argument("--s", required=True)
-    p.add_argument("--member", required=True)
-    p.add_argument("--coloring", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_canonize_ext)
-
-    p = sub.add_parser("canonize-arn", help="projection vector canonizing a relation")
-    p.add_argument("--k", type=_at_least(2), required=True)
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--relation", required=True)
-    p.add_argument("--member", required=True)
-    p.add_argument("--len", type=_at_least(0), required=True)
-    p.set_defaults(run=_cmd_canonize_arn)
-
-    p = sub.add_parser("check-front", help="does the family cover the member")
-    p.add_argument("--family", required=True)
-    p.add_argument("--member", required=True)
-    p.set_defaults(run=_cmd_check_front)
-
-    p = sub.add_parser("check-irreducible", help="inner and irreducible map checks")
-    p.add_argument("--map", required=True)
-    p.add_argument("--family", required=True)
-    p.set_defaults(run=_cmd_check_irreducible)
-
+    for name, (summary, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs, _ in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    _, flags, run = _COMMANDS[args.command]
     try:
-        return args.run(args, out)
+        _load(args, flags)
+        got = run(args, out)
+        if isinstance(got, Exhausted):
+            out.write("exhausted: %s\n" % (got.detail or got.reason))
+            return 3
+        if isinstance(got, int):
+            return got
+        out.write(dump_approx(got) + "\n")
+        return 0
     except _UsageError as usage:
         err.write("error: %s: %s\n" % (usage.flag, usage))
         return 2

@@ -16,6 +16,7 @@ from .space import (
     Approx,
     Member,
     _as_node,
+    _check_length,
     _require_valid,
     _Slot,
     decode_node,
@@ -95,8 +96,7 @@ def construct_in_basic_set(a, A, target_len: int):
     """
     if a.k != A.k:
         raise ValueError("dimension mismatch")
-    if not isinstance(target_len, int) or target_len < 0:
-        raise ValueError(f"target length must be a nonnegative integer, got {target_len!r}")
+    _check_length(target_len, "target length")
     if target_len < len(a.nodes):
         raise ValueError("target length is shorter than the input")
     d = depth_of(A, a)
@@ -123,8 +123,7 @@ def fuse(a, A, B, target_len: int):
     """
     if not (a.k == A.k == B.k):
         raise ValueError("dimension mismatch")
-    if not isinstance(target_len, int) or target_len < 0:
-        raise ValueError(f"target length must be a nonnegative integer, got {target_len!r}")
+    _check_length(target_len, "target length")
     if not set(A.nodes) <= set(B.nodes):
         raise ValueError("the inner member must sit inside the ambient one")
     if not set(a.nodes) <= set(A.nodes):
@@ -165,8 +164,7 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not isinstance(target_len, int) or target_len < 0:
-        raise ValueError(f"target length must be a nonnegative integer, got {target_len!r}")
+    _check_length(target_len, "target length")
     candidates = []
     for w in oracle.candidates():
         if len(w) != k:
@@ -260,8 +258,7 @@ def thin_to_subcopy(a, X, V, target_len: int):
     """
     if a.k != X.k:
         raise ValueError("dimension mismatch")
-    if not isinstance(target_len, int) or target_len < 0:
-        raise ValueError(f"target length must be a nonnegative integer, got {target_len!r}")
+    _check_length(target_len, "target length")
     if target_len < len(a.nodes):
         raise ValueError("target length is shorter than the input")
     _require_valid(a)

@@ -41,6 +41,7 @@ from .space import (
     Approx,
     Member,
     _Pool,
+    _check_length,
     _require_valid,
     _Slot,
     depth_of,
@@ -380,11 +381,12 @@ def _level_pairs(color_of, level, supply):
 def _colored_extensions(a, X, coloring, target_len):
     """The prologue of the searches over one-step extensions of a in X.
 
-    Checks a and target_len, and returns the depth prefix of a in X,
+    Checks target_len and a, and returns the depth prefix of a in X,
     which every witness keeps, with the {new node: color} map over the
     one-step extensions of a in X; raises ValueError when the coloring
     misses one of them.
     """
+    _check_length(target_len, "target length")
     a = _checked_approx(a, X.k)
     d = depth_of(X, a)
     if d == float("inf"):
@@ -600,6 +602,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         raise ValueError("member dimension does not match k")
     if n < 1:
         raise ValueError("approximation length must be at least 1")
+    _check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
     budget = budget or Budget()
@@ -635,13 +638,14 @@ def nash_williams_check(family):
     return True
 
 
-def front_cover_check(family, X):
+def front_cover_check(family, X, budget=None):
     """Check that every restriction chain of X meets the family.
 
     The family must pass nash_williams_check.  Walks the tree of
     approximations below X depth first; a chain is closed off as soon
     as it hits the family, and a maximal chain that never does is
-    returned as the counterexample.
+    returned as the counterexample.  Each approximation visited is one
+    state of the budget; Exhausted when it runs out.
     """
     approxs = list(dict.fromkeys(family))
     for a in approxs:
@@ -649,6 +653,7 @@ def front_cover_check(family, X):
             raise ValueError("family and member dimensions differ")
     if not nash_williams_check(approxs):
         raise ValueError("family fails the no-end-extension check")
+    budget = budget or Budget()
     hits = set(approxs)
     # one iterator of pending siblings per level of the walk
     stack = [iter((Approx(X.k),))]
@@ -656,6 +661,8 @@ def front_cover_check(family, X):
         cur = next(stack[-1], None)
         if cur is None:
             stack.pop()
+        elif not budget.spend():
+            return _out_of_budget(budget)
         elif cur not in hits:
             exts = one_extensions(cur, X)
             if not exts:
@@ -774,6 +781,7 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
     a sub-member A of X such that phi1 and phi2 give the same image to
     every family member inside A, with at least one such member.
     """
+    _check_length(target_len, "target length")
     approxs = [a for a in dict.fromkeys(family) if set(a.nodes) <= set(X.nodes)]
     for a in approxs:
         if a.k != X.k:

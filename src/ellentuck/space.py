@@ -123,11 +123,16 @@ def wk_node(seq, k=None) -> Node:
     return tuple(rank_of(s[:p], k) for p in range(1, len(s) + 1))
 
 
+def _check_length(n, what="length"):
+    """Raise ValueError unless n is a nonnegative int (a bool is not)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {n!r}")
+
+
 @lru_cache(maxsize=_MEMBER_CACHE_SIZE)
 def build_w(k: int, n: int) -> Member:
     """The first n nodes of the prototype member for dimension k."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    _check_length(n)
     return Member(k, tuple(wk_node(domain_at(p, k), k) for p in range(n)))
 
 
@@ -206,8 +211,7 @@ def _require_valid(a, what="approximation"):
 
 def r_approx(x, n: int) -> Approx:
     """The first n nodes as an approximation."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    _check_length(n)
     if n > len(x.nodes):
         raise TruncationExhaustedError(
             f"asked for {n} nodes, truncation holds {len(x.nodes)}"

@@ -70,6 +70,18 @@ def test_enum_module_entry_point():
     assert got.stdout == K2_LISTING + "\n"
 
 
+def test_main_reads_sys_argv_when_argv_is_none(monkeypatch, capsys):
+    """The console script calls main() with no arguments."""
+    monkeypatch.setattr(sys, "argv", ["ellentuck", "enum", "--k", "2", "--count", "10"])
+    assert main() == 0
+    assert capsys.readouterr() == (K2_LISTING + "\n", "")
+    monkeypatch.setattr(sys, "argv", ["ellentuck", "enum", "--k", "2"])
+    with pytest.raises(SystemExit) as stop:
+        main()
+    assert stop.value.code == 2
+    assert "--count" in capsys.readouterr().err
+
+
 def test_build_w_json_matches_library():
     code, out, _ = run("build-w", "--k", "2", "--nodes", "15")
     assert code == 0
@@ -384,6 +396,10 @@ def test_usage_errors():
     )
     assert code == 2
     assert "--file" in err
+    for oracle in ("{}", "[1,2]", "[null]", '[[0,1],"x"]'):
+        code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --oracle: expected a JSON list of nodes\n"
 
 
 @pytest.mark.parametrize(

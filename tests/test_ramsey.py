@@ -14,6 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellentuck import ramsey
+from ellentuck.constructions import (
+    NodeOracle,
+    construct_in_basic_set,
+    dense_embed,
+    fuse,
+    thin_to_subcopy,
+)
 from ellentuck.errors import (
     AmbiguousAtScale,
     DisagreeWitness,
@@ -96,12 +103,15 @@ def _budget_cases():
         lambda b: b.nodes[-1][1] if b.nodes[-1][0] == 0 else -1 - b.nodes[-1][0],
         one_extensions(Approx(3), w3),
     )
-    related = Relation.from_key_function(lambda b: 0, approxs_of_length(x20, 2))
+    pairs = approxs_of_length(x20, 2)
+    related = Relation.from_key_function(lambda b: 0, pairs)
     return [
         ("pigeonhole", lambda bud: pigeonhole(Approx(2), x30, by_branch, 6, bud)),
         ("level", lambda bud: canonize_one_extensions(Approx(2), x30, constant, 6, bud)),
         ("ambiguous", lambda bud: canonize_one_extensions(Approx(3), w3, two_levels, 4, bud)),
         ("relation", lambda bud: canonize_relation(related, 2, 2, x20, 4, bud)),
+        # every pair of x20 closes its chain; the chain ((0,20),) has no pair
+        ("front", lambda bud: front_cover_check(pairs, x20, bud)),
     ]
 
 
@@ -136,6 +146,46 @@ def test_budget_cases_cover_the_outcomes():
     assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
     assert full["ambiguous"][1] == 144
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
+    assert full["front"][0].counterexample == Approx(2, ((0, 20),))
+    assert full["front"][1] == 52
+
+
+def _target_len_runs():
+    """Each search and construction that takes a target length, as
+    run(target_len, budget); the constructions spend no budget."""
+    x20 = build_w(2, 20)
+    exts = one_extensions(Approx(2), x20)
+    constant = Coloring.from_function(lambda b: 0, exts)
+    singles = [Approx(2, (w,)) for w in x20.nodes]
+    by_root = Relation.from_key_function(lambda b: b.nodes[0][:1], singles)
+    phi = InnerMap.uniform((1,), singles)
+    return {
+        "pigeonhole": lambda t, bud: pigeonhole(Approx(2), x20, constant, t, bud),
+        "extensions": lambda t, bud: canonize_one_extensions(Approx(2), x20, constant, t, bud),
+        "relation": lambda t, bud: canonize_relation(by_root, 2, 1, x20, t, bud),
+        "agreement": lambda t, bud: irreducible_agreement(
+            phi, phi, by_root, singles, x20, target_len=t, budget=bud
+        ),
+        "construct": lambda t, bud: construct_in_basic_set(Approx(2), x20, t),
+        "fuse": lambda t, bud: fuse(Approx(2), x20, x20, t),
+        "embed": lambda t, bud: dense_embed(2, NodeOracle.from_member(x20), t),
+        "thin": lambda t, bud: thin_to_subcopy(Approx(2), x20, exts, t),
+    }
+
+
+_TARGET_LEN_RUNS = _target_len_runs()
+
+
+@pytest.mark.parametrize("target_len", [-1, -3, True, False, 2.5, "4", None])
+@pytest.mark.parametrize("search", sorted(_TARGET_LEN_RUNS))
+def test_bad_target_lengths_raise_before_any_state_is_spent(search, target_len):
+    """Only a nonnegative int is a length: -1 used to give agreement a
+    false Exhausted("supply"), True was length 1 to pigeonhole and the
+    constructions, and 2.5 a TypeError from inside the search core."""
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError, match=r"^target length must be a nonnegative integer, got "):
+        _TARGET_LEN_RUNS[search](target_len, budget)
+    assert budget.used == 0
 
 
 def test_level_fit_found_before_the_budget_ran_out_is_not_final():
