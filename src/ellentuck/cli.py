@@ -40,7 +40,7 @@ from .ramsey import (
     nash_williams_check,
     pigeonhole,
 )
-from .space import build_w, one_extensions, project, validate_approx
+from .space import _as_node, build_w, one_extensions, project, validate_approx
 from .wellorder import classify_n, enumerate_k, enumerate_le_k, seq_str
 
 
@@ -106,11 +106,18 @@ def _approx_in_format(text, args):
     return (from_dot if args.format == "dot" else load_approx)(text)
 
 
-def _node_list(text):
+def _node(text):
+    node = json.loads(text)
+    if not isinstance(node, list):
+        raise ValueError("expected a JSON list of indices")
+    return _as_node(node)
+
+
+def _node_oracle(text):
     nodes = json.loads(text)
     if not isinstance(nodes, list) or not all(isinstance(w, list) for w in nodes):
         raise ValueError("expected a JSON list of nodes")
-    return nodes
+    return NodeOracle(nodes=nodes)
 
 
 _K = _int("--k", 2)
@@ -190,7 +197,7 @@ def _cmd_classify_n(args, out):
 
 
 @_command("project", "initial segment of a node",
-          _input("--node", json.loads), _int("--level", 0))
+          _input("--node", _node), _int("--level", 0))
 def _cmd_project(args, out):
     out.write(canonical_json(list(project(args.node, args.level))) + "\n")
     return 0
@@ -216,9 +223,9 @@ def _cmd_fuse(args, out):
 
 
 @_command("embed", "greedy member from an availability oracle",
-          _K, _input("--oracle", _node_list), _LEN)
+          _K, _input("--oracle", _node_oracle), _LEN)
 def _cmd_embed(args, out):
-    return dense_embed(args.k, NodeOracle(nodes=map(tuple, args.oracle)), args.len)
+    return dense_embed(args.k, args.oracle, args.len)
 
 
 @_command("pigeonhole", "search a color-homogeneous sub-member",

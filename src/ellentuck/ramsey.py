@@ -9,20 +9,24 @@ a wrong answer.  Budgets default to ELLENTUCK_BUDGET from the
 environment, or 10**6 states.
 
 Which node may fill the next position is decided by space._Slot and
-nowhere else here.  The search core draws each position's candidates
-from a space._Pool, the supply indexed by forced prefix, which only
-narrows what the slot is shown.  A canonical relation is agreement of
-coordinatewise projections, which on finite data is one check: the map
-from projection key to class stays a bijection.  _FitFilter alone holds
-that map, and each candidate hands it a source of (key, class) pairs.  A
-level fit looks up the pair of a new node in a map built once per level
-from one_extensions; pigeonhole is level 0 with the color pinned, since
+nowhere else here.  The search core and the front walk draw each
+position's candidates from a space._Pool, the supply indexed by forced
+prefix, which only narrows what the slot is shown.  A canonical relation
+is agreement of coordinatewise projections, which on finite data is one
+check: the map from projection key to class stays a bijection.
+_FitFilter alone holds that map, and each search hands it a source of
+(key, class) pairs.  A level fit looks up the pair of a new node in a
+map over the one-step extensions only, built once per level; any other
+node forms no pair.  pigeonhole is level 0 with the color pinned, since
 a coloring is constant on the one-step extensions exactly when "same
-color" is E_0.  canonize_relation runs one search for every projection
-vector, which finds the n-approximations a new node completes and their
-classes once for all of them; a state is one placement tried, however
-many vectors it serves.  Coloring, Relation and InnerMap are one
-extensional table, _Table.
+color" is E_0.  irreducible_agreement pins agreement the same way: each
+family member a push completes forms the pair ((), whether the two maps
+agree on it), so a disagreeing member vetoes the push.
+canonize_relation runs one search for every projection vector, which
+finds the n-approximations a new node completes and their classes once
+for all of them; a state is one placement tried, however many vectors
+it serves.  Coloring, Relation and InnerMap are one extensional table,
+_Table.
 """
 
 import itertools
@@ -42,6 +46,7 @@ from .space import (
     Member,
     _Pool,
     _check_length,
+    _extend,
     _require_valid,
     _Slot,
     depth_of,
@@ -368,14 +373,11 @@ class _FitFilter:
         return len(nodes) if fits else len(nodes) - 1
 
 
-def _level_pairs(color_of, level, supply):
-    """pairs of a level fit: get on a map from each supply node to its
-    (level prefix, color) pair, or to none when it does not extend s.
-    The search only draws supply nodes, so get's default is unused."""
-    pairs = dict.fromkeys(supply, ())
-    for w, c in color_of.items():
-        pairs[w] = ((w[:level], c),)
-    return pairs.get
+def _level_pairs(color_of, level):
+    """pairs of a level fit: the (level prefix, color) pair of a one-step
+    extension's new node; any other node forms none."""
+    pairs = {w: ((w[:level], c),) for w, c in color_of.items()}
+    return lambda w, nodes: pairs.get(w, ())
 
 
 def _colored_extensions(a, X, coloring, target_len):
@@ -415,7 +417,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
-        pairs = _level_pairs(color_of, 0, X.nodes)
+        pairs = _level_pairs(color_of, 0)
         for color in sorted(set(color_of.values())):
             flt = _FitFilter(pairs, pinned=[((), color)])
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
@@ -451,7 +453,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     fits = []
     blown = False
     for level in candidates:
-        pairs = _level_pairs(color_of, level, X.nodes)
+        pairs = _level_pairs(color_of, level)
         flt = _FitFilter(pairs, floor_pairs=floor_pairs)
         try:
             got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
@@ -655,16 +657,20 @@ def front_cover_check(family, X, budget=None):
         raise ValueError("family fails the no-end-extension check")
     budget = budget or Budget()
     hits = set(approxs)
-    # one iterator of pending siblings per level of the walk
-    stack = [iter((Approx(X.k),))]
+    # one_extensions' order; only a node of length k is ever admitted
+    pool = _Pool(sorted((w for w in X.nodes if len(w) == X.k), key=max))
+    # one iterator of pending siblings per level of the walk, each with its
+    # largest index: an admitted node's maximum is the new running maximum
+    stack = [iter(((Approx(X.k), -1),))]
     while stack:
-        cur = next(stack[-1], None)
+        cur, floor = next(stack[-1], (None, None))
         if cur is None:
             stack.pop()
         elif not budget.spend():
             return _out_of_budget(budget)
         elif cur not in hits:
-            exts = one_extensions(cur, X)
+            slot = _Slot(X.k, cur.nodes, floor)
+            exts = [(_extend(cur, w), max(w)) for w in slot.candidates(pool.near(slot))]
             if not exts:
                 return CoverReport(False, counterexample=cur)
             stack.append(iter(exts))
@@ -739,37 +745,6 @@ def irreducible_check(phi, family):
     return True
 
 
-class _AgreementFilter:
-    """Images under two inner maps must agree on family members inside.
-    A push reads the members holding its node against the placed set;
-    the search starts from no nodes."""
-
-    def __init__(self, phi1, phi2, family):
-        self.phi1 = phi1
-        self.phi2 = phi2
-        self.by_node = {}
-        for a in family:
-            for w in set(a.nodes):
-                self.by_node.setdefault(w, []).append(a)
-        self.placed = set()
-        self.hits = []  # per push, its node and the members it completed
-
-    def try_push(self, nodes, w):
-        self.placed.add(w)
-        inside = [a for a in self.by_node.get(w, ()) if self.placed.issuperset(a.nodes)]
-        if any(self.phi1.image(a) != self.phi2.image(a) for a in inside):
-            self.placed.remove(w)
-            return False
-        self.hits.append((w, len(inside)))
-        return True
-
-    def pop(self):
-        self.placed.remove(self.hits.pop()[0])
-
-    def accept(self, nodes):
-        return len(nodes) if any(count for _, count in self.hits) else len(nodes) - 1
-
-
 def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=None):
     """Two canonizing inner maps agree pointwise on some sub-member.
 
@@ -786,22 +761,37 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=
     for a in approxs:
         if a.k != X.k:
             raise ValueError("family and member dimensions differ")
+    images = []
     for phi, tag in ((phi1, "first"), (phi2, "second")):
-        images = {a: phi.image(a) for a in approxs}
-        flt = _FitFilter(lambda a, _: ((images[a], relation.class_id(a)),))
+        image = {a: phi.image(a) for a in approxs}
+        images.append(image)
+        flt = _FitFilter(lambda a, _: ((image[a], relation.class_id(a)),))
         for j, b in enumerate(approxs):
             if not flt.try_push((), b):
                 # b breaks the bijection, so an earlier member disagrees with it
                 a = next(a for a in approxs[:j]
-                         if relation.related(a, b) != (images[a] == images[b]))
+                         if relation.related(a, b) != (image[a] == image[b]))
                 return DisagreeWitness(
                     a=a,
                     b=b,
                     detail="the %s map does not canonize the relation on %s, %s"
                     % (tag, _approx_str(a), _approx_str(b)),
                 )
+    first, second = images
+    by_node = {}  # node -> (other nodes, pair) of each member holding it
+    for a in approxs:
+        pair = ((), first[a] == second[a])
+        for w in set(a.nodes):
+            by_node.setdefault(w, []).append((set(a.nodes) - {w}, pair))
+
+    def completed(w, nodes):
+        # the members w completes, each paired with whether the maps agree
+        return (pair for others, pair in by_node.get(w, ()) if all(v in nodes for v in others))
+
     budget = budget or Budget()
-    flt = _AgreementFilter(phi1, phi2, approxs)
+    # agreement is pinned, so a disagreeing member vetoes the push, and
+    # accept's "at least one pair" asks for at least one member inside
+    flt = _FitFilter(completed, pinned=[((), True)])
     try:
         got = _search_member(X.k, (), X.nodes, target_len, budget, flt)
     except _Blown:

@@ -132,6 +132,32 @@ def all_sub_members(X, base, length):
     yield from rec(list(base))
 
 
+def oracle_front_walk(family, X, limit):
+    """The walk of front_cover_check as first written: depth first from
+    the empty approximation, each approximation's children from
+    one_extensions, a scan of all of X, and a chain closed off when it
+    is in the family. Returns (the first approximation with no child, or
+    None when every chain is closed, visits), or ("budget", limit + 1)
+    when more than limit approximations would be visited."""
+    hits = set(family)
+    visits = 0
+    stack = [[Approx(X.k)]]
+    while stack:
+        if not stack[-1]:
+            stack.pop()
+            continue
+        cur = stack[-1].pop(0)
+        visits += 1
+        if visits > limit:
+            return "budget", visits
+        if cur not in hits:
+            children = one_extensions(cur, X)
+            if not children:
+                return cur, visits
+            stack.append(children)
+    return None, visits
+
+
 def oracle_nash_williams(family):
     """The pairwise definition: no member's nodes are a proper initial
     segment of another's. Validity of the members is not checked."""

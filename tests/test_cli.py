@@ -400,6 +400,15 @@ def test_usage_errors():
         code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
         assert (code, out) == (2, "")
         assert err == "error: --oracle: expected a JSON list of nodes\n"
+    # entries that are no node exit 2 at load time, as in --member
+    for oracle in ('[["a"]]', "[[-1,2]]", "[[true,2]]"):
+        code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --oracle: node ")
+    for node in ('["a",1]', '{"x":1}', "[1.5,2]", "[[0],[1]]", "[-3,4]"):
+        code, out, err = run("project", "--node", node, "--level", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --node: ")
 
 
 @pytest.mark.parametrize(

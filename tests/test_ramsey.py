@@ -7,7 +7,6 @@ enumerator from helpers.
 """
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +58,7 @@ from helpers import (
     ScanAgreementFilter,
     all_sub_members,
     oracle_disagreement,
+    oracle_front_walk,
     oracle_irreducible,
     oracle_nash_williams,
     oracle_relation_fits,
@@ -91,6 +91,15 @@ def test_budget_rejects_nonpositive():
         Budget(0)
 
 
+def _agreement_maps(pairs, m):
+    """Two maps that canonize the identity relation on 2-approximations:
+    full vectors, and (1, 2) on the pairs whose maxima sum to a multiple
+    of m, so the maps disagree exactly there."""
+    full = InnerMap.uniform((2, 2), pairs)
+    part = InnerMap({a: (1, 2) if sum(map(max, a.nodes)) % m == 0 else (2, 2) for a in pairs})
+    return full, part, Relation({a: i for i, a in enumerate(pairs)})
+
+
 def _budget_cases():
     """One small instance per budgeted search, as (name, run(budget))."""
     x30, x20, w3 = build_w(2, 30), build_w(2, 20), build_w(3, 20)
@@ -105,6 +114,7 @@ def _budget_cases():
     )
     pairs = approxs_of_length(x20, 2)
     related = Relation.from_key_function(lambda b: 0, pairs)
+    full, part, identity = _agreement_maps(pairs, 5)
     return [
         ("pigeonhole", lambda bud: pigeonhole(Approx(2), x30, by_branch, 6, bud)),
         ("level", lambda bud: canonize_one_extensions(Approx(2), x30, constant, 6, bud)),
@@ -112,6 +122,8 @@ def _budget_cases():
         ("relation", lambda bud: canonize_relation(related, 2, 2, x20, 4, bud)),
         # every pair of x20 closes its chain; the chain ((0,20),) has no pair
         ("front", lambda bud: front_cover_check(pairs, x20, bud)),
+        # the maps disagree on some pairs, which the search backtracks around
+        ("agreement", lambda bud: irreducible_agreement(full, part, identity, pairs, x20, 8, bud)),
     ]
 
 
@@ -148,6 +160,8 @@ def test_budget_cases_cover_the_outcomes():
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
     assert full["front"][0].counterexample == Approx(2, ((0, 20),))
     assert full["front"][1] == 52
+    assert full["agreement"][0][1] is True
+    assert full["agreement"][1] == 93
 
 
 def _target_len_runs():
@@ -199,9 +213,11 @@ def test_state_counts_are_pinned():
     """States spent by a few cheap searches, as recorded at commit
     41e1879, before the search core indexed its supply by prefix, except
     the relation's: 6,128 there, 1,534 since canonize_relation searches
-    for every vector at once and a state serves every vector still live.
-    An index or a filter that only saves time leaves them exactly as they
-    are; a change that moves the search must say why and update them."""
+    for every vector at once and a state serves every vector still live,
+    and the agreement search's, recorded at commit 3930be0, where it ran
+    on a filter of its own. An index or a filter that only saves time
+    leaves them exactly as they are; a change that moves the search must
+    say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -223,6 +239,8 @@ def test_state_counts_are_pinned():
     by_root = Coloring.from_function(
         lambda b: int(b.nodes[-1][0] != 0), one_extensions(Approx(2), X30)
     )
+    pairs30 = approxs_of_length(X30, 2)
+    full, part, identity = _agreement_maps(pairs30, 7)
     cases = {
         "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
         "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 12067),
@@ -233,6 +251,10 @@ def test_state_counts_are_pinned():
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
         # color 0 refuted, then color 1 found
         "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 193),
+        "agreement": (
+            lambda bud: irreducible_agreement(full, part, identity, pairs30, X30, 10, bud),
+            88,
+        ),
     }
     for name, (run, states) in cases.items():
         budget = Budget(DEFAULT_BUDGET)
@@ -847,6 +869,45 @@ def test_front_cover_long_chain_does_not_recurse():
     assert report.counterexample.nodes == X.nodes
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_front_walk_matches_the_scanning_walk(data):
+    """front_cover_check visits what a walk rescanning X at every
+    approximation visits, in its order, on supplies in member, reversed
+    and shuffled order, some with nodes of other lengths, for
+    sub-families of the 1- and 2-approximations (some given as Members,
+    which never equal a walked approximation) and every budget up to the
+    full walk."""
+    k = data.draw(st.sampled_from([2, 3]))
+    W = build_w(k, data.draw(st.integers(3, 16)))
+    nodes = list(W.nodes)
+    if data.draw(st.booleans(), label="nodes of other lengths"):
+        nodes += [(), (5,), tuple(range(k + 1))]
+    order = data.draw(st.sampled_from(["member", "reversed", "shuffled"]))
+    if order == "reversed":
+        nodes.reverse()
+    elif order == "shuffled":
+        data.draw(st.randoms(use_true_random=False)).shuffle(nodes)
+    X = Member(k, tuple(nodes))
+    family = []
+    for a in one_extensions(Approx(k), W):
+        pick = data.draw(st.sampled_from(["none", "it", "children"]))
+        chosen = [a] if pick == "it" else one_extensions(a, W) if pick == "children" else []
+        for b in chosen:
+            if data.draw(st.booleans()):
+                family.append(Member(k, b.nodes) if data.draw(st.booleans()) else b)
+    full = oracle_front_walk(family, X, DEFAULT_BUDGET)[1]
+    limit = data.draw(st.integers(1, full))
+    want, visits = oracle_front_walk(family, X, limit)
+    budget = Budget(limit)
+    got = front_cover_check(family, X, budget)
+    if want == "budget":
+        assert got == Exhausted("budget", "state budget ran out at %d" % visits)
+    else:
+        assert got == ramsey.CoverReport(want is None, want)
+    assert budget.used == visits
+
+
 def test_front_cover_requires_nash_williams():
     X = build_w(2, 10)
     with pytest.raises(ValueError):
@@ -1000,10 +1061,12 @@ def test_irreducible_agreement_disagrees_exactly_when_a_pair_fails(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_irreducible_agreement_matches_the_scanning_filter(data):
-    """The node-indexed agreement filter gives the outcome and spends the
-    states of a filter that rescans the whole family on every push. The
-    full vectors give distinct images, so phi1 canonizes the identity
-    relation, and phi2 keeps or redraws each member's vector."""
+    """irreducible_agreement gives the outcome and spends the states of the
+    search core driven by a filter that rescans the whole family on every
+    push. The full vectors give distinct images, so phi1 canonizes the
+    identity relation, and phi2 keeps or redraws each member's vector;
+    when phi2 does not canonize it, no search runs and there is nothing
+    to compare."""
     family = data.draw(st.lists(st.sampled_from(_FAMILY), min_size=1, max_size=8))
     approxs = list(dict.fromkeys(family))
     phi1 = InnerMap({a: (2,) * len(a.nodes) for a in approxs})
@@ -1018,15 +1081,23 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
     identity = Relation({a: i for i, a in enumerate(approxs)})
     tlen = data.draw(st.integers(2, 5))
     limit = data.draw(st.integers(1, 2000))
-
-    def run():
-        budget = Budget(limit)
-        got = irreducible_agreement(phi1, phi2, identity, family, _FAMILY_X, tlen, budget)
-        return got, budget.used
-
-    got = run()
-    with mock.patch.object(ramsey, "_AgreementFilter", ScanAgreementFilter):
-        assert got == run()
+    budget = Budget(limit)
+    got = irreducible_agreement(phi1, phi2, identity, family, _FAMILY_X, tlen, budget)
+    if isinstance(got, DisagreeWitness):
+        assert budget.used == 0
+        return
+    scan = Budget(limit)
+    flt = ScanAgreementFilter(phi1, phi2, approxs)
+    try:
+        nodes = ramsey._search_member(2, (), _FAMILY_X.nodes, tlen, scan, flt)
+    except ramsey._Blown:
+        assert got == Exhausted("budget", "state budget ran out at %d" % scan.used)
+    else:
+        if nodes is None:
+            assert isinstance(got, Exhausted) and got.reason == "supply"
+        else:
+            assert got == (Member(2, nodes), True)
+    assert budget.used == scan.used
 
 
 def test_canonize_relation_vectors_are_irreducible_maps():
