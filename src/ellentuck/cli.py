@@ -66,8 +66,15 @@ def _read(flag, value):
 
 def _budget():
     """The search budget ELLENTUCK_BUDGET sets, or the default."""
-    try:
+    raw = os.environ.get("ELLENTUCK_BUDGET")
+    if raw is None:
         return Budget()
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = raw  # no integer: Budget rejects the text, quoting it
+    try:
+        return Budget(limit)
     except ValueError as err:
         raise _UsageError("ELLENTUCK_BUDGET", str(err))
 

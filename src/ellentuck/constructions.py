@@ -48,6 +48,8 @@ class NodeOracle:
         seen = set()
         kept = []
         for w in pool:
+            if not w:  # it has no maximum to sort by
+                raise MalformedNodeError(w, "empty node")
             if w not in seen:
                 seen.add(w)
                 kept.append(w)

@@ -110,6 +110,8 @@ def load_relation(text) -> Relation:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"domain", "classes"}:
         raise ValueError("expected an object with 'domain' and 'classes'")
+    if not isinstance(obj["domain"], list):
+        raise ValueError("'domain' must be a list of approximations")
     domain = [approx_from_obj(o) for o in obj["domain"]]
     classes = obj["classes"]
     if not isinstance(classes, list) or not all(

@@ -5,8 +5,8 @@ member X, so every result is a statement about the finite data actually
 supplied.  Searches are complete depth-first enumerations in the
 well-order (least fresh node first) with a budget on visited states;
 when the budget runs out the outcome is an Exhausted value rather than
-a wrong answer.  Budgets default to ELLENTUCK_BUDGET from the
-environment, or 10**6 states.
+a wrong answer.  A search given no budget gets Budget(), 10**6 states;
+an outcome follows from the arguments of its call alone.
 
 Which node may fill the next position is decided by space._Slot and
 nowhere else here.  The search core and the front walk draw each
@@ -30,7 +30,6 @@ _Table.
 """
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import partial
 from operator import getitem
@@ -62,15 +61,9 @@ _BAD_BUDGET = "budget limit must be a positive integer, got %r"
 class Budget:
     """Counter of visited search states shared across one operation."""
 
-    def __init__(self, limit=None):
-        if limit is None:
-            raw = os.environ.get("ELLENTUCK_BUDGET", str(DEFAULT_BUDGET))
-            try:
-                limit = int(raw)
-            except ValueError:
-                raise ValueError(_BAD_BUDGET % raw) from None
-        if limit <= 0:
-            raise ValueError(_BAD_BUDGET % limit)
+    def __init__(self, limit=DEFAULT_BUDGET):
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit <= 0:
+            raise ValueError(_BAD_BUDGET % (limit,))
         self.limit = limit
         self.used = 0
 
@@ -232,9 +225,11 @@ class CoverReport:
 def _search_member(k, base, supply, target_len, budget, flt):
     """First valid completion of base to target_len nodes, depth first.
 
-    Candidates are drawn from supply in order (callers pass nodes
-    sorted ascending by maximum, so the least fresh node is tried
-    first).  The supply is indexed once per call in a space._Pool,
+    Candidates are drawn from supply in order.  Every caller passes
+    X.nodes in member order, unsorted: a Member is not checked for
+    order, and the pool keeps whatever order it is given (a built
+    member is ascending by maximum, so there the least fresh node is
+    tried first).  The supply is indexed once per call in a space._Pool,
     which hands each slot only the nodes of its forced-prefix group
     past its floor, in supply order; the slot still decides.
     flt.try_push(nodes, w) may veto a placement; when it returns True
@@ -659,8 +654,8 @@ def front_cover_check(family, X, budget=None):
     hits = set(approxs)
     # one_extensions' order; only a node of length k is ever admitted
     pool = _Pool(sorted((w for w in X.nodes if len(w) == X.k), key=max))
-    # one iterator of pending siblings per level of the walk, each with its
-    # largest index: an admitted node's maximum is the new running maximum
+    # one lazy stream of pending siblings per level of the walk, each with
+    # its largest index: an admitted node's maximum is the new running maximum
     stack = [iter(((Approx(X.k), -1),))]
     while stack:
         cur, floor = next(stack[-1], (None, None))
@@ -670,11 +665,18 @@ def front_cover_check(family, X, budget=None):
             return _out_of_budget(budget)
         elif cur not in hits:
             slot = _Slot(X.k, cur.nodes, floor)
-            exts = [(_extend(cur, w), max(w)) for w in slot.candidates(pool.near(slot))]
-            if not exts:
+            nodes = slot.candidates(pool.near(slot))
+            first = next(nodes, None)
+            if first is None:
                 return CoverReport(False, counterexample=cur)
-            stack.append(iter(exts))
+            # cur is bound now: the stream is drawn from after cur moves on
+            stack.append(map(partial(_child, cur), itertools.chain((first,), nodes)))
     return CoverReport(True)
+
+
+def _child(a, w):
+    """The walk's entry for a with w appended: the child and its floor."""
+    return _extend(a, w), max(w)
 
 
 def proj_image(a, vector):
@@ -745,7 +747,7 @@ def irreducible_check(phi, family):
     return True
 
 
-def irreducible_agreement(phi1, phi2, relation, family, X, target_len=8, budget=None):
+def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=None):
     """Two canonizing inner maps agree pointwise on some sub-member.
 
     First checks that each map canonizes the relation on the family

@@ -232,7 +232,11 @@ def test_pigeonhole_budget_env(tmp_path, monkeypatch):
     assert "budget" in out
 
 
-@pytest.mark.parametrize("raw,shown", [("abc", "'abc'"), ("0", "0"), ("-3", "-3")])
+@pytest.mark.parametrize(
+    "raw,shown",
+    [("abc", "'abc'"), ("0", "0"), ("-3", "-3"), ("", "''"), ("-0", "0"),
+     ("2.5", "'2.5'"), ("1e3", "'1e3'")],
+)
 def test_malformed_budget_env_is_a_usage_error(tmp_path, monkeypatch, raw, shown):
     X = build_w(2, 20)
     member = write(tmp_path, "x.json", dump_approx(X))
@@ -401,7 +405,7 @@ def test_usage_errors():
         assert (code, out) == (2, "")
         assert err == "error: --oracle: expected a JSON list of nodes\n"
     # entries that are no node exit 2 at load time, as in --member
-    for oracle in ('[["a"]]', "[[-1,2]]", "[[true,2]]"):
+    for oracle in ('[["a"]]', "[[-1,2]]", "[[true,2]]", "[[]]"):
         code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
         assert (code, out) == (2, "")
         assert err.startswith("error: --oracle: node ")
@@ -409,6 +413,14 @@ def test_usage_errors():
         code, out, err = run("project", "--node", node, "--level", "1")
         assert (code, out) == (2, "")
         assert err.startswith("error: --node: ")
+    for domain in ("5", "null"):
+        relation = '{"domain":%s,"classes":[]}' % domain
+        code, out, err = run(
+            "canonize-arn", "--k", "2", "--n", "1", "--relation", relation,
+            "--member", '{"k":2,"nodes":[]}', "--len", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --relation: 'domain' must be a list of approximations\n"
 
 
 @pytest.mark.parametrize(

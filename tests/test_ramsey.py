@@ -81,14 +81,10 @@ def test_budget_counts_and_limits():
     assert b.used == 4
 
 
-def test_budget_env_default(monkeypatch):
-    monkeypatch.setenv("ELLENTUCK_BUDGET", "77")
-    assert Budget().limit == 77
-
-
 def test_budget_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Budget(0)
+    for limit in (0, -3, True, 2.5, "5"):
+        with pytest.raises(ValueError):
+            Budget(limit)
 
 
 def _agreement_maps(pairs, m):
@@ -148,6 +144,16 @@ def test_budgeted_outcome_is_exhausted_or_the_unbounded_one(data):
         assert got.reason == "budget"
     else:
         assert got == full
+
+
+@pytest.mark.parametrize("raw", ["1", "abc"])
+def test_searches_ignore_the_budget_env(monkeypatch, raw):
+    """A search given no budget gets the default, whatever the
+    environment holds: only the CLI reads ELLENTUCK_BUDGET."""
+    monkeypatch.setenv("ELLENTUCK_BUDGET", raw)
+    assert Budget().limit == DEFAULT_BUDGET
+    for name, run in _BUDGET_CASES:
+        assert run(None) == _unbounded(run)[0], name
 
 
 def test_budget_cases_cover_the_outcomes():
@@ -867,6 +873,17 @@ def test_front_cover_long_chain_does_not_recurse():
         report = front_cover_check([], X)
     assert not report
     assert report.counterexample.nodes == X.nodes
+
+
+def test_front_walk_builds_only_the_children_it_visits(monkeypatch):
+    """Each visit extends only the children the walk reaches: down the
+    one uncovered chain of 301 approximations that is 300 children."""
+    calls = []
+    extend = ramsey._extend
+    monkeypatch.setattr(ramsey, "_extend", lambda a, w: calls.append(w) or extend(a, w))
+    budget = Budget()
+    assert not front_cover_check([], build_w(2, 300), budget)
+    assert (budget.used, len(calls)) == (301, 300)
 
 
 @settings(max_examples=100, deadline=None)
