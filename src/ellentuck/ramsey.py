@@ -15,18 +15,30 @@ prefix, which only narrows what the slot is shown.  A canonical relation
 is agreement of coordinatewise projections, which on finite data is one
 check: the map from projection key to class stays a bijection.
 _FitFilter alone holds that map, and each search hands it a source of
-(key, class) pairs.  A level fit looks up the pair of a new node in a
-map over the one-step extensions only, built once per level; any other
-node forms no pair.  pigeonhole is level 0 with the color pinned, since
-a coloring is constant on the one-step extensions exactly when "same
-color" is E_0.  irreducible_agreement pins agreement the same way: each
-family member a push completes forms the pair ((), whether the two maps
-agree on it), so a disagreeing member vetoes the push.
+(key, class) pairs: a dict by new node when they depend on that node
+alone, or else a function that also reads the placed nodes.  A level
+fit's dict covers the one-step extensions only, built once per level;
+any other node forms no pair.  pigeonhole is level 0 with the color
+pinned, since a coloring is constant on the one-step extensions exactly
+when "same color" is E_0.  irreducible_agreement pins agreement the
+same way: each family member a push completes forms the pair ((),
+whether the two maps agree on it), so a disagreeing member vetoes the
+push.
 canonize_relation runs one search for every projection vector, which
 finds the n-approximations a new node completes and their classes once
 for all of them; a state is one placement tried, however many vectors
 it serves.  Coloring, Relation and InnerMap are one extensional table,
 _Table.
+
+A failed sub-search is never searched twice (nogood recording, after
+Dechter 1990).  What a search finds below a position is fixed by the
+position, the running maximum, the prefixes that later slots are forced
+to by placed nodes, and the filter's signature; the search core keeps,
+for one call, the signatures of the positions whose candidates ran out,
+and skips a position with a kept signature without spending a state.
+Only a filter whose pairs come from a dict gives a signature, so
+pigeonhole and the level fits are memoized, while the agreement and
+relation searches, whose pairs read the placed nodes, search in full.
 """
 
 import itertools
@@ -222,6 +234,21 @@ class CoverReport:
         return self.ok
 
 
+def _placed_prefixes(k, start, stop):
+    """For each position p from start to stop - 1, what a search from p
+    reads of the nodes placed before it: the slots p..stop-1 force
+    prefixes of some of them, so per such anchor the longest level read,
+    as (anchor, level) pairs."""
+    longest, out = {}, []
+    for p in reversed(range(start, stop)):
+        l, a = position_info(k, p)
+        if l and longest.get(a, 0) < l:
+            longest[a] = l
+        out.append(tuple((a, l) for a, l in longest.items() if a < p))
+    out.reverse()
+    return out
+
+
 def _search_member(k, base, supply, target_len, budget, flt):
     """First valid completion of base to target_len nodes, depth first.
 
@@ -240,26 +267,52 @@ def _search_member(k, base, supply, target_len, budget, flt):
     the space is exhausted.  Raises _Blown when the budget runs out.
     The depth is not bounded by the interpreter's stack: each open
     position keeps its own lazy candidate stream on an explicit stack.
+
+    A failed sub-search is never searched twice.  flt.signature() is a
+    flat tuple of all that the rest of the search reads of the filter,
+    or None when that is the placed nodes themselves.  With the
+    position, the running maximum and the prefixes that the slots up to
+    target_len are forced to by placed nodes, it fixes the sub-search
+    below a position.  When a position's candidates run out, its
+    signature goes in a set kept for this call; a position whose
+    signature is in the set gets no candidates, so it spends no state.
+    A position that accept abandons is not recorded.
     """
     nodes = list(base)
     if len(nodes) == target_len:
         return tuple(nodes) if flt.accept(nodes) == target_len else None
     pool = _Pool(supply)
+    if flt.signature() is not None:
+        # each placement draws a new node of supply, so the slots past
+        # the first len(supply) are never filled and read nothing
+        stop = min(target_len, len(base) + len(supply) + 1)
+        reads = _placed_prefixes(k, len(base), stop)
+    failed = set()  # signatures of the sub-searches that found no leaf
 
-    def candidates(floor):
+    def position(floor):
+        # the next position's candidates and signature
+        part = flt.signature()
+        sig = None
+        if part is not None:
+            forced = [nodes[a][:l] for a, l in reads[len(nodes) - len(base)]]
+            sig = (len(nodes), floor, *forced, *part)
+            if sig in failed:
+                return (), None
         slot = _Slot(k, nodes, floor)
-        return slot.candidates(pool.near(slot))
+        return slot.candidates(pool.near(slot)), sig
 
     spend, try_push = budget.spend, flt.try_push  # once, not per state
-    stack = [candidates(max((max(w) for w in nodes), default=-1))]
+    stack = [position(max((max(w) for w in nodes), default=-1))]
     while stack:
-        for w in stack[-1]:
+        for w in stack[-1][0]:
             if not spend():
                 raise _Blown()
             if try_push(nodes, w):
                 break
         else:
-            stack.pop()
+            sig = stack.pop()[1]
+            if sig is not None:
+                failed.add(sig)
             if stack:
                 nodes.pop()
                 flt.pop()
@@ -267,7 +320,7 @@ def _search_member(k, base, supply, target_len, budget, flt):
         nodes.append(w)
         if len(nodes) < target_len:
             # w passed the slot, so its maximum is the new running maximum
-            stack.append(candidates(max(w)))
+            stack.append(position(max(w)))
             continue
         keep = flt.accept(nodes)
         if keep == target_len:
@@ -295,14 +348,18 @@ class _NoFilter:
     def accept(self, nodes):
         return len(nodes)
 
+    def signature(self):
+        return ()
+
 
 class _FitFilter:
     """A relation must coincide with agreement of projection keys: the
     map key <-> class stays a bijection on the pairs formed so far, an
     O(1) check per pair with both directions kept as dicts.
 
-    pairs(w, nodes) gives the (key, class) pairs that placing w after
-    nodes forms; each is checked before the next is drawn, so a veto
+    pairs gives the (key, class) pairs that placing w after nodes forms:
+    a dict by w, when they depend on w alone, or else a function
+    pairs(w, nodes).  Each is checked before the next is drawn, so a veto
     comes before any later class lookup.  Pinned pairs hold from the
     start.  accept keeps a member with at least one pair and, for each
     floor pair (c1, c2) of levels, two placed nodes that agree up to c1
@@ -311,17 +368,21 @@ class _FitFilter:
 
     def __init__(self, pairs, pinned=(), floor_pairs=()):
         self.pairs = pairs
+        self.by_node = isinstance(pairs, dict)
         self.floor_pairs = floor_pairs
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
         self.placed = []  # the pushed nodes that formed a pair
         self.trail = []  # per push, the keys it inserted; None if no pair
+        # per number of placed nodes on the path, the signature once built:
+        # with pairs by node the placed nodes fix it
+        self.sigs = [None]
 
     def try_push(self, nodes, w):
-        key_class, class_key = self.key_class, self.class_key
+        key_class, class_key, pairs = self.key_class, self.class_key, self.pairs
         # a list once a pair passes; most pushes are vetoed at their first
         inserted = None
-        for key, c in self.pairs(w, nodes):
+        for key, c in pairs.get(w, ()) if self.by_node else pairs(w, nodes):
             if key in key_class:
                 if key_class[key] != c:
                     break
@@ -340,6 +401,7 @@ class _FitFilter:
             self.trail.append(inserted)
             if inserted is not None:
                 self.placed.append(w)
+                self.sigs.append(None)
             return True
         if inserted:
             self._undo(inserted)
@@ -353,6 +415,7 @@ class _FitFilter:
         inserted = self.trail.pop()
         if inserted is not None:
             self.placed.pop()
+            self.sigs.pop()
             self._undo(inserted)
 
     def accept(self, nodes):
@@ -367,12 +430,34 @@ class _FitFilter:
         )
         return len(nodes) if fits else len(nodes) - 1
 
+    def signature(self):
+        """What the rest of a search reads of the filter: the key <-> class
+        map, whether a pair was formed and, per floor pair, whether it is
+        witnessed or else the c2-prefixes of the placed nodes.  None when
+        the pairs read the placed nodes, which then are the signature."""
+        if not self.by_node:
+            return None
+        if self.sigs[-1] is None:
+            sig = [bool(self.placed), len(self.key_class)]
+            for item in sorted(self.key_class.items()):
+                sig += item
+            for c1, c2 in self.floor_pairs:
+                below = {}  # c1-prefix -> c2-prefix of the placed nodes
+                for u in self.placed:
+                    if below.setdefault(u[:c1], u[:c2]) != u[:c2]:
+                        sig.append(None)  # witnessed, and no push undoes it
+                        break
+                else:
+                    sig.append(len(below))
+                    sig += sorted(below.values())
+            self.sigs[-1] = tuple(sig)
+        return self.sigs[-1]
+
 
 def _level_pairs(color_of, level):
-    """pairs of a level fit: the (level prefix, color) pair of a one-step
-    extension's new node; any other node forms none."""
-    pairs = {w: ((w[:level], c),) for w, c in color_of.items()}
-    return lambda w, nodes: pairs.get(w, ())
+    """pairs of a level fit, by node: the (level prefix, color) pair of a
+    one-step extension's new node; any other node forms none."""
+    return {w: ((w[:level], c),) for w, c in color_of.items()}
 
 
 def _colored_extensions(a, X, coloring, target_len):
@@ -558,6 +643,10 @@ class _VectorFits:
             f.pop()
         for group in self.trail.pop():
             group.pop()
+
+    def signature(self):
+        # a vector's future pairs read every placed node
+        return None
 
     def accept(self, nodes):
         for f in self.live[-1]:

@@ -8,6 +8,7 @@ rules have something definition-shaped to answer to.
 import contextlib
 import sys
 
+from ellentuck.ramsey import _FitFilter
 from ellentuck.space import Approx, Member, one_extensions, validate_approx
 
 
@@ -255,3 +256,16 @@ class ScanAgreementFilter:
 
     def accept(self, nodes):
         return len(nodes) if sum(self.hits) else len(nodes) - 1
+
+    def signature(self):
+        # the members a push completes depend on every placed node
+        return None
+
+
+class MemoFreeFitFilter(_FitFilter):
+    """ramsey's fit filter with the search core's memo off: it gives no
+    signature, so every sub-search is searched in full. Install it as
+    ramsey._FitFilter to run a search without the memo."""
+
+    def signature(self):
+        return None

@@ -7,6 +7,7 @@ enumerator from helpers.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from ellentuck.space import (
     Approx,
     Member,
     build_w,
+    depth_of,
     one_extensions,
     r_approx,
     validate_approx,
@@ -55,6 +57,7 @@ from ellentuck.space import (
 from ellentuck.wellorder import classify_n
 
 from helpers import (
+    MemoFreeFitFilter,
     ScanAgreementFilter,
     all_sub_members,
     oracle_disagreement,
@@ -157,12 +160,15 @@ def test_searches_ignore_the_budget_env(monkeypatch, raw):
 
 
 def test_budget_cases_cover_the_outcomes():
+    """The level and ambiguous searches spent 457 and 144 states before the
+    search core remembered its failed sub-searches; the memo skips the
+    repeats among the failing levels' sub-searches, so 331 and 130."""
     full = {name: _unbounded(run) for name, run in _BUDGET_CASES}
     assert full["pigeonhole"][0][1] == 1  # after color 0 is refuted
     assert full["level"][0][1] == CanonicalRelation(0)
-    assert full["level"][1] == 457
+    assert full["level"][1] == 331
     assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
-    assert full["ambiguous"][1] == 144
+    assert full["ambiguous"][1] == 130
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
     assert full["front"][0].counterexample == Approx(2, ((0, 20),))
     assert full["front"][1] == 52
@@ -221,9 +227,14 @@ def test_state_counts_are_pinned():
     the relation's: 6,128 there, 1,534 since canonize_relation searches
     for every vector at once and a state serves every vector still live,
     and the agreement search's, recorded at commit 3930be0, where it ran
-    on a filter of its own. An index or a filter that only saves time
-    leaves them exactly as they are; a change that moves the search must
-    say why and update them."""
+    on a filter of its own. Since the search core skips a sub-search whose
+    signature already failed, fresh spends 4,682 (12,067 before) and
+    by-branch 123 (193): refuting levels 0 and 1, and color 0, reaches
+    the same failed sub-search along many paths. The relation and
+    agreement filters give no signature, and the continuing and parity
+    searches never meet a failed signature twice, so theirs stay. An
+    index or a filter that only saves time leaves them exactly as they
+    are; a change that moves the search must say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -249,14 +260,14 @@ def test_state_counts_are_pinned():
     full, part, identity = _agreement_maps(pairs30, 7)
     cases = {
         "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
-        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 12067),
+        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 4682),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
             1787,
         ),
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
         # color 0 refuted, then color 1 found
-        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 193),
+        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 123),
         "agreement": (
             lambda bud: irreducible_agreement(full, part, identity, pairs30, X30, 10, bud),
             88,
@@ -266,6 +277,60 @@ def test_state_counts_are_pinned():
         budget = Budget(DEFAULT_BUDGET)
         assert run(budget), name
         assert budget.used == states, (name, budget.used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memo_prunes_only_failed_sub_searches(data):
+    """pigeonhole and canonize_one_extensions give the outcome, witness and
+    Exhausted reason of the same search with every sub-search searched in
+    full, whenever that one ends within the budget, and spend no more."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    X = build_w(k, data.draw(st.integers(10, 40), label="nodes"))
+    a = Approx(k)
+    for _ in range(data.draw(st.integers(0, 3), label="steps")):
+        exts = one_extensions(a, X)[:4]
+        if not exts:
+            break
+        a = data.draw(st.sampled_from(exts))
+    rng = data.draw(st.randoms(use_true_random=False))
+    colors = data.draw(st.integers(1, 6), label="colors")
+    coloring = Coloring({b: rng.randrange(colors) for b in one_extensions(a, X)})
+    tlen = depth_of(X, a) + data.draw(st.integers(0, 5), label="past the depth")
+    search = data.draw(st.sampled_from((pigeonhole, canonize_one_extensions)))
+    limit = data.draw(st.integers(1, 5000), label="limit")
+    memo = Budget(limit)
+    got = search(a, X, coloring, tlen, memo)
+    full = Budget(limit)
+    with mock.patch.object(ramsey, "_FitFilter", MemoFreeFitFilter):
+        want = search(a, X, coloring, tlen, full)
+    if full.used <= limit:
+        assert got == want
+    assert memo.used <= full.used
+
+
+@pytest.mark.parametrize(
+    "search,size,m,tlen",
+    [
+        (pigeonhole, 20, 3, 5),  # needs the forced prefixes
+        (canonize_one_extensions, 20, 5, 5),  # needs the key <-> class map
+        (pigeonhole, 30, 4, 3),  # needs the running maximum
+    ],
+)
+def test_memo_signature_misses_no_part(search, size, m, tlen):
+    """Colorings max(w) % m of the one-step extensions of the empty
+    approximation, on which a signature without the part named would
+    skip a sub-search that has a leaf and return another witness."""
+    X = build_w(2, size)
+    coloring = Coloring.from_function(
+        lambda b: max(b.nodes[-1]) % m, one_extensions(Approx(2), X)
+    )
+    memo = Budget(DEFAULT_BUDGET)
+    got = search(Approx(2), X, coloring, tlen, memo)
+    full = Budget(DEFAULT_BUDGET)
+    with mock.patch.object(ramsey, "_FitFilter", MemoFreeFitFilter):
+        assert got == search(Approx(2), X, coloring, tlen, full)
+    assert memo.used <= full.used
 
 
 # -------------------------------------------------------------- coloring
@@ -1114,6 +1179,23 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
             assert isinstance(got, Exhausted) and got.reason == "supply"
         else:
             assert got == (Member(2, nodes), True)
+    assert budget.used == scan.used
+
+
+def test_agreement_search_keeps_no_memo():
+    """The agreement search's pairs read the placed nodes, so its filter
+    gives the search core no signature. Here a signature of the key <->
+    class map alone would skip a sub-search that has a leaf and return
+    another witness; the outcome and states are the scanning filter's."""
+    X = build_w(2, 12)
+    pairs = approxs_of_length(X, 2)
+    full, part, identity = _agreement_maps(pairs, 7)
+    budget = Budget(DEFAULT_BUDGET)
+    got = irreducible_agreement(full, part, identity, pairs, X, 7, budget)
+    scan = Budget(DEFAULT_BUDGET)
+    flt = ScanAgreementFilter(full, part, pairs)
+    nodes = ramsey._search_member(2, (), X.nodes, 7, scan, flt)
+    assert got == (Member(2, nodes), True)
     assert budget.used == scan.used
 
 
