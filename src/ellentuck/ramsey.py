@@ -11,9 +11,10 @@ an outcome follows from the arguments of its call alone.
 Which node may fill the next position is decided by space._Slot and
 nowhere else here.  The search core and the front walk draw each
 position's candidates from a space._Pool, the supply indexed by forced
-prefix, which only narrows what the slot is shown.  A canonical relation
-is agreement of coordinatewise projections, which on finite data is one
-check: the map from projection key to class stays a bijection.
+prefix once per public call, which only narrows what the slot is shown.
+A canonical relation is agreement of coordinatewise projections, which
+on finite data is one check: the map from projection key to class stays
+a bijection.
 _FitFilter alone holds that map, and each search hands it a source of
 (key, class) pairs: a dict by new node when they depend on that node
 alone, or else a function that also reads the placed nodes.  A level
@@ -30,15 +31,20 @@ for all of them; a state is one placement tried, however many vectors
 it serves.  Coloring, Relation and InnerMap are one extensional table,
 _Table.
 
-A failed sub-search is never searched twice (nogood recording, after
-Dechter 1990).  What a search finds below a position is fixed by the
-position, the running maximum, the prefixes that later slots are forced
-to by placed nodes, and the filter's signature; the search core keeps,
-for one call, the signatures of the positions whose candidates ran out,
-and skips a position with a kept signature without spending a state.
-Only a filter whose pairs come from a dict gives a signature, so
-pigeonhole and the level fits are memoized, while the agreement and
-relation searches, whose pairs read the placed nodes, search in full.
+A failed sub-search is never searched twice, nor from a higher running
+maximum (nogood recording, after Dechter 1990).  What a search finds
+below a position is fixed by the position, the running maximum, the
+prefixes that later slots are forced to by placed nodes, and the
+filter's signature.  A higher running maximum, the slot's floor, admits
+some of the same candidates in the same order and leaves the rest of
+the search as it was, so a failure rules out every higher floor too.
+The search core keeps, for one call, the signature of each position
+whose candidates ran out with the least floor it failed from, and skips
+a position whose signature is kept at or below its floor without
+spending a state.  Only a filter whose pairs come from a dict gives a
+signature, so pigeonhole and the level fits are memoized, while the
+agreement and relation searches, whose pairs read the placed nodes,
+search in full.
 """
 
 import itertools
@@ -249,16 +255,16 @@ def _placed_prefixes(k, start, stop):
     return out
 
 
-def _search_member(k, base, supply, target_len, budget, flt):
+def _search_member(k, base, pool, target_len, budget, flt):
     """First valid completion of base to target_len nodes, depth first.
 
-    Candidates are drawn from supply in order.  Every caller passes
-    X.nodes in member order, unsorted: a Member is not checked for
-    order, and the pool keeps whatever order it is given (a built
-    member is ascending by maximum, so there the least fresh node is
-    tried first).  The supply is indexed once per call in a space._Pool,
-    which hands each slot only the nodes of its forced-prefix group
-    past its floor, in supply order; the slot still decides.
+    Candidates are drawn from pool, a space._Pool of the supply, which
+    hands each slot only the nodes of its forced-prefix group past its
+    floor, in supply order; the slot still decides.  Every caller pools
+    X.nodes in member order, unsorted, once per public call: a Member is
+    not checked for order, and the pool keeps whatever order it is given
+    (a built member is ascending by maximum, so there the least fresh
+    node is tried first).
     flt.try_push(nodes, w) may veto a placement; when it returns True
     it has recorded state and flt.pop() undoes it on backtrack.
     flt.accept(nodes) says how many nodes of a completed member to
@@ -268,38 +274,43 @@ def _search_member(k, base, supply, target_len, budget, flt):
     The depth is not bounded by the interpreter's stack: each open
     position keeps its own lazy candidate stream on an explicit stack.
 
-    A failed sub-search is never searched twice.  flt.signature() is a
-    flat tuple of all that the rest of the search reads of the filter,
-    or None when that is the placed nodes themselves.  With the
-    position, the running maximum and the prefixes that the slots up to
-    target_len are forced to by placed nodes, it fixes the sub-search
-    below a position.  When a position's candidates run out, its
-    signature goes in a set kept for this call; a position whose
-    signature is in the set gets no candidates, so it spends no state.
-    A position that accept abandons is not recorded.
+    A failed sub-search is never searched twice, nor from a higher
+    running maximum.  flt.signature() is a flat tuple of all that the
+    rest of the search reads of the filter, or None when that is the
+    placed nodes themselves.  With the position and the prefixes that the
+    slots up to target_len are forced to by placed nodes, it fixes the
+    sub-search below a position up to its floor, the running maximum.
+    A slot admits w when w[level] exceeds the floor, so a higher floor
+    admits a subset of the same candidates in the same order, and after
+    the first placement the floor is max(w) whatever it was before: the
+    leaves below a higher floor are some of those below a lower one.
+    When a position's candidates run out, the search keeps, for this
+    call, its signature with the floor it failed from; a position whose
+    signature is kept with a floor at or below its own gets no
+    candidates, so it spends no state.  A position that accept abandons
+    is not recorded.
     """
     nodes = list(base)
     if len(nodes) == target_len:
         return tuple(nodes) if flt.accept(nodes) == target_len else None
-    pool = _Pool(supply)
     if flt.signature() is not None:
-        # each placement draws a new node of supply, so the slots past
-        # the first len(supply) are never filled and read nothing
-        stop = min(target_len, len(base) + len(supply) + 1)
+        # each placement draws a new node of the pool, so the slots past
+        # the first len(pool) are never filled and read nothing
+        stop = min(target_len, len(base) + len(pool) + 1)
         reads = _placed_prefixes(k, len(base), stop)
-    failed = set()  # signatures of the sub-searches that found no leaf
+    failed = {}  # signature -> the least floor its sub-search failed from
 
     def position(floor):
-        # the next position's candidates and signature
+        # the next position's candidates, signature and floor
         part = flt.signature()
         sig = None
         if part is not None:
             forced = [nodes[a][:l] for a, l in reads[len(nodes) - len(base)]]
-            sig = (len(nodes), floor, *forced, *part)
-            if sig in failed:
-                return (), None
+            sig = (len(nodes), *forced, *part)
+            if floor >= failed.get(sig, floor + 1):
+                return (), None, floor
         slot = _Slot(k, nodes, floor)
-        return slot.candidates(pool.near(slot)), sig
+        return slot.candidates(pool.near(slot)), sig, floor
 
     spend, try_push = budget.spend, flt.try_push  # once, not per state
     stack = [position(max((max(w) for w in nodes), default=-1))]
@@ -310,9 +321,11 @@ def _search_member(k, base, supply, target_len, budget, flt):
             if try_push(nodes, w):
                 break
         else:
-            sig = stack.pop()[1]
+            _, sig, floor = stack.pop()
             if sig is not None:
-                failed.add(sig)
+                # a position is searched only below the floor kept for its
+                # signature, so this floor is the least
+                failed[sig] = floor
             if stack:
                 nodes.pop()
                 flt.pop()
@@ -491,16 +504,17 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     """
     base, color_of = _colored_extensions(a, X, coloring, target_len)
     budget = budget or Budget()
+    pool = _Pool(X.nodes)
     try:
         if not color_of:
-            got = _search_member(X.k, base, X.nodes, target_len, budget, _NoFilter())
+            got = _search_member(X.k, base, pool, target_len, budget, _NoFilter())
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
         pairs = _level_pairs(color_of, 0)
         for color in sorted(set(color_of.values())):
             flt = _FitFilter(pairs, pinned=[((), color)])
-            got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
+            got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
                 seen = {coloring.of(b) for b in one_extensions(a, Y)}
@@ -530,13 +544,14 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     l = classify_n(X.k, len(s.nodes))
     candidates = [0] + list(range(l + 1, X.k + 1))
     floor_pairs = list(zip(candidates, candidates[1:]))
+    pool = _Pool(X.nodes)
     fits = []
     blown = False
     for level in candidates:
         pairs = _level_pairs(color_of, level)
         flt = _FitFilter(pairs, floor_pairs=floor_pairs)
         try:
-            got = _search_member(X.k, base, X.nodes, target_len, budget, flt)
+            got = _search_member(X.k, base, pool, target_len, budget, flt)
         except _Blown:
             blown = True
             break
@@ -695,7 +710,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     vectors = admissible_vectors(k, n)
     flt = _VectorFits(relation, k, n, vectors)
     try:
-        _search_member(k, (), X.nodes, target_len, budget, flt)
+        _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
     flt.settle(done=True)
@@ -884,7 +899,7 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
     # accept's "at least one pair" asks for at least one member inside
     flt = _FitFilter(completed, pinned=[((), True)])
     try:
-        got = _search_member(X.k, (), X.nodes, target_len, budget, flt)
+        got = _search_member(X.k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
     if got is None:

@@ -31,7 +31,15 @@ from .errors import (
     MalformedNodeError,
     TruncationExhaustedError,
 )
-from .wellorder import _CACHE_SIZE, classify_n, domain_at, rank_of, seq_at_rank, seq_str
+from .wellorder import (
+    _CACHE_SIZE,
+    classify_n,
+    domain_at,
+    domain_rank,
+    rank_of,
+    seq_at_rank,
+    seq_str,
+)
 
 Node = tuple[int, ...]
 
@@ -254,11 +262,11 @@ def position_info(k: int, n: int):
     l = classify_n(k, n)
     if l == 0:
         return 0, None
+    # Every full-length sequence extending head ends at head[-1] or above,
+    # and padding with head[-1] is the one that ends there, so it comes
+    # first; it precedes n, whose last entry exceeds every entry of head.
     head = domain_at(n, k)[:l]
-    for p in range(n):
-        if domain_at(p, k)[:l] == head:
-            return l, p
-    raise AssertionError("forced prefix must occur earlier")  # pragma: no cover
+    return l, domain_rank(head + head[-1:] * (k - l), k)
 
 
 class _Slot:
@@ -315,6 +323,11 @@ class _Pool:
                     group[0].append(w)
                     group[1].append(max(group[1][-1], w[l]))
         self.groups = groups
+
+    def __len__(self):
+        """The number of nodes pooled: the empty prefix's group holds all."""
+        root = self.groups.get(())
+        return len(root[0]) if root else 0
 
     def near(self, slot: _Slot):
         """The nodes of the slot's prefix group past those at or below

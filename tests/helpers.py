@@ -10,6 +10,7 @@ import sys
 
 from ellentuck.ramsey import _FitFilter
 from ellentuck.space import Approx, Member, one_extensions, validate_approx
+from ellentuck.wellorder import classify_n, domain_at
 
 
 @contextlib.contextmanager
@@ -26,6 +27,17 @@ def shallow_stack(frames):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def oracle_position_info(k, n):
+    """position_info by definition: the forced level of step n and the
+    first earlier position whose domain shares the forced prefix, found
+    by scanning every earlier domain."""
+    l = classify_n(k, n)
+    if l == 0:
+        return 0, None
+    head = domain_at(n, k)[:l]
+    return l, next(p for p in range(n) if domain_at(p, k)[:l] == head)
 
 
 def oracle_extensions(a, X):
@@ -269,3 +281,29 @@ class MemoFreeFitFilter(_FitFilter):
 
     def signature(self):
         return None
+
+
+class ExactFloorFitFilter(_FitFilter):
+    """ramsey's fit filter with the running maximum in its signature, so
+    the search core's memo skips a failed sub-search only from the floor
+    it failed from, never from a higher one. Install it as
+    ramsey._FitFilter to run a search with the exact-floor memo."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.floors = [None]  # per push kept, the running maximum after it
+
+    def try_push(self, nodes, w):
+        if not super().try_push(nodes, w):
+            return False
+        # w passed the slot, so its maximum is the new running maximum
+        self.floors.append(max(w))
+        return True
+
+    def pop(self):
+        super().pop()
+        self.floors.pop()
+
+    def signature(self):
+        part = super().signature()
+        return None if part is None else part + (self.floors[-1],)

@@ -48,6 +48,7 @@ from ellentuck.ramsey import (
 from ellentuck.space import (
     Approx,
     Member,
+    _Pool,
     build_w,
     depth_of,
     one_extensions,
@@ -57,6 +58,7 @@ from ellentuck.space import (
 from ellentuck.wellorder import classify_n
 
 from helpers import (
+    ExactFloorFitFilter,
     MemoFreeFitFilter,
     ScanAgreementFilter,
     all_sub_members,
@@ -162,13 +164,17 @@ def test_searches_ignore_the_budget_env(monkeypatch, raw):
 def test_budget_cases_cover_the_outcomes():
     """The level and ambiguous searches spent 457 and 144 states before the
     search core remembered its failed sub-searches; the memo skips the
-    repeats among the failing levels' sub-searches, so 331 and 130."""
+    repeats among the failing levels' sub-searches, so 331 and 130. Since
+    a failure also rules out the same sub-search from a higher running
+    maximum, it skips those too, so 261 and 117. The pigeonhole case is
+    by-branch of test_state_counts_are_pinned (123 -> 67 there); the
+    relation, front and agreement searches keep no memo, so theirs stay."""
     full = {name: _unbounded(run) for name, run in _BUDGET_CASES}
     assert full["pigeonhole"][0][1] == 1  # after color 0 is refuted
     assert full["level"][0][1] == CanonicalRelation(0)
-    assert full["level"][1] == 331
+    assert full["level"][1] == 261
     assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
-    assert full["ambiguous"][1] == 130
+    assert full["ambiguous"][1] == 117
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
     assert full["front"][0].counterexample == Approx(2, ((0, 20),))
     assert full["front"][1] == 52
@@ -228,13 +234,17 @@ def test_state_counts_are_pinned():
     for every vector at once and a state serves every vector still live,
     and the agreement search's, recorded at commit 3930be0, where it ran
     on a filter of its own. Since the search core skips a sub-search whose
-    signature already failed, fresh spends 4,682 (12,067 before) and
+    signature already failed, fresh spent 4,682 (12,067 before) and
     by-branch 123 (193): refuting levels 0 and 1, and color 0, reaches
-    the same failed sub-search along many paths. The relation and
-    agreement filters give no signature, and the continuing and parity
-    searches never meet a failed signature twice, so theirs stay. An
-    index or a filter that only saves time leaves them exactly as they
-    are; a change that moves the search must say why and update them."""
+    the same failed sub-search along many paths. Since it also skips one
+    whose signature failed from a lower running maximum, fresh spends
+    1,929, by-branch 67 and continuing 786 (1,787): refuting a level
+    reaches a failed sub-search again from higher maxima, which admit
+    some of the same candidates and so find no leaf either. The relation
+    and agreement filters give no signature, and the parity search never
+    meets a failed signature again, so theirs stay. An index or a filter
+    that only saves time leaves them exactly as they are; a change that
+    moves the search must say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -260,14 +270,14 @@ def test_state_counts_are_pinned():
     full, part, identity = _agreement_maps(pairs30, 7)
     cases = {
         "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
-        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 4682),
+        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 1929),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
-            1787,
+            786,
         ),
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
         # color 0 refuted, then color 1 found
-        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 123),
+        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 67),
         "agreement": (
             lambda bud: irreducible_agreement(full, part, identity, pairs30, X30, 10, bud),
             88,
@@ -279,12 +289,8 @@ def test_state_counts_are_pinned():
         assert budget.used == states, (name, budget.used)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_memo_prunes_only_failed_sub_searches(data):
-    """pigeonhole and canonize_one_extensions give the outcome, witness and
-    Exhausted reason of the same search with every sub-search searched in
-    full, whenever that one ends within the budget, and spend no more."""
+def _memo_case(data):
+    """k, build_w(k, 10..40) and an approximation of up to 3 steps in it."""
     k = data.draw(st.sampled_from((2, 3)), label="k")
     X = build_w(k, data.draw(st.integers(10, 40), label="nodes"))
     a = Approx(k)
@@ -293,9 +299,10 @@ def test_memo_prunes_only_failed_sub_searches(data):
         if not exts:
             break
         a = data.draw(st.sampled_from(exts))
-    rng = data.draw(st.randoms(use_true_random=False))
-    colors = data.draw(st.integers(1, 6), label="colors")
-    coloring = Coloring({b: rng.randrange(colors) for b in one_extensions(a, X)})
+    return k, X, a
+
+
+def _assert_memo_matches_memo_free(data, a, X, coloring):
     tlen = depth_of(X, a) + data.draw(st.integers(0, 5), label="past the depth")
     search = data.draw(st.sampled_from((pigeonhole, canonize_one_extensions)))
     limit = data.draw(st.integers(1, 5000), label="limit")
@@ -309,18 +316,54 @@ def test_memo_prunes_only_failed_sub_searches(data):
     assert memo.used <= full.used
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memo_prunes_only_failed_sub_searches(data):
+    """pigeonhole and canonize_one_extensions give the outcome, witness and
+    Exhausted reason of the same search with every sub-search searched in
+    full, whenever that one ends within the budget, and spend no more."""
+    _, X, a = _memo_case(data)
+    rng = data.draw(st.randoms(use_true_random=False))
+    colors = data.draw(st.integers(1, 6), label="colors")
+    coloring = Coloring({b: rng.randrange(colors) for b in one_extensions(a, X)})
+    _assert_memo_matches_memo_free(data, a, X, coloring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memo_prunes_only_failed_sub_searches_on_structured_colorings(data):
+    """The same on the colorings that fail from many running maxima:
+    max(w) % m, as in the fixed cases below, and extension-canon's one
+    color per level-j prefix, under which level j is canonical."""
+    k, X, a = _memo_case(data)
+    exts = one_extensions(a, X)
+    if data.draw(st.booleans(), label="max mod m"):
+        m = data.draw(st.integers(1, 6), label="m")
+        coloring = Coloring.from_function(lambda b: max(b.nodes[-1]) % m, exts)
+    else:
+        j = data.draw(st.sampled_from([0, *range(classify_n(k, len(a)) + 1, k + 1)]), label="j")
+        labels = {}
+        coloring = Coloring.from_function(
+            lambda b: labels.setdefault(b.nodes[-1][:j], len(labels)), exts
+        )
+    _assert_memo_matches_memo_free(data, a, X, coloring)
+
+
 @pytest.mark.parametrize(
     "search,size,m,tlen",
     [
         (pigeonhole, 20, 3, 5),  # needs the forced prefixes
         (canonize_one_extensions, 20, 5, 5),  # needs the key <-> class map
         (pigeonhole, 30, 4, 3),  # needs the running maximum
+        (canonize_one_extensions, 24, 3, 6),  # needs the floor's direction
     ],
 )
 def test_memo_signature_misses_no_part(search, size, m, tlen):
     """Colorings max(w) % m of the one-step extensions of the empty
     approximation, on which a signature without the part named would
-    skip a sub-search that has a leaf and return another witness."""
+    skip a sub-search that has a leaf and return another witness. The
+    floor's direction: a memo that also skipped a failed sub-search from
+    a lower running maximum would do the same."""
     X = build_w(2, size)
     coloring = Coloring.from_function(
         lambda b: max(b.nodes[-1]) % m, one_extensions(Approx(2), X)
@@ -331,6 +374,19 @@ def test_memo_signature_misses_no_part(search, size, m, tlen):
     with mock.patch.object(ramsey, "_FitFilter", MemoFreeFitFilter):
         assert got == search(Approx(2), X, coloring, tlen, full)
     assert memo.used <= full.used
+
+
+@pytest.mark.parametrize("name,exact", [("pigeonhole", 123), ("level", 331), ("ambiguous", 130)])
+def test_memo_skips_a_failed_sub_search_from_higher_maxima(name, exact):
+    """A sub-search that failed from one running maximum is skipped from
+    every higher one, which admits some of the same candidates in the
+    same order: the outcome of the memo that skips it only from the same
+    maximum, in fewer states (exact: that memo's states)."""
+    run = dict(_BUDGET_CASES)[name]
+    got, used = _unbounded(run)
+    with mock.patch.object(ramsey, "_FitFilter", ExactFloorFitFilter):
+        assert _unbounded(run) == (got, exact)
+    assert used < exact
 
 
 # -------------------------------------------------------------- coloring
@@ -836,7 +892,7 @@ def test_joint_relation_search_spends_the_union_of_the_solo_searches(data):
             return push(nodes, w)
 
         one.try_push = recording
-        ramsey._search_member(k, (), X.nodes, tlen, Budget(DEFAULT_BUDGET), flt)
+        ramsey._search_member(k, (), _Pool(X.nodes), tlen, Budget(DEFAULT_BUDGET), flt)
         if one in flt.found:
             solo.append((v, Member(k, flt.found[one])))
     assert budget.used == len(states)
@@ -858,7 +914,7 @@ def test_missing_approximations_raise_what_one_search_per_vector_raises(data):
     for v in admissible_vectors(k, n):
         flt = ramsey._VectorFits(incomplete, k, n, [v])
         try:
-            ramsey._search_member(k, (), X.nodes, tlen, Budget(DEFAULT_BUDGET), flt)
+            ramsey._search_member(k, (), _Pool(X.nodes), tlen, Budget(DEFAULT_BUDGET), flt)
         except ValueError as err:
             want = str(err)
             break
@@ -1171,7 +1227,7 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
     scan = Budget(limit)
     flt = ScanAgreementFilter(phi1, phi2, approxs)
     try:
-        nodes = ramsey._search_member(2, (), _FAMILY_X.nodes, tlen, scan, flt)
+        nodes = ramsey._search_member(2, (), _Pool(_FAMILY_X.nodes), tlen, scan, flt)
     except ramsey._Blown:
         assert got == Exhausted("budget", "state budget ran out at %d" % scan.used)
     else:
@@ -1194,7 +1250,7 @@ def test_agreement_search_keeps_no_memo():
     got = irreducible_agreement(full, part, identity, pairs, X, 7, budget)
     scan = Budget(DEFAULT_BUDGET)
     flt = ScanAgreementFilter(full, part, pairs)
-    nodes = ramsey._search_member(2, (), X.nodes, 7, scan, flt)
+    nodes = ramsey._search_member(2, (), _Pool(X.nodes), 7, scan, flt)
     assert got == (Member(2, nodes), True)
     assert budget.used == scan.used
 

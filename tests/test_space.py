@@ -29,7 +29,13 @@ from ellentuck.space import (
 )
 
 from figures import R4_E3, R5_E3, R6_E2, R10_E2, W2_LEAVES, W3_LEAVES
-from helpers import oracle_extensions, oracle_level, random_sub_member, sub_approxs_up_to
+from helpers import (
+    oracle_extensions,
+    oracle_level,
+    oracle_position_info,
+    random_sub_member,
+    sub_approxs_up_to,
+)
 
 
 def approx(k, nodes):
@@ -270,6 +276,20 @@ def test_pool_hands_each_slot_every_admitted_node_in_order(k):
         for a in sub_approxs_up_to(x, 3):
             slot = _Slot.of(a)
             assert list(slot.candidates(pool.near(slot))) == list(slot.candidates(supply))
+
+
+def test_pool_counts_its_nodes():
+    # the search core bounds its look-ahead by the nodes a pool holds
+    assert len(_Pool(())) == 0
+    assert len(_Pool(build_w(3, 20).nodes)) == 20
+
+
+@pytest.mark.parametrize("k,stop", [(1, 200), (2, 600), (3, 600), (4, 300), (5, 300)])
+def test_position_info_matches_the_scan(k, stop):
+    # the closed-form anchor is the first earlier position whose domain
+    # shares the forced prefix, as a scan of every earlier one finds it
+    for n in range(stop):
+        assert space.position_info(k, n) == oracle_position_info(k, n), n
 
 
 def test_wrong_length_nodes_are_never_admitted():
