@@ -45,16 +45,10 @@ class NodeOracle:
             pool = [_as_node(w) for w in nodes]
         else:
             pool = [w for w in (_as_node(u) for u in universe) if predicate(w)]
-        seen = set()
-        kept = []
-        for w in pool:
-            if not w:  # it has no maximum to sort by
-                raise MalformedNodeError(w, "empty node")
-            if w not in seen:
-                seen.add(w)
-                kept.append(w)
-        kept.sort(key=lambda w: (max(w), w))
-        self._candidates = tuple(kept)
+        kept = dict.fromkeys(pool)
+        if () in kept:  # it has no maximum to sort by
+            raise MalformedNodeError((), "empty node")
+        self._candidates = tuple(sorted(kept, key=lambda w: (max(w), w)))
         self._members = frozenset(kept)
 
     @classmethod
@@ -196,19 +190,15 @@ def subcopy_check(U, k: int, level: int):
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level < k:
         raise LevelOutOfRangeError(f"level {level!r} not in 0..{k - 1}")
-    seen = set()
     nodes = []
-    for w in U:
-        w = _as_node(w)
+    for w in map(_as_node, U):  # each node checked in full, in input order
         if len(w) != k:
             raise MalformedNodeError(w, f"expected length {k}")
         decode_node(w, k)
-        if w not in seen:
-            seen.add(w)
-            nodes.append(w)
+        nodes.append(w)
     if not nodes:
         raise ValueError("need at least one node to compare")
-    nodes.sort(key=max)
+    nodes = sorted(dict.fromkeys(nodes), key=max)
     seqs = [decode_node(w, k) for w in nodes]
     dim = k - level
     targets = [domain_at(m, dim) for m in range(len(nodes))]
@@ -228,7 +218,6 @@ def subcopy_check(U, k: int, level: int):
 def _new_nodes_of(a, V):
     """Validate V as one-step extensions of a; return their new nodes."""
     n = len(a.nodes)
-    seen = set()
     out = []
     for v in V:
         if not isinstance(v, Approx):
@@ -236,11 +225,8 @@ def _new_nodes_of(a, V):
         if v.k != a.k or len(v.nodes) != n + 1 or v.nodes[:n] != a.nodes:
             raise ValueError("every entry of V must be a one-step extension of a")
         _require_valid(v, "extension in V")
-        w = v.nodes[-1]
-        if w not in seen:
-            seen.add(w)
-            out.append(w)
-    return out
+        out.append(v.nodes[-1])
+    return list(dict.fromkeys(out))
 
 
 def thin_to_subcopy(a, X, V, target_len: int):

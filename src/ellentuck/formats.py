@@ -71,6 +71,29 @@ def _sort_key(a):
     return (a.k, len(a.nodes), a.nodes)
 
 
+def _is_int(v):
+    """JSON integers only: true and false are no numbers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _load_table(text, field, values, value_ok, bad_value):
+    """The {approximation key: value} map of an object whose single field
+    is `field`, each value checked (bad_value % key) before its key is
+    parsed; `values` names what the map holds."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or set(obj) != {field}:
+        raise ValueError("expected an object with a single %r field" % field)
+    entries = obj[field]
+    if not isinstance(entries, dict):
+        raise ValueError("%r must map approximation keys to %s" % (field, values))
+    table = {}
+    for key, v in entries.items():
+        if not value_ok(v):
+            raise ValueError(bad_value % key)
+        table[approx_from_obj(json.loads(key))] = v
+    return table
+
+
 # -------------------------------------------------------------- coloring
 
 
@@ -80,18 +103,8 @@ def dump_coloring(coloring) -> str:
 
 
 def load_coloring(text) -> Coloring:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or set(obj) != {"colors"}:
-        raise ValueError("expected an object with a single 'colors' field")
-    colors = obj["colors"]
-    if not isinstance(colors, dict):
-        raise ValueError("'colors' must map approximation keys to integers")
-    table = {}
-    for key, c in colors.items():
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError("color for %s is not an integer" % key)
-        table[approx_from_obj(json.loads(key))] = c
-    return Coloring(table)
+    return Coloring(_load_table(text, "colors", "integers", _is_int,
+                                "color for %s is not an integer"))
 
 
 # -------------------------------------------------------------- relation
@@ -115,7 +128,7 @@ def load_relation(text) -> Relation:
     domain = [approx_from_obj(o) for o in obj["domain"]]
     classes = obj["classes"]
     if not isinstance(classes, list) or not all(
-        isinstance(group, list) and all(isinstance(i, int) for i in group)
+        isinstance(group, list) and all(map(_is_int, group))
         for group in classes
     ):
         raise ValueError("'classes' must be a list of index lists")
@@ -148,20 +161,11 @@ def dump_inner_map(phi) -> str:
 
 
 def load_inner_map(text) -> InnerMap:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or set(obj) != {"vectors"}:
-        raise ValueError("expected an object with a single 'vectors' field")
-    vectors = obj["vectors"]
-    if not isinstance(vectors, dict):
-        raise ValueError("'vectors' must map approximation keys to level lists")
-    table = {}
-    for key, v in vectors.items():
-        if not isinstance(v, list) or not all(
-            isinstance(l, int) and not isinstance(l, bool) for l in v
-        ):
-            raise ValueError("vector for %s is not a list of integers" % key)
-        table[approx_from_obj(json.loads(key))] = tuple(v)
-    return InnerMap(table)
+    return InnerMap(_load_table(
+        text, "vectors", "level lists",
+        lambda v: isinstance(v, list) and all(map(_is_int, v)),
+        "vector for %s is not a list of integers",
+    ))
 
 
 # ------------------------------------------------------------------- dot
@@ -215,32 +219,22 @@ def from_dot(text, member=False):
     stays invalid for the validator to report.
     """
     k = None
-    seen = []
+    idents = []  # in order of appearance, repeats included
     sources = set()
-
-    def note(ident):
-        if ident not in seen:
-            seen.append(ident)
-
     for line in text.splitlines():
         m = _DOT_K.match(line)
         if m:
             k = int(m.group(1))
             continue
-        m = _DOT_NODE.match(line)
+        m = _DOT_NODE.match(line) or _DOT_EDGE.match(line)
         if m:
-            note(m.group(1))
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            note(m.group(1))
-            note(m.group(2))
-            sources.add(m.group(1))
+            idents += m.groups()
+            sources.update(m.groups()[:-1])  # an edge's source is no leaf
     if k is None:
         raise ValueError("missing '// k=N' comment")
     nodes = tuple(
         tuple(int(v) for v in ident.split(","))
-        for ident in seen
+        for ident in dict.fromkeys(idents)
         if ident and ident not in sources
     )
     if member:

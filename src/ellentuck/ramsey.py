@@ -275,29 +275,29 @@ def _search_member(k, base, pool, target_len, budget, flt):
     position keeps its own lazy candidate stream on an explicit stack.
 
     A failed sub-search is never searched twice, nor from a higher
-    running maximum.  flt.signature() is a flat tuple of all that the
-    rest of the search reads of the filter, or None when that is the
-    placed nodes themselves.  With the position and the prefixes that the
-    slots up to target_len are forced to by placed nodes, it fixes the
-    sub-search below a position up to its floor, the running maximum.
-    A slot admits w when w[level] exceeds the floor, so a higher floor
-    admits a subset of the same candidates in the same order, and after
-    the first placement the floor is max(w) whatever it was before: the
-    leaves below a higher floor are some of those below a lower one.
-    When a position's candidates run out, the search keeps, for this
-    call, its signature with the floor it failed from; a position whose
-    signature is kept with a floor at or below its own gets no
-    candidates, so it spends no state.  A position that accept abandons
-    is not recorded.
+    running maximum.  flt.signature() is a tuple of all that the rest of
+    the search reads of the filter, whose part of varying length comes
+    last, or None when that is the placed nodes themselves.  With the
+    position and the prefixes that the slots up to target_len are forced
+    to by placed nodes, it fixes the sub-search below a position up to
+    its floor, the running maximum.  A slot admits w when w[level]
+    exceeds the floor, so a higher floor admits a subset of the same
+    candidates in the same order, and after the first placement the
+    floor is max(w) whatever it was before: the leaves below a higher
+    floor are some of those below a lower one.  When a position's
+    candidates run out, the search keeps, for this call, its signature
+    with the floor it failed from; a position whose signature is kept
+    with a floor at or below its own gets no candidates, so it spends no
+    state.  A position that accept abandons is not recorded.
     """
     nodes = list(base)
     if len(nodes) == target_len:
         return tuple(nodes) if flt.accept(nodes) == target_len else None
     if flt.signature() is not None:
-        # each placement draws a new node of the pool, so the slots past
-        # the first len(pool) are never filled and read nothing
-        stop = min(target_len, len(base) + len(pool) + 1)
-        reads = _placed_prefixes(k, len(base), stop)
+        # each placement draws a new pool node and spends a state, so the
+        # slots past len(pool) or the budget's headroom are never filled
+        headroom = max(0, min(len(pool), budget.limit - budget.used))
+        reads = _placed_prefixes(k, len(base), min(target_len, len(base) + headroom + 1))
     failed = {}  # signature -> the least floor its sub-search failed from
 
     def position(floor):
@@ -431,39 +431,33 @@ class _FitFilter:
             self.sigs.pop()
             self._undo(inserted)
 
+    def _floor_states(self):
+        """Per floor pair (c1, c2): None once two placed nodes agree up to
+        c1 but not up to c2, which no push undoes; else the placed nodes'
+        c2-prefixes, sorted, which fix their c1 -> c2 map."""
+        for c1, c2 in self.floor_pairs:
+            below = {}  # c1-prefix -> c2-prefix of the placed nodes
+            for u in self.placed:
+                if below.setdefault(u[:c1], u[:c2]) != u[:c2]:
+                    yield None
+                    break
+            else:
+                yield tuple(sorted(below.values()))
+
     def accept(self, nodes):
-        placed = self.placed
-        fits = bool(placed) and all(
-            any(
-                u[:c1] == v[:c1] and u[:c2] != v[:c2]
-                for i, u in enumerate(placed)
-                for v in placed[:i]
-            )
-            for c1, c2 in self.floor_pairs
-        )
+        fits = bool(self.placed) and all(s is None for s in self._floor_states())
         return len(nodes) if fits else len(nodes) - 1
 
     def signature(self):
-        """What the rest of a search reads of the filter: the key <-> class
-        map, whether a pair was formed and, per floor pair, whether it is
-        witnessed or else the c2-prefixes of the placed nodes.  None when
-        the pairs read the placed nodes, which then are the signature."""
+        """What the rest of a search reads of the filter: whether a pair was
+        formed, the floor pairs' states and, last and so the only part of
+        varying length, the key <-> class pairs, sorted.  None when the
+        pairs read the placed nodes, which then are the signature."""
         if not self.by_node:
             return None
         if self.sigs[-1] is None:
-            sig = [bool(self.placed), len(self.key_class)]
-            for item in sorted(self.key_class.items()):
-                sig += item
-            for c1, c2 in self.floor_pairs:
-                below = {}  # c1-prefix -> c2-prefix of the placed nodes
-                for u in self.placed:
-                    if below.setdefault(u[:c1], u[:c2]) != u[:c2]:
-                        sig.append(None)  # witnessed, and no push undoes it
-                        break
-                else:
-                    sig.append(len(below))
-                    sig += sorted(below.values())
-            self.sigs[-1] = tuple(sig)
+            self.sigs[-1] = (bool(self.placed), *self._floor_states(),
+                             *sorted(self.key_class.items()))
         return self.sigs[-1]
 
 

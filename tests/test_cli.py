@@ -183,6 +183,14 @@ def test_fuse(tmp_path):
     assert obj["nodes"][:1] == [[0, 1]] and len(obj["nodes"]) == 4
 
 
+def test_fuse_exhausted(tmp_path):
+    member = write(tmp_path, "w.json", dump_approx(build_w(2, 15)))
+    code, out, err = run(
+        "fuse", "--a", '{"k":2,"nodes":[]}', "--A", member, "--B", member, "--len", "40",
+    )
+    assert (code, out, err) == (3, "exhausted: step 15: the inner member has no fitting node\n", "")
+
+
 def test_embed(tmp_path):
     oracle = write(
         tmp_path, "pool.json", json.dumps([list(w) for w in build_w(2, 15).nodes])
@@ -317,6 +325,16 @@ def test_canonize_arn_not_canonical(tmp_path):
     )
     assert code == 1
     assert out == "not canonical at this scale (3 vectors checked)\n"
+
+
+def test_canonize_arn_rejects_boolean_class_indices():
+    relation = '{"domain":[{"k":2,"nodes":[[0,1]]},{"k":2,"nodes":[[0,2]]}],"classes":[[0,true]]}'
+    code, out, err = run(
+        "canonize-arn", "--k", "2", "--n", "1", "--relation", relation,
+        "--member", dump_approx(build_w(2, 6)), "--len", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --relation: 'classes' must be a list of index lists\n"
 
 
 def test_check_front(tmp_path):

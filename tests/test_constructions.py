@@ -63,6 +63,20 @@ def test_oracle_argument_checks():
         NodeOracle(nodes=[(0, 1)], predicate=lambda v: True, universe=[(0, 1)])
 
 
+def test_oracle_checks_every_node_before_the_empty_one():
+    """Every entry is read as a node first, so a malformed entry after an
+    empty one is the error; repeated nodes count once."""
+    for nodes, reason in [
+        ([(0, 1), (), ()], "node (): empty node"),
+        ([(), ("x",)], "node ('x',): indices must be nonnegative integers"),
+    ]:
+        with pytest.raises(MalformedNodeError) as err:
+            NodeOracle(nodes=nodes)
+        assert str(err.value) == reason
+    oracle = NodeOracle(nodes=[(0, 5), (0, 1), (0, 5), [0, 1]])
+    assert oracle.candidates() == ((0, 1), (0, 5))
+
+
 # ------------------------------------------------------- construction
 
 
@@ -176,6 +190,13 @@ def test_fuse_preconditions():
         fuse(a, w15, w15, 2)  # target below depth
 
 
+def test_fuse_exhausts_when_the_inner_member_runs_out():
+    w15 = build_w(2, 15)
+    assert fuse(Approx(2), w15, w15, 40) == Exhausted(
+        "supply", "step 15: the inner member has no fitting node"
+    )
+
+
 # ----------------------------------------------------------- embedding
 
 
@@ -258,7 +279,32 @@ def test_subcopy_input_checks():
         subcopy_check([(1, 2)], 2, 0)
 
 
+def test_subcopy_checks_each_node_in_input_order():
+    """Each node is checked in full before the next, so the first bad
+    entry names the error; a repeated node counts once."""
+    for nodes, reason in [
+        ([(0, 1, 2), "x"], "node (0, 1, 2): expected length 2"),
+        (["x", (0, 1, 2)], "node 'x': indices must be nonnegative integers"),
+        ([(0, 1), (1, 2), (0, 1, 2)], "node (1, 2): index 1 decodes to length 2, expected 1"),
+    ]:
+        with pytest.raises(MalformedNodeError) as err:
+            subcopy_check(nodes, 2, 0)
+        assert str(err.value) == reason
+    assert subcopy_check([(0, 2), (0, 1), (0, 2)], 2, 1) == {(0, 1): (0,), (0, 2): (1,)}
+
+
 # ------------------------------------------------------------ thinning
+
+
+def test_thin_checks_v_in_input_order_and_counts_a_node_once():
+    X = build_w(2, 30)
+    a = Approx(2)
+    V = one_extensions(a, X)
+    with pytest.raises(ValueError, match="^every entry of V must be a one-step extension of a$"):
+        thin_to_subcopy(a, X, [V[0], ((0, 1), (0, 2)), ((1, 2),)], 5)
+    with pytest.raises(MalformedNodeError, match="^node \\(1, 2\\): "):
+        thin_to_subcopy(a, X, [V[0], ((1, 2),), ((0, 1), (0, 2))], 5)
+    assert thin_to_subcopy(a, X, V + V[::-1], 5) == thin_to_subcopy(a, X, V, 5)
 
 
 def test_thin_with_all_extensions_is_greedy():
@@ -323,3 +369,19 @@ def test_thin_rejects_non_subcopy_v():
     bad = [Approx(3, a.nodes + ((0, 4, 5),)), Approx(3, a.nodes + ((0, 11, 12),))]
     with pytest.raises(ValueError):
         thin_to_subcopy(a, x, bad, 5)
+
+
+def test_constructions_reject_mismatched_arguments():
+    w2, w3 = build_w(2, 10), build_w(3, 10)
+    for call, message in [
+        (lambda: construct_in_basic_set(Approx(3), w2, 4), "dimension mismatch"),
+        (lambda: fuse(Approx(3), w2, w2, 4), "dimension mismatch"),
+        (lambda: thin_to_subcopy(Approx(2), w3, [], 4), "dimension mismatch"),
+        (lambda: thin_to_subcopy(r_approx(w2, 3), w2, [], 2),
+         "target length is shorter than the input"),
+        (lambda: dense_embed(1, NodeOracle(nodes=[]), 2), "k must be an integer >= 2, got 1"),
+        (lambda: subcopy_check([(0, 1)], 1.5, 0), "k must be an integer >= 2, got 1.5"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

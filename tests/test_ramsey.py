@@ -389,6 +389,47 @@ def test_memo_skips_a_failed_sub_search_from_higher_maxima(name, exact):
     assert used < exact
 
 
+def _parity(X):
+    return Coloring.from_function(lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), X))
+
+
+def _ran_out_at(used):
+    return Exhausted("budget", "state budget ran out at %d" % used)
+
+
+def test_memo_look_ahead_stops_at_the_budget_headroom(monkeypatch):
+    """A search with 10 states left places at most 10 nodes, so the memo
+    reads the forced prefixes of at most 11 positions, however long the
+    target: the look-ahead of a 3,000-node target used to cover all
+    3,000 positions before the first state."""
+    X = build_w(2, 3000)
+    spans = []
+    real = ramsey._placed_prefixes
+
+    def spy(k, start, stop):
+        spans.append(stop - start)
+        return real(k, start, stop)
+
+    monkeypatch.setattr(ramsey, "_placed_prefixes", spy)
+    got = pigeonhole(Approx(2), X, _parity(X), 3000, Budget(10))
+    assert got == Exhausted("budget", "state budget ran out at 11")
+    assert spans and max(spans) <= 11
+
+
+def test_a_spent_budget_stays_exhausted():
+    """A budget passed in already spent, or spent to its limit, gives
+    Exhausted("budget") again, whichever search it is handed to."""
+    X = build_w(2, 300)
+    parity = _parity(X)
+    budget = Budget(3)
+    assert pigeonhole(Approx(2), X, parity, 8, budget) == _ran_out_at(4)
+    assert pigeonhole(Approx(2), X, parity, 8, budget) == _ran_out_at(5)
+    assert canonize_one_extensions(Approx(2), X, parity, 8, budget) == _ran_out_at(6)
+    full = Budget(2)
+    full.used = 2
+    assert pigeonhole(Approx(2), X, parity, 8, full) == _ran_out_at(3)
+
+
 # -------------------------------------------------------------- coloring
 
 
