@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand wraps one library operation and is declared once, with
-its flags, by `_command` on its handler. Structured arguments
+its flags, by `_command` on its handler. A run builds only the parser
+of the subcommand it names; help, an unknown command or no command
+builds every subcommand's. Structured arguments
 (approximations, colorings, relations, families, maps, oracles) accept
 either a file path or the literal JSON/DOT text inline. Output is deterministic: identical
 inputs give identical bytes.
@@ -326,13 +328,21 @@ def _cmd_check_irreducible(args, out):
 # ---------------------------------------------------------------- parser
 
 
-def _build_parser():
+def _build_parser(argv):
+    """The parser for argv: only its subcommand's subparser when argv[0]
+    names one, every subparser otherwise (help, errors, no command)."""
     parser = argparse.ArgumentParser(
         prog="ellentuck",
         description="Finite truncations of high-dimensional Ellentuck spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags, _) in _COMMANDS.items():
+    names, listing = _COMMANDS, {}
+    if argv and argv[0] in _COMMANDS:
+        # the parent's usage, printed on an unrecognized argument, still
+        # lists every subcommand
+        names, listing = argv[:1], {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listing)
+    for name in names:
+        summary, flags, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         for flag, kwargs, _ in flags:
             p.add_argument(flag, **kwargs)
@@ -342,7 +352,8 @@ def _build_parser():
 def main(argv=None, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     _, flags, run = _COMMANDS[args.command]
     try:
         _load(args, flags)

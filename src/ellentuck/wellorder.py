@@ -154,17 +154,17 @@ def seq_at_rank(rank: int, k: int) -> Seq:
     while comb(e + 1 + k, k) - 1 <= rank:
         e += 1
     rem = rank - (comb(e + k, k) - 1)
-    prefix: Seq = ()
+    prefix = []  # a list, so each step appends in O(1)
     while True:
         if prefix and prefix[-1] == e:
             if rem == 0:
-                return prefix
+                return tuple(prefix)
             rem -= 1
         lo = prefix[-1] if prefix else 0
         for v in range(lo, e + 1):
             t = (1 if v == e else 0) + _ext_count(e - v, k - len(prefix) - 1)
             if rem < t:
-                prefix = prefix + (v,)
+                prefix.append(v)
                 break
             rem -= t
         else:  # pragma: no cover - the block arithmetic above prevents this
@@ -204,18 +204,18 @@ def domain_at(n: int, k: int) -> Seq:
     while comb(e + k, k) <= n:
         e += 1
     rem = n - comb(e + k - 1, k)
-    prefix: Seq = ()
+    prefix = []  # a list, so each step appends in O(1)
     while len(prefix) < k:
         lo = prefix[-1] if prefix else 0
         for v in range(lo, e + 1):
             t = _full_count(e, v, k - len(prefix) - 1)
             if rem < t:
-                prefix = prefix + (v,)
+                prefix.append(v)
                 break
             rem -= t
         else:  # pragma: no cover
             raise AssertionError("position walked off its block")
-    return prefix
+    return tuple(prefix)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -5,12 +5,15 @@ re-derive extension sets by full revalidation so the structural shortcut
 rules have something definition-shaped to answer to.
 """
 
+import argparse
 import contextlib
 import sys
+from math import comb
 
+from ellentuck.cli import _COMMANDS
 from ellentuck.ramsey import _FitFilter
 from ellentuck.space import Approx, Member, one_extensions, validate_approx
-from ellentuck.wellorder import classify_n, domain_at
+from ellentuck.wellorder import _ext_count, _full_count, classify_n, domain_at
 
 
 @contextlib.contextmanager
@@ -27,6 +30,63 @@ def shallow_stack(frames):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def oracle_build_parser():
+    """The CLI's parser with every subcommand registered, whatever the
+    arguments: the parser every run built before a run built only its
+    own subcommand's."""
+    parser = argparse.ArgumentParser(
+        prog="ellentuck",
+        description="Finite truncations of high-dimensional Ellentuck spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs, _ in flags:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
+def oracle_seq_at_rank(rank, k):
+    """wellorder.seq_at_rank growing its prefix by tuple concatenation,
+    one copy of the whole prefix per step."""
+    e = 0
+    while comb(e + 1 + k, k) - 1 <= rank:
+        e += 1
+    rem = rank - (comb(e + k, k) - 1)
+    prefix = ()
+    while True:
+        if prefix and prefix[-1] == e:
+            if rem == 0:
+                return prefix
+            rem -= 1
+        lo = prefix[-1] if prefix else 0
+        for v in range(lo, e + 1):
+            t = (1 if v == e else 0) + _ext_count(e - v, k - len(prefix) - 1)
+            if rem < t:
+                prefix = prefix + (v,)
+                break
+            rem -= t
+
+
+def oracle_domain_at(n, k):
+    """wellorder.domain_at growing its prefix by tuple concatenation,
+    one copy of the whole prefix per step."""
+    e = 0
+    while comb(e + k, k) <= n:
+        e += 1
+    rem = n - comb(e + k - 1, k)
+    prefix = ()
+    while len(prefix) < k:
+        lo = prefix[-1] if prefix else 0
+        for v in range(lo, e + 1):
+            t = _full_count(e, v, k - len(prefix) - 1)
+            if rem < t:
+                prefix = prefix + (v,)
+                break
+            rem -= t
+    return prefix
 
 
 def oracle_position_info(k, n):

@@ -1,5 +1,6 @@
 """Command-line behavior: output bytes, exit codes, file round-trips."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from ellentuck import cli
 from ellentuck.cli import main
 from ellentuck.formats import (
     dump_approx,
@@ -19,7 +21,7 @@ from ellentuck.ramsey import Coloring, InnerMap, Relation
 from ellentuck.space import Approx, build_w, one_extensions
 
 from figures import R10_E2, R6_E2
-from helpers import shallow_stack
+from helpers import oracle_build_parser, shallow_stack
 
 
 def run(*argv):
@@ -491,3 +493,103 @@ def test_out_of_range_integers_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be an integer >=" in captured.err
+
+
+# One valid run per subcommand, every input inline, each a few ms.
+_W15 = build_w(2, 15)
+_W15_SINGLES = [Approx(2, (w,)) for w in _W15.nodes]
+_W20 = build_w(2, 20)
+_ONE = '{"k":2,"nodes":[[0,1]]}'
+_VALID = {
+    "enum": ("--k", "2", "--count", "5"),
+    "build-w": ("--k", "2", "--nodes", "3"),
+    "validate": ("--file", dump_approx(_SIX)),
+    "classify-n": ("--k", "2", "--n", "4"),
+    "project": ("--node", "[0,1]", "--level", "1"),
+    "extensions": ("--approx", _ONE, "--member", dump_approx(_SIX)),
+    "construct": ("--a", _ONE, "--member", dump_approx(_W15), "--len", "4"),
+    "fuse": ("--a", _ONE, "--A", dump_approx(_W15), "--B", dump_approx(_W15), "--len", "4"),
+    "embed": ("--k", "2", "--oracle", json.dumps([list(w) for w in _W15.nodes]), "--len", "6"),
+    "pigeonhole": (
+        "--a", '{"k":2,"nodes":[]}', "--member", dump_approx(_W20),
+        "--coloring", dump_coloring(Coloring.from_function(
+            lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), _W20))),
+        "--len", "3",
+    ),
+    "canonize-ext": (
+        "--s", '{"k":2,"nodes":[]}', "--member", dump_approx(_W20),
+        "--coloring", dump_coloring(Coloring.from_function(
+            lambda b: b.nodes[-1][0], one_extensions(Approx(2), _W20))),
+        "--len", "4",
+    ),
+    "canonize-arn": (
+        "--k", "2", "--n", "1",
+        "--relation", dump_relation(Relation.from_key_function(len, _SIX_SINGLES)),
+        "--member", dump_approx(_SIX), "--len", "3",
+    ),
+    "check-front": ("--family", dump_family(_W15_SINGLES), "--member", dump_approx(_W15)),
+    "check-irreducible": (
+        "--map", dump_inner_map(InnerMap.uniform((1,), _W15_SINGLES)),
+        "--family", dump_family(_W15_SINGLES),
+    ),
+}
+
+
+def _parity_argvs():
+    """Per subcommand: -h, no flags, an unknown flag, a bad integer, a
+    stray positional and a valid run; then the top-level paths."""
+    for name, (_, flags, _) in cli._COMMANDS.items():
+        valid = (name,) + _VALID[name]
+        yield name + " -h", (name, "-h")
+        yield name, (name,)
+        yield name + " unknown flag", valid + ("--no-such-flag",)
+        ints = [flag for flag, kwargs, _ in flags if "type" in kwargs]
+        bad = [flag for flag in ("--k", "--len") if flag in ints] or ints[:1]
+        for flag in bad:
+            yield name + " bad " + flag, valid + (flag, "x")
+        yield name + " stray", valid + ("stray",)
+        yield name + " valid", valid
+    for argv in ((), ("-h",), ("--help",), ("no-such-command",), ("-h", "build-w")):
+        yield "top " + " ".join(argv), argv
+
+
+def test_every_subcommand_has_a_parity_run():
+    assert set(_VALID) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", [pytest.param(argv, id=name) for name, argv in _parity_argvs()]
+)
+def test_narrowed_parser_matches_full_parser(argv, monkeypatch, capsys):
+    """A run that builds only its subcommand's parser prints the same
+    bytes and exits the same way as one with every subparser built."""
+    monkeypatch.delenv("ELLENTUCK_BUDGET", raising=False)
+
+    def outcome():
+        try:
+            got = ("returned", main(list(argv)))
+        except SystemExit as stop:
+            got = ("exited", stop.code)
+        return got, tuple(capsys.readouterr())
+
+    narrowed = outcome()
+    monkeypatch.setattr(cli, "_build_parser", lambda argv: oracle_build_parser())
+    assert outcome() == narrowed
+
+
+def test_a_run_builds_only_its_subparser(monkeypatch, capsys):
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, *args, **kwargs):
+        added.append(name)
+        return add_parser(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert main(["build-w", "--k", "2", "--nodes", "3"]) == 0
+    assert added == ["build-w"]
+    for argv in (["-h"], ["no-such-command"]):
+        added.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(added) == len(cli._COMMANDS)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ellentuck import wellorder as wo
 from ellentuck.errors import EmptySequenceError
 
+from helpers import oracle_domain_at, oracle_seq_at_rank
+
 
 def oracle_key(s):
     # empty first, then last entry, then lex with prefixes first;
@@ -114,6 +116,16 @@ def test_domain_round_trip(k):
     for n, s in enumerate(listing):
         assert wo.domain_at(n, k) == s
         assert wo.domain_rank(s, k) == n
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_list_built_prefix_matches_tuple_concatenation(k):
+    """seq_at_rank and domain_at build their prefix in a list; the old
+    tuple-concatenation walk gives the same sequences."""
+    points = list(range(3000)) + [10**6 + 7 * i for i in range(50)]
+    for i in points:
+        assert wo.seq_at_rank(i, k) == oracle_seq_at_rank(i, k)
+        assert wo.domain_at(i, k) == oracle_domain_at(i, k)
 
 
 def _st_seq(k, hi):
