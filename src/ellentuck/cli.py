@@ -106,9 +106,9 @@ def _int(name, lo):
     return (name, {"type": _at_least(lo), "required": True}, None)
 
 
-def _input(name, loader, **kwargs):
+def _input(name, loader):
     """A structured flag, read by a formats loader."""
-    return (name, {"required": True}, lambda text, args: loader(text, **kwargs))
+    return (name, {"required": True}, lambda text, args: loader(text))
 
 
 def _approx_in_format(text, args):
@@ -132,7 +132,7 @@ def _node_oracle(text):
 _K = _int("--k", 2)
 _LEN = _int("--len", 0)
 _A = _input("--a", load_approx)
-_MEMBER = _input("--member", load_approx, member=True)
+_MEMBER = _input("--member", load_approx)
 _COLORING = _input("--coloring", load_coloring)
 _FAMILY = _input("--family", load_family)
 _FORMAT = ("--format", {"choices": ("json", "dot"), "default": "json"}, None)
@@ -225,8 +225,7 @@ def _cmd_construct(args, out):
 
 
 @_command("fuse", "completion staying compatible with both members",
-          _A, _input("--A", load_approx, member=True),
-          _input("--B", load_approx, member=True), _LEN)
+          _A, _input("--A", load_approx), _input("--B", load_approx), _LEN)
 def _cmd_fuse(args, out):
     return fuse(args.a, args.A, args.B, args.len)
 

@@ -5,16 +5,16 @@ the same value always produces the same bytes and golden-file diffs
 stay quiet. Approximations serialize as {"k": ..., "nodes": [[...]]},
 colorings as {"colors": {key: int}} and relations as a domain list
 plus classes of indices, where a key is the canonical JSON string of
-the approximation it names.
+the approximation it names. "complete": true records declared_complete,
+metadata that never changes which approximation an object names.
 """
 
 import json
 import re
-from functools import cmp_to_key
 
 from .ramsey import Coloring, InnerMap, Relation
-from .space import Approx, Member
-from .wellorder import cmp_prec, domain_at
+from .space import Approx
+from .wellorder import domain_at, order_key
 
 
 def canonical_json(value) -> str:
@@ -26,7 +26,7 @@ def canonical_json(value) -> str:
 
 def approx_to_obj(a) -> dict:
     obj = {"k": a.k, "nodes": [list(w) for w in a.nodes]}
-    if isinstance(a, Member) and a.declared_complete:
+    if a.declared_complete:
         obj["complete"] = True
     return obj
 
@@ -37,6 +37,7 @@ def approx_key(a) -> str:
 
 
 def approx_from_obj(obj, member=False):
+    """The approximation an object names; member does nothing."""
     if not isinstance(obj, dict):
         raise ValueError("expected an object with 'k' and 'nodes' fields")
     unknown = set(obj) - {"k", "nodes", "complete"}
@@ -54,9 +55,7 @@ def approx_from_obj(obj, member=False):
     complete = obj.get("complete", False)
     if not isinstance(complete, bool):
         raise ValueError("'complete' must be a boolean")
-    if member or complete:
-        return Member(obj["k"], tuple(map(tuple, nodes)), declared_complete=complete)
-    return Approx(obj["k"], tuple(map(tuple, nodes)))
+    return Approx(obj["k"], tuple(map(tuple, nodes)), declared_complete=complete)
 
 
 def dump_approx(a) -> str:
@@ -64,7 +63,8 @@ def dump_approx(a) -> str:
 
 
 def load_approx(text, member=False):
-    return approx_from_obj(json.loads(text), member=member)
+    """The approximation JSON text names; member does nothing."""
+    return approx_from_obj(json.loads(text))
 
 
 def _sort_key(a):
@@ -193,7 +193,7 @@ def to_dot(a) -> str:
         dom = domain_at(p, a.k)
         for level in range(1, a.k + 1):
             tree[dom[:level]] = node[:level]
-    order = sorted(tree, key=cmp_to_key(cmp_prec))
+    order = sorted(tree, key=order_key)
     lines = ["digraph ellentuck {", "  // k=%d" % a.k, "  ordering=out;"]
     for dkey in order:
         lines.append('  "%s" [label="%s"];' % (_ident(tree[dkey]), _label(tree[dkey])))
@@ -216,7 +216,8 @@ def from_dot(text, member=False):
 
     The leaves, in declaration order, are the approximation's nodes;
     declaration order is trusted, not re-sorted, so an invalid file
-    stays invalid for the validator to report.
+    stays invalid for the validator to report. member is accepted and
+    does nothing: a member is an Approx.
     """
     k = None
     idents = []  # in order of appearance, repeats included
@@ -237,6 +238,4 @@ def from_dot(text, member=False):
         for ident in dict.fromkeys(idents)
         if ident and ident not in sources
     )
-    if member:
-        return Member(k, nodes)
     return Approx(k, nodes)

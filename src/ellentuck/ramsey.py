@@ -607,8 +607,7 @@ class _VectorFits:
     """
 
     def __init__(self, relation, k, n, vectors):
-        # only the keys a lookup by Approx(k, nodes) finds
-        classes = {a.nodes: c for a, c in relation.items() if type(a) is Approx and a.k == k}
+        classes = {a.nodes: c for a, c in relation.items() if a.k == k}
         self.k, self.relation, self.class_of = k, relation, classes.get
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]

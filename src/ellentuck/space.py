@@ -2,10 +2,12 @@
 
 A member is a function from full-length index sequences to tree nodes;
 a node is the increasing tuple of ranks of the prefixes of a sequence.
-Truncations keep the first n values in position order. Validation checks
-the three tree conditions: nodes decode (i), branch maxima grow along
-the order of the represented prefixes (ii), and node prefixes coincide
-exactly when the underlying index prefixes do (iii).
+Truncations keep the first n values in position order, so a truncated
+member is an Approx like any other: Member is another name for Approx,
+and its declared_complete flag never changes which approximation it is.
+Validation checks the three tree conditions: nodes decode (i), branch
+maxima grow along the order of the represented prefixes (ii), and node
+prefixes coincide exactly when the underlying index prefixes do (iii).
 
 Which nodes may come next is one rule, held by the private _Slot: the
 n-th node has length k, repeats the prefix forced at position n, and its
@@ -13,16 +15,16 @@ next index exceeds every index used so far. admits, one_extensions, the
 searches in ramsey and the constructions all ask a _Slot. The private
 _Pool indexes a supply by forced prefix for searches that draw from it
 at every step; it only narrows what a slot is shown and never decides.
-Public Approx and Member construction checks every entry; the private
-_extend, which one_extensions uses, appends a node of an already-built
-member without re-checking.
+Public Approx construction checks every entry; the private _extend,
+which one_extensions uses, appends a node of an already-built member
+without re-checking.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
@@ -36,6 +38,7 @@ from .wellorder import (
     classify_n,
     domain_at,
     domain_rank,
+    order_key,
     rank_of,
     seq_at_rank,
     seq_str,
@@ -62,10 +65,13 @@ def _as_nodes(nodes):
 
 @dataclass(frozen=True)
 class Approx:
-    """A finite approximation: the first len(nodes) values of a member."""
+    """A finite approximation: the first len(nodes) values of a member.
+    declared_complete asserts that nothing was cut off; it is metadata,
+    so equality and hashing see (k, nodes) alone."""
 
     k: int
     nodes: tuple[Node, ...] = ()
+    declared_complete: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
@@ -80,11 +86,8 @@ class Approx:
         return max((max(w) for w in self.nodes if w), default=-1)
 
 
-@dataclass(frozen=True)
-class Member(Approx):
-    """A truncated member. declared_complete asserts nothing was cut off."""
-
-    declared_complete: bool = False
+# The name of the role: a truncated member is an Approx.
+Member = Approx
 
 
 def _extend(a: Approx, w: Node) -> Approx:
@@ -93,7 +96,7 @@ def _extend(a: Approx, w: Node) -> Approx:
     Trusted: w must be a node of an already-built member, whose entries
     were checked when it was built.
     """
-    b = object.__new__(Approx)
+    b = object.__new__(Approx)  # declared_complete: the class default
     object.__setattr__(b, "k", a.k)
     object.__setattr__(b, "nodes", a.nodes + (w,))
     return b
@@ -178,7 +181,7 @@ def validate_approx(x) -> ValidationReport:
 
     tree: dict[tuple, Node] = {}
     owner: dict[Node, tuple] = {}
-    violations = []
+    violations = []  # (location, condition)
     for p, node in enumerate(x.nodes):
         dom = domain_at(p, k)
         for l in range(1, k + 1):
@@ -187,24 +190,22 @@ def validate_approx(x) -> ValidationReport:
             if seen is None:
                 tree[dkey] = val
             elif seen != val:
-                violations.append((rank_of(dkey, k), "iii", dkey))
+                violations.append((dkey, "iii"))
             own = owner.get(val)
             if own is None:
                 owner[val] = dkey
             elif own != dkey:
-                later = max(own, dkey, key=lambda s: rank_of(s, k))
-                violations.append((rank_of(later, k), "iii", later))
+                violations.append((max(own, dkey, key=order_key), "iii"))
 
     # the represented prefixes always form an initial segment of the
     # order, so comparing consecutive entries checks condition (ii)
-    ordered = sorted(tree.items(), key=lambda kv: rank_of(kv[0], k))
+    ordered = sorted(tree.items(), key=lambda kv: order_key(kv[0]))
     for (_, v1), (dkey, v2) in zip(ordered, ordered[1:]):
         if max(v1) >= max(v2):
-            violations.append((rank_of(dkey, k), "ii", dkey))
+            violations.append((dkey, "ii"))
 
     if violations:
-        violations.sort(key=lambda t: (t[0], t[1]))
-        _, cond, loc = violations[0]
+        loc, cond = min(violations, key=lambda t: (order_key(t[0]), t[1]))
         return ValidationReport(
             False, cond, loc, f"condition ({cond}) at {seq_str(loc)}"
         )
@@ -248,7 +249,7 @@ def depth_of(X: Member, a) -> int | float:
     try:
         return 1 + max(pos[w] for w in a.nodes)
     except KeyError:
-        if getattr(X, "declared_complete", False):
+        if X.declared_complete:
             return math.inf
         raise TruncationExhaustedError(
             "approximation not inside the truncation; member not declared complete"

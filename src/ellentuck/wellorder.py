@@ -44,34 +44,35 @@ def seq_str(seq) -> str:
     return "(" + ",".join(str(v) for v in seq) + ")"
 
 
+def order_key(seq):
+    """The sort key of the well-order: the empty sequence first, whatever
+    the entries, then by last entry, then by plain tuple comparison, which
+    is lexicographic with proper prefixes first (the tie-break rule)."""
+    s = tuple(seq)
+    return (1, s[-1], s) if s else (0,)
+
+
 def cmp_prec(a, b) -> int:
     """Three-way comparison in the well-order; returns -1, 0 or 1."""
-    ta, tb = tuple(a), tuple(b)
-    if ta == tb:
-        return 0
-    if not ta:
-        return -1
-    if not tb:
-        return 1
-    if ta[-1] != tb[-1]:
-        return -1 if ta[-1] < tb[-1] else 1
-    # equal last entries: plain tuple comparison is lexicographic with
-    # proper prefixes first, which is exactly the tie-break rule
-    return -1 if ta < tb else 1
+    ka, kb = order_key(a), order_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def _block(e, k):
-    # lex-ordered walk over sequences with entries <= e, yielding those
-    # that end in e, depth capped at k
-    def rec(prefix):
-        if prefix and prefix[-1] == e:
-            yield prefix
-        if len(prefix) < k:
-            lo = prefix[-1] if prefix else 0
-            for v in range(lo, e + 1):
-                yield from rec(prefix + (v,))
-
-    yield from rec(())
+    # preorder walk, in lex order, over sequences with entries <= e and
+    # length <= k, yielding those that end in e; seq is its position
+    seq = []
+    while True:
+        if len(seq) < k:
+            seq.append(seq[-1] if seq else 0)  # first child
+        else:
+            while seq and seq[-1] == e:  # no next sibling: climb
+                seq.pop()
+            if not seq:
+                return
+            seq[-1] += 1  # next sibling
+        if seq[-1] == e:
+            yield tuple(seq)
 
 
 def iter_le_k(k):

@@ -32,6 +32,20 @@ def shallow_stack(frames):
         sys.setrecursionlimit(old)
 
 
+def oracle_block(e, k):
+    """Block e of the well-order as the recursive lex walk gave it, one
+    frame per entry: the reference for wellorder._block's flat walk."""
+    def rec(prefix):
+        if prefix and prefix[-1] == e:
+            yield prefix
+        if len(prefix) < k:
+            lo = prefix[-1] if prefix else 0
+            for v in range(lo, e + 1):
+                yield from rec(prefix + (v,))
+
+    yield from rec(())
+
+
 def oracle_build_parser():
     """The CLI's parser with every subcommand registered, whatever the
     arguments: the parser every run built before a run built only its

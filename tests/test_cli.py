@@ -11,6 +11,7 @@ import pytest
 from ellentuck import cli
 from ellentuck.cli import main
 from ellentuck.formats import (
+    canonical_json,
     dump_approx,
     dump_coloring,
     dump_family,
@@ -19,6 +20,7 @@ from ellentuck.formats import (
 )
 from ellentuck.ramsey import Coloring, InnerMap, Relation
 from ellentuck.space import Approx, build_w, one_extensions
+from ellentuck.wellorder import domain_at, seq_at_rank, seq_str
 
 from figures import R10_E2, R6_E2
 from helpers import oracle_build_parser, shallow_stack
@@ -70,6 +72,19 @@ def test_enum_module_entry_point():
     )
     assert got.returncode == 0
     assert got.stdout == K2_LISTING + "\n"
+
+
+def test_enum_lists_full_length_sequences_longer_than_the_stack():
+    code, out, err = run("enum", "--k", "3000", "--count", "3", "--full-length-only")
+    assert (code, err) == (0, "")
+    assert out == "≺".join(seq_str(domain_at(n, 3000)) for n in range(3)) + "\n"
+
+
+def test_enum_lists_past_a_block_longer_than_the_stack():
+    code, out, err = run("enum", "--k", "1200", "--count", "1202")
+    assert (code, err) == (0, "")
+    want = ["()"] + [seq_str(seq_at_rank(r, 1200)) for r in range(1201)]
+    assert out == "≺".join(want) + "\n"
 
 
 def test_main_reads_sys_argv_when_argv_is_none(monkeypatch, capsys):
@@ -593,3 +608,74 @@ def test_a_run_builds_only_its_subparser(monkeypatch, capsys):
         with pytest.raises(SystemExit):
             main(argv)
         assert len(added) == len(cli._COMMANDS)
+
+
+# Every flag that reads approximations, and runs whose answers do not
+# hang on whether a member is complete: each approximation inside the
+# member's truncation.
+_APPROX_FLAGS = ("--a", "--s", "--approx", "--member", "--A", "--B", "--family",
+                 "--coloring", "--relation", "--map", "--file")
+_W10 = build_w(2, 10)
+_COMPLETE_RUNS = {name: argv for name, argv in _VALID.items()
+                  if set(argv) & set(_APPROX_FLAGS)}
+_COMPLETE_RUNS["check-front one-extensions"] = (
+    "--family", dump_family(one_extensions(Approx(2), _W10)),
+    "--member", dump_approx(_W10),
+)
+
+
+def _flag_complete(obj):
+    """obj with "complete": true on every approximation it holds, the
+    keys of a coloring or map and a relation's domain entries included."""
+    if isinstance(obj, list):
+        return [_flag_complete(o) for o in obj]
+    if "nodes" in obj:
+        return dict(obj, complete=True)
+    if "domain" in obj:
+        return dict(obj, domain=_flag_complete(obj["domain"]))
+    (field, table), = obj.items()
+    return {field: {canonical_json(_flag_complete(json.loads(key))): v
+                    for key, v in table.items()}}
+
+
+def _complete_cases():
+    for name, argv in _COMPLETE_RUNS.items():
+        flags = [flag for flag in argv if flag in _APPROX_FLAGS]
+        for chosen in [[flag] for flag in flags] + [flags] * (len(flags) > 1):
+            yield pytest.param(name, argv, chosen,
+                               id=name + " " + ("every" if len(chosen) > 1 else chosen[0]))
+
+
+def test_every_approximation_flag_has_a_complete_run():
+    used = {flag for argv in _COMPLETE_RUNS.values() for flag in argv}
+    assert set(_APPROX_FLAGS) <= used
+    assert {name.split()[0] for name in _COMPLETE_RUNS} == {
+        name for name, (_, flags, _) in cli._COMMANDS.items()
+        if {flag for flag, _, _ in flags} & set(_APPROX_FLAGS)
+    }
+
+
+@pytest.mark.parametrize("name,argv,flags", _complete_cases())
+def test_complete_never_changes_an_answer(name, argv, flags, monkeypatch):
+    """"complete": true on the approximations of some flags gives the same
+    stdout, stderr and exit code as the text without it."""
+    monkeypatch.delenv("ELLENTUCK_BUDGET", raising=False)
+    flagged = list(argv)
+    for i, flag in enumerate(argv):
+        if flag in flags:
+            flagged[i + 1] = canonical_json(_flag_complete(json.loads(argv[i + 1])))
+    assert flagged != list(argv)
+    command = name.split()[0]
+    assert run(command, *flagged) == run(command, *argv)
+
+
+def test_one_flagged_coloring_key():
+    argv = list(_VALID["pigeonhole"])
+    at = argv.index("--coloring") + 1
+    colors = json.loads(argv[at])["colors"]
+    key = dump_approx(Approx(2, ((0, 1),)))
+    colors[canonical_json(_flag_complete(json.loads(key)))] = colors.pop(key)
+    want = run("pigeonhole", *argv)
+    assert want[0] == 0
+    argv[at] = canonical_json({"colors": colors})
+    assert run("pigeonhole", *argv) == want

@@ -121,7 +121,9 @@ def test_complete_member_round_trips():
     assert approx_to_obj(X)["complete"] is True
     assert "complete" not in approx_to_obj(Member(2, X.nodes))
     assert load_approx(dump_approx(X)) == X
-    assert approx_from_obj(approx_to_obj(Approx(2, X.nodes))) == Approx(2, X.nodes)
+    assert load_approx(dump_approx(X)).declared_complete is True
+    back = approx_from_obj(approx_to_obj(Approx(2, X.nodes)))
+    assert back == Approx(2, X.nodes) and back.declared_complete is False
 
 
 def test_from_dot_needs_the_dimension():
@@ -130,10 +132,11 @@ def test_from_dot_needs_the_dimension():
 
 
 def test_from_dot_member():
+    """member is still accepted and does nothing: a member is an Approx."""
     X = build_w(2, 12)
     got = from_dot(to_dot(X), member=True)
-    assert type(got) is Member and got.nodes == X.nodes
-    assert type(from_dot(to_dot(X))) is Approx
+    assert got == from_dot(to_dot(X)) == X and got.declared_complete is False
+    assert load_approx(dump_approx(X), member=True).declared_complete is False
 
 
 def test_from_dot_keeps_first_declaration_order():

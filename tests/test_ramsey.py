@@ -792,6 +792,16 @@ def test_canonize_relation_worked_examples():
     assert vector == (2, 2)
 
 
+def test_canonize_relation_reads_flagged_domain_entries():
+    X = build_w(2, 60)
+    singles = [Approx(2, (w,)) for w in X.nodes]
+    flagged = [Member(2, a.nodes, declared_complete=True) for a in singles]
+    first = lambda b: b.nodes[0][:1]
+    want = canonize_relation(Relation.from_key_function(first, singles), 2, 1, X, 6)
+    got = canonize_relation(Relation.from_key_function(first, flagged), 2, 1, X, 6)
+    assert got == want and want.vector == (1,)
+
+
 @pytest.mark.parametrize("k,n,tlen", [(2, 1, 6), (2, 2, 8), (3, 1, 6), (3, 2, 8)])
 def test_canonize_relation_round_trip(k, n, tlen):
     X = build_w(k, 60)
@@ -1022,6 +1032,17 @@ def test_front_cover_missing_element_is_witnessed():
     assert not one_extensions(bad, X)
 
 
+def test_front_cover_matches_member_entries():
+    """A family given as Members, some declared complete, names the same
+    approximations as one given as Approx values."""
+    X = build_w(2, 10)
+    family = one_extensions(Approx(2), X)
+    members = [Member(2, a.nodes, declared_complete=i % 2 == 0)
+               for i, a in enumerate(family)]
+    assert front_cover_check(family, X) == front_cover_check(members, X)
+    assert front_cover_check(members, X)
+
+
 def test_front_cover_empty_family():
     X = build_w(2, 8)
     report = front_cover_check([], X)
@@ -1055,8 +1076,8 @@ def test_front_walk_matches_the_scanning_walk(data):
     approximation visits, in its order, on supplies in member, reversed
     and shuffled order, some with nodes of other lengths, for
     sub-families of the 1- and 2-approximations (some given as Members,
-    which never equal a walked approximation) and every budget up to the
-    full walk."""
+    which equal the walked approximations with their nodes) and every
+    budget up to the full walk."""
     k = data.draw(st.sampled_from([2, 3]))
     W = build_w(k, data.draw(st.integers(3, 16)))
     nodes = list(W.nodes)

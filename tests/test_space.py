@@ -46,6 +46,18 @@ def member(k, nodes, complete=False):
     return Member(k, tuple(tuple(w) for w in nodes), complete)
 
 
+def test_a_member_is_an_approx_equal_by_dimension_and_nodes():
+    """declared_complete is metadata: a flagged truncation is the same
+    approximation, as a dict or set key too."""
+    assert Member is Approx
+    nodes = build_w(2, 6).nodes
+    plain, flagged = Approx(2, nodes), Approx(2, nodes, declared_complete=True)
+    assert plain == flagged and hash(plain) == hash(flagged)
+    assert {flagged: 1}[plain] == 1 and len({plain, flagged}) == 1
+    assert flagged.declared_complete and not plain.declared_complete
+    assert plain != Approx(2, nodes[:5]) and Approx(2) != Approx(3)
+
+
 # ---------------------------------------------------------------- nodes
 
 

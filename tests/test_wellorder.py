@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ellentuck import wellorder as wo
 from ellentuck.errors import EmptySequenceError
 
-from helpers import oracle_domain_at, oracle_seq_at_rank
+from helpers import oracle_block, oracle_domain_at, oracle_seq_at_rank
 
 
 def oracle_key(s):
@@ -67,6 +67,26 @@ def test_cmp_examples():
     assert wo.cmp_prec((2, 2), (2, 2)) == 0
     assert wo.cmp_prec((0, 2, 3), (0, 3)) == -1
     assert wo.cmp_prec((0, 3), (0, 2, 3)) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_order_key_matches_the_oracle(k):
+    seqs = all_seqs(k, 6)
+    assert sorted(seqs, key=wo.order_key) == sorted(seqs, key=oracle_key)
+    for a, b in itertools.product(seqs[:40], repeat=2):
+        ka, kb = oracle_key(a), oracle_key(b)
+        assert wo.cmp_prec(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_empty_sequence_comes_first_whatever_the_entries():
+    assert sorted([(-5,), (), (-1, -1)], key=wo.order_key) == [(), (-5,), (-1, -1)]
+    assert wo.cmp_prec((), (-5,)) == -1 and wo.cmp_prec((-5,), ()) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_block_walk_matches_the_recursive_walk(k):
+    for e in range(7):
+        assert list(wo._block(e, k)) == list(oracle_block(e, k))
 
 
 def test_block_property():
