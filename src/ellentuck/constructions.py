@@ -9,8 +9,6 @@ truncated data come back as Exhausted values, never exceptions.
 
 from __future__ import annotations
 
-import math
-
 from .errors import Exhausted, LevelOutOfRangeError, MalformedNodeError, NotIsomorphic
 from .space import (
     Approx,
@@ -30,22 +28,13 @@ from .wellorder import domain_at
 class NodeOracle:
     """Deterministic availability filter over full-length nodes.
 
-    Backed by an explicit node collection, or by a predicate over a
-    candidate universe. Candidates are deduplicated and kept in
-    ascending order of their maximum index, which for decodable nodes
-    is the order of the sequences they stand for.
+    Backed by an explicit node collection. Candidates are deduplicated
+    and kept in ascending order of their maximum index, which for
+    decodable nodes is the order of the sequences they stand for.
     """
 
-    def __init__(self, nodes=None, predicate=None, universe=None):
-        if nodes is not None and predicate is not None:
-            raise ValueError("give an explicit node set or a predicate, not both")
-        if nodes is None and (predicate is None or universe is None):
-            raise ValueError("need nodes, or a predicate together with a universe")
-        if nodes is not None:
-            pool = [_as_node(w) for w in nodes]
-        else:
-            pool = [w for w in (_as_node(u) for u in universe) if predicate(w)]
-        kept = dict.fromkeys(pool)
+    def __init__(self, nodes):
+        kept = dict.fromkeys(_as_node(w) for w in nodes)
         if () in kept:  # it has no maximum to sort by
             raise MalformedNodeError((), "empty node")
         self._candidates = tuple(sorted(kept, key=lambda w: (max(w), w)))
@@ -95,9 +84,7 @@ def construct_in_basic_set(a, A, target_len: int):
     _check_length(target_len, "target length")
     if target_len < len(a.nodes):
         raise ValueError("target length is shorter than the input")
-    d = depth_of(A, a)
-    if not math.isfinite(d):
-        raise ValueError("approximation does not sit inside the member")
+    depth_of(A, a)  # raises unless a sits inside A's truncation
     _require_valid(a)
     pool = sorted(A.nodes, key=max)
     nodes = list(a.nodes)

@@ -5,8 +5,7 @@ the same value always produces the same bytes and golden-file diffs
 stay quiet. Approximations serialize as {"k": ..., "nodes": [[...]]},
 colorings as {"colors": {key: int}} and relations as a domain list
 plus classes of indices, where a key is the canonical JSON string of
-the approximation it names. "complete": true records declared_complete,
-metadata that never changes which approximation an object names.
+the approximation it names.
 """
 
 import json
@@ -25,22 +24,19 @@ def canonical_json(value) -> str:
 
 
 def approx_to_obj(a) -> dict:
-    obj = {"k": a.k, "nodes": [list(w) for w in a.nodes]}
-    if a.declared_complete:
-        obj["complete"] = True
-    return obj
+    return {"k": a.k, "nodes": [list(w) for w in a.nodes]}
 
 
 def approx_key(a) -> str:
     """Canonical JSON of the approximation, used as a mapping key."""
-    return canonical_json({"k": a.k, "nodes": [list(w) for w in a.nodes]})
+    return canonical_json(approx_to_obj(a))
 
 
-def approx_from_obj(obj, member=False):
-    """The approximation an object names; member does nothing."""
+def approx_from_obj(obj):
+    """The approximation an object names."""
     if not isinstance(obj, dict):
         raise ValueError("expected an object with 'k' and 'nodes' fields")
-    unknown = set(obj) - {"k", "nodes", "complete"}
+    unknown = set(obj) - {"k", "nodes"}
     if unknown:
         raise ValueError("unknown fields: %s" % ", ".join(sorted(unknown)))
     for field in ("k", "nodes"):
@@ -52,10 +48,7 @@ def approx_from_obj(obj, member=False):
         for w in nodes
     ):
         raise ValueError("'nodes' must be a list of integer lists")
-    complete = obj.get("complete", False)
-    if not isinstance(complete, bool):
-        raise ValueError("'complete' must be a boolean")
-    return Approx(obj["k"], tuple(map(tuple, nodes)), declared_complete=complete)
+    return Approx(obj["k"], tuple(map(tuple, nodes)))
 
 
 def dump_approx(a) -> str:
@@ -76,11 +69,23 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _unique_pairs(pairs):
+    """A JSON object's fields as a dict; a field given twice is an error,
+    where json.loads would keep its last value."""
+    obj = {}
+    for key, v in pairs:
+        if key in obj:
+            raise ValueError("key %s appears twice" % key)
+        obj[key] = v
+    return obj
+
+
 def _load_table(text, field, values, value_ok, bad_value):
     """The {approximation key: value} map of an object whose single field
     is `field`, each value checked (bad_value % key) before its key is
-    parsed; `values` names what the map holds."""
-    obj = json.loads(text)
+    parsed; `values` names what the map holds. Two keys naming one
+    approximation are an error, however they are spelled."""
+    obj = json.loads(text, object_pairs_hook=_unique_pairs)
     if not isinstance(obj, dict) or set(obj) != {field}:
         raise ValueError("expected an object with a single %r field" % field)
     entries = obj[field]
@@ -90,7 +95,10 @@ def _load_table(text, field, values, value_ok, bad_value):
     for key, v in entries.items():
         if not value_ok(v):
             raise ValueError(bad_value % key)
-        table[approx_from_obj(json.loads(key))] = v
+        a = approx_from_obj(json.loads(key))
+        if a in table:
+            raise ValueError("two keys name the approximation %s" % approx_key(a))
+        table[a] = v
     return table
 
 

@@ -478,8 +478,6 @@ def _colored_extensions(a, X, coloring, target_len):
     _check_length(target_len, "target length")
     a = _checked_approx(a, X.k)
     d = depth_of(X, a)
-    if d == float("inf"):
-        raise ValueError("the approximation does not sit inside the member")
     if target_len < d:
         raise ValueError("target length is below the depth of the approximation")
     color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
@@ -856,7 +854,8 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
     every family member inside A, with at least one such member.
     """
     _check_length(target_len, "target length")
-    approxs = [a for a in dict.fromkeys(family) if set(a.nodes) <= set(X.nodes)]
+    supply = set(X.nodes)
+    approxs = [a for a in dict.fromkeys(family) if supply.issuperset(a.nodes)]
     for a in approxs:
         if a.k != X.k:
             raise ValueError("family and member dimensions differ")

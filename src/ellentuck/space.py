@@ -2,9 +2,9 @@
 
 A member is a function from full-length index sequences to tree nodes;
 a node is the increasing tuple of ranks of the prefixes of a sequence.
-Truncations keep the first n values in position order, so a truncated
-member is an Approx like any other: Member is another name for Approx,
-and its declared_complete flag never changes which approximation it is.
+Only finite truncations are held: a truncation keeps the first n values
+in position order, so a truncated member is an Approx like any other, and
+Member is another name for Approx.
 Validation checks the three tree conditions: nodes decode (i), branch
 maxima grow along the order of the represented prefixes (ii), and node
 prefixes coincide exactly when the underlying index prefixes do (iii).
@@ -22,9 +22,8 @@ without re-checking.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
@@ -65,13 +64,10 @@ def _as_nodes(nodes):
 
 @dataclass(frozen=True)
 class Approx:
-    """A finite approximation: the first len(nodes) values of a member.
-    declared_complete asserts that nothing was cut off; it is metadata,
-    so equality and hashing see (k, nodes) alone."""
+    """A finite approximation: the first len(nodes) values of a member."""
 
     k: int
     nodes: tuple[Node, ...] = ()
-    declared_complete: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
@@ -96,7 +92,7 @@ def _extend(a: Approx, w: Node) -> Approx:
     Trusted: w must be a node of an already-built member, whose entries
     were checked when it was built.
     """
-    b = object.__new__(Approx)  # declared_complete: the class default
+    b = object.__new__(Approx)
     object.__setattr__(b, "k", a.k)
     object.__setattr__(b, "nodes", a.nodes + (w,))
     return b
@@ -235,12 +231,9 @@ def le_fin(a, b) -> bool:
     return set(a.nodes) <= set(b.nodes)
 
 
-def depth_of(X: Member, a) -> int | float:
-    """Least n with ran(a) inside the first n nodes of X.
-
-    Returns math.inf when a is not inside X and X is declared complete;
-    raises TruncationExhaustedError when the truncation cannot decide.
-    """
+def depth_of(X: Member, a) -> int:
+    """Least n with ran(a) inside the first n nodes of X; raises
+    TruncationExhaustedError when a is not inside the truncation."""
     if a.k != X.k:
         raise ValueError("dimension mismatch")
     if not a.nodes:
@@ -249,11 +242,7 @@ def depth_of(X: Member, a) -> int | float:
     try:
         return 1 + max(pos[w] for w in a.nodes)
     except KeyError:
-        if X.declared_complete:
-            return math.inf
-        raise TruncationExhaustedError(
-            "approximation not inside the truncation; member not declared complete"
-        ) from None
+        raise TruncationExhaustedError("approximation not inside the truncation") from None
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -58,9 +58,10 @@ def cmp_prec(a, b) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _block(e, k):
+def _block(e, k, shortest=1):
     # preorder walk, in lex order, over sequences with entries <= e and
-    # length <= k, yielding those that end in e; seq is its position
+    # length <= k, yielding those that end in e and are no shorter than
+    # shortest; seq is its position, copied only when yielded
     seq = []
     while True:
         if len(seq) < k:
@@ -71,7 +72,7 @@ def _block(e, k):
             if not seq:
                 return
             seq[-1] += 1  # next sibling
-        if seq[-1] == e:
+        if seq[-1] == e and len(seq) >= shortest:
             yield tuple(seq)
 
 
@@ -92,9 +93,7 @@ def iter_k(k):
         raise ValueError("k must be at least 1")
     e = 0
     while True:
-        for s in _block(e, k):
-            if len(s) == k:
-                yield s
+        yield from _block(e, k, k)
         e += 1
 
 

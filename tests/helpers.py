@@ -150,7 +150,7 @@ def oracle_level(a, X):
     return levels
 
 
-def random_sub_member(X, length, rng, declared_complete=False, bias=None):
+def random_sub_member(X, length, rng, bias=None):
     """A pseudo-random valid sub-member of X with `length` nodes, or
     None when the random walk dead-ends. With bias=m the walk only
     considers the m least extensions per step, which keeps it from
@@ -161,7 +161,7 @@ def random_sub_member(X, length, rng, declared_complete=False, bias=None):
         if not exts:
             return None
         a = rng.choice(exts[:bias] if bias else exts)
-    return Member(X.k, a.nodes, declared_complete)
+    return a
 
 
 def extension_closure_nodes(a, Y):

@@ -456,6 +456,17 @@ def test_usage_errors():
         )
         assert (code, out) == (2, "")
         assert err == "error: --relation: 'domain' must be a list of approximations\n"
+    # two keys naming one approximation, spelled apart or repeated verbatim
+    key, spaced = json.dumps(_ONE), json.dumps('{"k": 2, "nodes": [[0,1]]}')
+    for command, flag, field in (("pigeonhole", "--coloring", "colors"),
+                                 ("check-irreducible", "--map", "vectors")):
+        argv = list(_VALID[command])
+        at = argv.index(flag) + 1
+        value = json.dumps(json.loads(argv[at])[field][_ONE])
+        for other, why in ((spaced, "two keys name the approximation " + _ONE),
+                           (key, "key %s appears twice" % _ONE)):
+            argv[at] = '{"%s":{%s:%s,%s:%s}}' % (field, key, value, other, value)
+            assert run(command, *argv) == (2, "", "error: %s: %s\n" % (flag, why))
 
 
 @pytest.mark.parametrize(
@@ -610,9 +621,7 @@ def test_a_run_builds_only_its_subparser(monkeypatch, capsys):
         assert len(added) == len(cli._COMMANDS)
 
 
-# Every flag that reads approximations, and runs whose answers do not
-# hang on whether a member is complete: each approximation inside the
-# member's truncation.
+# Every flag that reads approximations, with one run that reads each.
 _APPROX_FLAGS = ("--a", "--s", "--approx", "--member", "--A", "--B", "--family",
                  "--coloring", "--relation", "--map", "--file")
 _W10 = build_w(2, 10)
@@ -626,7 +635,8 @@ _COMPLETE_RUNS["check-front one-extensions"] = (
 
 def _flag_complete(obj):
     """obj with "complete": true on every approximation it holds, the
-    keys of a coloring or map and a relation's domain entries included."""
+    keys of a coloring or map and a relation's domain entries included.
+    No approximation has that field."""
     if isinstance(obj, list):
         return [_flag_complete(o) for o in obj]
     if "nodes" in obj:
@@ -657,8 +667,8 @@ def test_every_approximation_flag_has_a_complete_run():
 
 @pytest.mark.parametrize("name,argv,flags", _complete_cases())
 def test_complete_never_changes_an_answer(name, argv, flags, monkeypatch):
-    """"complete": true on the approximations of some flags gives the same
-    stdout, stderr and exit code as the text without it."""
+    """"complete": true on the approximations of some flags gives no
+    answer: the first such flag read is a usage error naming itself."""
     monkeypatch.delenv("ELLENTUCK_BUDGET", raising=False)
     flagged = list(argv)
     for i, flag in enumerate(argv):
@@ -666,16 +676,19 @@ def test_complete_never_changes_an_answer(name, argv, flags, monkeypatch):
             flagged[i + 1] = canonical_json(_flag_complete(json.loads(argv[i + 1])))
     assert flagged != list(argv)
     command = name.split()[0]
-    assert run(command, *flagged) == run(command, *argv)
+    first = next(flag for flag, _, _ in cli._COMMANDS[command][1] if flag in flags)
+    assert run(command, *argv)[0] == 0
+    assert run(command, *flagged) == (2, "", "error: %s: unknown fields: complete\n" % first)
 
 
-def test_one_flagged_coloring_key():
-    argv = list(_VALID["pigeonhole"])
-    at = argv.index("--coloring") + 1
-    colors = json.loads(argv[at])["colors"]
-    key = dump_approx(Approx(2, ((0, 1),)))
-    colors[canonical_json(_flag_complete(json.loads(key)))] = colors.pop(key)
-    want = run("pigeonhole", *argv)
-    assert want[0] == 0
-    argv[at] = canonical_json({"colors": colors})
-    assert run("pigeonhole", *argv) == want
+@pytest.mark.parametrize("command,argv", [
+    ("construct", ("--len", "12")),
+    ("pigeonhole", ("--coloring", '{"colors":{}}', "--len", "12")),
+    ("canonize-ext", ("--coloring", '{"colors":{}}', "--len", "12")),
+])
+def test_approximation_outside_the_member(command, argv):
+    """An approximation past the member's truncation has no depth there."""
+    a = "--s" if command == "canonize-ext" else "--a"
+    assert run(command, a, dump_approx(build_w(2, 12)),
+               "--member", dump_approx(build_w(2, 10)), *argv) == (
+        1, "", "error: approximation not inside the truncation\n")

@@ -45,22 +45,12 @@ def test_oracle_from_nodes():
     assert not s.available((7, 8))
 
 
-def test_oracle_from_predicate():
-    w = build_w(2, 15)
-    s = NodeOracle(predicate=lambda v: max(v) % 2 == 0, universe=w.nodes)
-    assert all(max(v) % 2 == 0 for v in s.candidates())
-    assert s.available((0, 2))
-    assert not s.available((0, 1))
-    assert s.candidates() == ((0, 2), (3, 4), (3, 6), (7, 8), (3, 10), (0, 14), (7, 16))
-
-
 def test_oracle_argument_checks():
-    with pytest.raises(ValueError):
+    """An oracle takes its nodes and nothing else."""
+    with pytest.raises(TypeError):
         NodeOracle()
-    with pytest.raises(ValueError):
-        NodeOracle(predicate=lambda v: True)
-    with pytest.raises(ValueError):
-        NodeOracle(nodes=[(0, 1)], predicate=lambda v: True, universe=[(0, 1)])
+    with pytest.raises(TypeError):
+        NodeOracle(predicate=lambda v: True, universe=[(0, 1)])
 
 
 def test_oracle_checks_every_node_before_the_empty_one():
@@ -122,9 +112,6 @@ def test_construct_exhausted_and_errors():
         construct_in_basic_set(approx(2, [(0, 1)]), w, 0)  # target below input
     with pytest.raises(TruncationExhaustedError):
         construct_in_basic_set(approx(2, [(25, 26)]), w, 3)
-    complete = Member(2, w.nodes, True)
-    with pytest.raises(ValueError):
-        construct_in_basic_set(approx(2, [(25, 26)]), complete, 3)
 
 
 # -------------------------------------------------------------- fusion
@@ -139,7 +126,7 @@ def test_fuse_degenerate_is_a_prefix():
 def test_fuse_uses_ambient_material_on_skipped_branches():
     b = build_w(2, 40)
     keep = lambda v: v[0] not in (3, 7) and v != (0, 2)
-    inner = dense_embed(2, NodeOracle(predicate=keep, universe=b.nodes), 8)
+    inner = dense_embed(2, NodeOracle([w for w in b.nodes if keep(w)]), 8)
     a = approx(2, [(0, 1), (0, 5)])
     assert set(a.nodes) <= set(inner.nodes)
     got = fuse(a, Member(2, inner.nodes), b, 8)
@@ -208,7 +195,7 @@ def test_embed_full_oracle_returns_prefix():
 
 def test_embed_even_max():
     w = build_w(2, 200)
-    s = NodeOracle(predicate=lambda v: max(v) % 2 == 0, universe=w.nodes)
+    s = NodeOracle([v for v in w.nodes if max(v) % 2 == 0])
     got = dense_embed(2, s, 8)
     assert not isinstance(got, Exhausted)
     assert len(got.nodes) == 8
@@ -219,7 +206,7 @@ def test_embed_even_max():
 
 def test_embed_single_block_exhausts():
     w = build_w(2, 60)
-    s = NodeOracle(predicate=lambda v: v[0] == 0, universe=w.nodes)
+    s = NodeOracle([v for v in w.nodes if v[0] == 0])
     got = dense_embed(2, s, 5)
     assert isinstance(got, Exhausted)
     assert got.reason == "supply"

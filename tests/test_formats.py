@@ -8,7 +8,6 @@ import pytest
 from ellentuck.formats import (
     approx_from_obj,
     approx_key,
-    approx_to_obj,
     dump_approx,
     from_dot,
     load_approx,
@@ -18,7 +17,7 @@ from ellentuck.formats import (
     load_relation,
     to_dot,
 )
-from ellentuck.space import Approx, Member, build_w
+from ellentuck.space import Approx, build_w
 
 KEY = approx_key(Approx(2, ((0, 1),)))
 A = {"k": 2, "nodes": [[0, 1]]}
@@ -41,11 +40,17 @@ def rejects(load, value, message):
         ({"k": 2}, "missing field 'nodes'"),
         ({"k": 2, "nodes": {}}, "'nodes' must be a list of integer lists"),
         ({"k": 2, "nodes": [[0, "a"]]}, "'nodes' must be a list of integer lists"),
-        ({"k": 2, "nodes": [], "complete": 1}, "'complete' must be a boolean"),
+        ({"k": 2, "nodes": [], "complete": 1}, "unknown fields: complete"),
     ],
 )
 def test_approx_from_obj_rejections(obj, message):
     rejects(load_approx, obj, message)
+
+
+def test_approx_from_obj_takes_only_the_object():
+    assert approx_from_obj({"k": 2, "nodes": [[0, 1]]}) == Approx(2, ((0, 1),))
+    with pytest.raises(TypeError):
+        approx_from_obj({"k": 2, "nodes": []}, member=True)
 
 
 @pytest.mark.parametrize(
@@ -116,14 +121,19 @@ def test_load_inner_map_rejections(obj, message):
     rejects(load_inner_map, obj, message)
 
 
-def test_complete_member_round_trips():
-    X = Member(2, build_w(2, 3).nodes, declared_complete=True)
-    assert approx_to_obj(X)["complete"] is True
-    assert "complete" not in approx_to_obj(Member(2, X.nodes))
-    assert load_approx(dump_approx(X)) == X
-    assert load_approx(dump_approx(X)).declared_complete is True
-    back = approx_from_obj(approx_to_obj(Approx(2, X.nodes)))
-    assert back == Approx(2, X.nodes) and back.declared_complete is False
+@pytest.mark.parametrize("load,field", [(load_coloring, "colors"),
+                                        (load_inner_map, "vectors")])
+def test_two_keys_for_one_approximation(load, field):
+    """A table never keeps one of two values silently: two keys naming
+    one approximation are an error, spelled apart or repeated verbatim."""
+    value = 1 if field == "colors" else [1]
+    spaced = '{"k": 2, "nodes": [[0,1]]}'
+    rejects(load, {field: {KEY: value, spaced: value}},
+            "two keys name the approximation " + KEY)
+    text = '{"%s":{%s:%s,%s:%s}}' % (field, json.dumps(KEY), json.dumps(value),
+                                     json.dumps(KEY), json.dumps(value))
+    rejects(load, text, "key %s appears twice" % KEY)
+    rejects(load, '{"%s":{},"%s":{}}' % (field, field), "key %s appears twice" % field)
 
 
 def test_from_dot_needs_the_dimension():
@@ -134,9 +144,8 @@ def test_from_dot_needs_the_dimension():
 def test_from_dot_member():
     """member is still accepted and does nothing: a member is an Approx."""
     X = build_w(2, 12)
-    got = from_dot(to_dot(X), member=True)
-    assert got == from_dot(to_dot(X)) == X and got.declared_complete is False
-    assert load_approx(dump_approx(X), member=True).declared_complete is False
+    assert from_dot(to_dot(X), member=True) == from_dot(to_dot(X)) == X
+    assert load_approx(dump_approx(X), member=True) == X
 
 
 def test_from_dot_keeps_first_declaration_order():

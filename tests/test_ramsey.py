@@ -792,16 +792,6 @@ def test_canonize_relation_worked_examples():
     assert vector == (2, 2)
 
 
-def test_canonize_relation_reads_flagged_domain_entries():
-    X = build_w(2, 60)
-    singles = [Approx(2, (w,)) for w in X.nodes]
-    flagged = [Member(2, a.nodes, declared_complete=True) for a in singles]
-    first = lambda b: b.nodes[0][:1]
-    want = canonize_relation(Relation.from_key_function(first, singles), 2, 1, X, 6)
-    got = canonize_relation(Relation.from_key_function(first, flagged), 2, 1, X, 6)
-    assert got == want and want.vector == (1,)
-
-
 @pytest.mark.parametrize("k,n,tlen", [(2, 1, 6), (2, 2, 8), (3, 1, 6), (3, 2, 8)])
 def test_canonize_relation_round_trip(k, n, tlen):
     X = build_w(k, 60)
@@ -1033,12 +1023,11 @@ def test_front_cover_missing_element_is_witnessed():
 
 
 def test_front_cover_matches_member_entries():
-    """A family given as Members, some declared complete, names the same
-    approximations as one given as Approx values."""
+    """A family given as Members names the same approximations as one
+    given as Approx values."""
     X = build_w(2, 10)
     family = one_extensions(Approx(2), X)
-    members = [Member(2, a.nodes, declared_complete=i % 2 == 0)
-               for i, a in enumerate(family)]
+    members = [Member(2, a.nodes) for a in family]
     assert front_cover_check(family, X) == front_cover_check(members, X)
     assert front_cover_check(members, X)
 

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 import random
 
 import pytest
@@ -42,19 +42,18 @@ def approx(k, nodes):
     return Approx(k, tuple(tuple(w) for w in nodes))
 
 
-def member(k, nodes, complete=False):
-    return Member(k, tuple(tuple(w) for w in nodes), complete)
+def member(k, nodes):
+    return Member(k, tuple(tuple(w) for w in nodes))
 
 
 def test_a_member_is_an_approx_equal_by_dimension_and_nodes():
-    """declared_complete is metadata: a flagged truncation is the same
-    approximation, as a dict or set key too."""
+    """A truncation is the pair (k, nodes), as a dict or set key too."""
     assert Member is Approx
+    assert [f.name for f in dataclasses.fields(Approx)] == ["k", "nodes"]
     nodes = build_w(2, 6).nodes
-    plain, flagged = Approx(2, nodes), Approx(2, nodes, declared_complete=True)
-    assert plain == flagged and hash(plain) == hash(flagged)
-    assert {flagged: 1}[plain] == 1 and len({plain, flagged}) == 1
-    assert flagged.declared_complete and not plain.declared_complete
+    plain, built = Approx(2, nodes), build_w(2, 6)
+    assert plain == built and hash(plain) == hash(built)
+    assert {built: 1}[plain] == 1 and len({plain, built}) == 1
     assert plain != Approx(2, nodes[:5]) and Approx(2) != Approx(3)
 
 
@@ -226,10 +225,9 @@ def test_depth_examples():
     x = build_w(2, 15)
     assert depth_of(x, r_approx(x, 3)) == 3
     assert depth_of(x, Approx(2)) == 0
-    complete = member(2, W2_LEAVES, complete=True)
-    assert depth_of(complete, approx(2, [wk_node((9, 9), 2)])) == math.inf
-    with pytest.raises(TruncationExhaustedError):
+    with pytest.raises(TruncationExhaustedError) as err:
         depth_of(x, approx(2, [wk_node((9, 9), 2)]))
+    assert str(err.value) == "approximation not inside the truncation"
 
 
 # ------------------------------------------------------------ extensions

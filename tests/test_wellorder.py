@@ -3,6 +3,7 @@ order definition as a sort key, kept independent of the block
 combinatorics inside the implementation."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,19 @@ def test_empty_sequence_comes_first_whatever_the_entries():
 def test_block_walk_matches_the_recursive_walk(k):
     for e in range(7):
         assert list(wo._block(e, k)) == list(oracle_block(e, k))
+        for shortest in range(1, k + 1):
+            assert list(wo._block(e, k, shortest)) == [
+                s for s in oracle_block(e, k) if len(s) >= shortest]
+
+
+def test_full_length_walk_yields_only_full_length():
+    """iter_k asks the block for full-length sequences only, so it makes
+    no tuple of a shorter one: block 1 at k = 400 gives 400 of them,
+    against the C(401, 399) = 80,200 sequences of every length."""
+    assert sum(1 for _ in wo._block(1, 400, 400)) == 400
+    assert sum(1 for _ in wo._block(1, 400)) == comb(401, 399) == 80200
+    assert wo.enumerate_k(400, 401)[1:] == [
+        (0,) * (400 - j) + (1,) * j for j in range(1, 401)]
 
 
 def test_block_property():
