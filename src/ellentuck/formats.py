@@ -57,7 +57,7 @@ def dump_approx(a) -> str:
 
 def load_approx(text, member=False):
     """The approximation JSON text names; member does nothing."""
-    return approx_from_obj(json.loads(text))
+    return approx_from_obj(_loads(text))
 
 
 def _sort_key(a):
@@ -80,12 +80,17 @@ def _unique_pairs(pairs):
     return obj
 
 
+def _loads(text):
+    """Parse JSON text, each object through _unique_pairs."""
+    return json.loads(text, object_pairs_hook=_unique_pairs)
+
+
 def _load_table(text, field, values, value_ok, bad_value):
     """The {approximation key: value} map of an object whose single field
     is `field`, each value checked (bad_value % key) before its key is
     parsed; `values` names what the map holds. Two keys naming one
     approximation are an error, however they are spelled."""
-    obj = json.loads(text, object_pairs_hook=_unique_pairs)
+    obj = _loads(text)
     if not isinstance(obj, dict) or set(obj) != {field}:
         raise ValueError("expected an object with a single %r field" % field)
     entries = obj[field]
@@ -95,7 +100,7 @@ def _load_table(text, field, values, value_ok, bad_value):
     for key, v in entries.items():
         if not value_ok(v):
             raise ValueError(bad_value % key)
-        a = approx_from_obj(json.loads(key))
+        a = approx_from_obj(_loads(key))
         if a in table:
             raise ValueError("two keys name the approximation %s" % approx_key(a))
         table[a] = v
@@ -128,7 +133,7 @@ def dump_relation(relation) -> str:
 
 
 def load_relation(text) -> Relation:
-    obj = json.loads(text)
+    obj = _loads(text)
     if not isinstance(obj, dict) or set(obj) != {"domain", "classes"}:
         raise ValueError("expected an object with 'domain' and 'classes'")
     if not isinstance(obj["domain"], list):
@@ -154,7 +159,7 @@ def dump_family(family) -> str:
 
 
 def load_family(text) -> list:
-    obj = json.loads(text)
+    obj = _loads(text)
     if not isinstance(obj, list):
         raise ValueError("expected a list of approximations")
     return [approx_from_obj(o) for o in obj]

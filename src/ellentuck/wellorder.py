@@ -10,12 +10,27 @@ Ranks are 0-based over the nonempty sequences, so rank_of((0,), k) == 0
 for every k, and the empty sequence has no rank. The full-length
 sequences get their own 0-based numbering via domain_rank / domain_at;
 these index the positions of a member function.
+
+The two orders share one numbering. A nonempty s of length <= k is
+t + (e,)*m with e its last entry, m >= 1 and every entry of t below e;
+phi(s) = t + (e,)*(k - len(s)) + (e+1,)*m maps block e of the length
+<= k order onto full-length block e+1, keeping the order, and misses
+only (0,)*k. So rank_of(s, k) == domain_rank(phi(s), k) - 1.
+
+The full-length numbering is in closed form (hockey-stick identity).
+Block e starts at C(e+k-1, k). Within it, an entry x after an entry lo
+(0 for the first), with r entries after it, skips C(e-lo+r, r) -
+C(e-x+r, r) sequences, so domain_rank adds one term per rise. domain_at
+inverts these sums by galloping searches over the same binomials: the
+block, then run by run how many places repeat an entry and which entry
+comes next. Both cost O(log e) binomials per distinct entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations_with_replacement, islice
 from math import comb
 
 from .errors import EmptySequenceError
@@ -58,33 +73,26 @@ def cmp_prec(a, b) -> int:
     return (ka > kb) - (ka < kb)
 
 
-def _block(e, k, shortest=1):
-    # preorder walk, in lex order, over sequences with entries <= e and
-    # length <= k, yielding those that end in e and are no shorter than
-    # shortest; seq is its position, copied only when yielded
-    seq = []
-    while True:
-        if len(seq) < k:
-            seq.append(seq[-1] if seq else 0)  # first child
-        else:
-            while seq and seq[-1] == e:  # no next sibling: climb
-                seq.pop()
-            if not seq:
-                return
-            seq[-1] += 1  # next sibling
-        if seq[-1] == e and len(seq) >= shortest:
-            yield tuple(seq)
+def _phi(s, k):
+    # t + (e,)*m  ->  t + (e,)*(k - len(s)) + (e+1,)*m, every entry of t below e
+    e = s[-1]
+    t = bisect_left(s, e)
+    return s[:t] + (e,) * (k - len(s)) + (e + 1,) * (len(s) - t)
+
+
+def _phi_inv(u):
+    # u is full-length and not (0,)*k, so its last entry is at least 1
+    e = u[-1] - 1
+    return u[: bisect_left(u, e)] + (e,) * (len(u) - bisect_left(u, e + 1))
 
 
 def iter_le_k(k):
     """All sequences of length <= k in order, starting with ()."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    full = iter_k(k)
+    next(full)  # (0,)*k, the one full-length sequence phi misses
     yield ()
-    e = 0
-    while True:
-        yield from _block(e, k)
-        e += 1
+    for u in full:
+        yield _phi_inv(u)
 
 
 def iter_k(k):
@@ -93,7 +101,8 @@ def iter_k(k):
         raise ValueError("k must be at least 1")
     e = 0
     while True:
-        yield from _block(e, k, k)
+        for c in combinations_with_replacement(range(e + 1), k - 1):
+            yield c + (e,)
         e += 1
 
 
@@ -111,18 +120,56 @@ def enumerate_k(k, count) -> list[Seq]:
     return list(islice(iter_k(k), count))
 
 
-# Block combinatorics. Block e (length <= k, last entry e) has
-# C(e+k, k-1) members, so the nonempty rank of the block head is
-# C(e+k, k) - 1. Within a block, ranks follow the lex walk of _block;
-# counting uses the number of end-at-e completions under a given prefix.
+def _least(a, t):
+    # the least d >= 0 with C(d+a, a) >= t, for t >= 1 (and t == 1 if
+    # a == 0): double an upper bound from the low end, then halve the gap
+    lo, hi = -1, 0
+    while comb(hi + a, a) < t:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if comb(mid + a, a) < t:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def _ext_count(d, rem):
-    # completions strictly extending a prefix whose last entry is e-d,
-    # with rem slots left, that end at e
-    if rem < 1:
-        return 0
-    return comb(d + rem, rem - 1)
+def _full_rank(s, k):
+    e = s[-1]
+    rank = comb(e + k - 1, k)
+    lo, i = 0, bisect_right(s, 0)  # a repeated entry skips nothing
+    while i < k - 1:
+        x, r = s[i], k - 1 - i
+        rank += comb(e - lo + r, r) - comb(e - x + r, r)
+        lo, i = x, bisect_right(s, x, i)
+    return rank
+
+
+def _full_at(n, k):
+    e = _least(k, n + 1)
+    p = n - comb(e + k - 1, k)
+    # s holds the entries placed so far, and `left` places remain before
+    # the last entry e. Of the sequences in block e that begin with s and
+    # take each remaining entry from x..e, C(e-x+left, left) in all, p is
+    # the position of the n-th; the first C(e-x+j, j) of them repeat x
+    # in all but their last j places
+    s, x, left = [], 0, k - 1
+    while left:
+        run = left - _least(e - x, p + 1)
+        s += [x] * run
+        left -= run
+        if left:
+            # the next entry rises to e - d, the largest value that at
+            # least total - p of the sequences reach here
+            total = comb(e - x + left, left)
+            d = _least(left, total - p)
+            p -= total - comb(d + left, left)
+            x = e - d
+            s.append(x)
+            left -= 1
+    s.append(e)
+    return tuple(s)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -131,16 +178,7 @@ def rank_of(seq: Seq, k: int) -> int:
     s = _as_seq(seq, k)
     if not s:
         raise EmptySequenceError("the empty sequence has no rank")
-    e = s[-1]
-    rank = comb(e + k, k) - 1
-    for i, x in enumerate(s):
-        lo = s[i - 1] if i else 0
-        for v in range(lo, x):
-            # v < x <= e, so a sibling starting with v never ends at e itself
-            rank += _ext_count(e - v, k - (i + 1))
-        if i + 1 < len(s) and x == e:
-            rank += 1  # this proper prefix ends at e and was emitted first
-    return rank
+    return _full_rank(_phi(s, k), k) - 1
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -150,32 +188,7 @@ def seq_at_rank(rank: int, k: int) -> Seq:
         raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    e = 0
-    while comb(e + 1 + k, k) - 1 <= rank:
-        e += 1
-    rem = rank - (comb(e + k, k) - 1)
-    prefix = []  # a list, so each step appends in O(1)
-    while True:
-        if prefix and prefix[-1] == e:
-            if rem == 0:
-                return tuple(prefix)
-            rem -= 1
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, e + 1):
-            t = (1 if v == e else 0) + _ext_count(e - v, k - len(prefix) - 1)
-            if rem < t:
-                prefix.append(v)
-                break
-            rem -= t
-        else:  # pragma: no cover - the block arithmetic above prevents this
-            raise AssertionError("rank walked off its block")
-
-
-def _full_count(e, v, rem):
-    # length-rem completions from last entry v that end at e
-    if rem < 1:
-        return 1 if v == e else 0
-    return comb(e - v + rem - 1, rem - 1)
+    return _phi_inv(_full_at(rank + 1, k))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -184,13 +197,7 @@ def domain_rank(seq: Seq, k: int) -> int:
     s = _as_seq(seq, k)
     if len(s) != k:
         raise ValueError(f"expected a length-{k} sequence, got {seq!r}")
-    e = s[-1]
-    rank = comb(e + k - 1, k)
-    for i, x in enumerate(s):
-        lo = s[i - 1] if i else 0
-        for v in range(lo, x):
-            rank += _full_count(e, v, k - (i + 1))
-    return rank
+    return _full_rank(s, k)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -200,22 +207,7 @@ def domain_at(n: int, k: int) -> Seq:
         raise ValueError(f"position must be a nonnegative integer, got {n!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    e = 0
-    while comb(e + k, k) <= n:
-        e += 1
-    rem = n - comb(e + k - 1, k)
-    prefix = []  # a list, so each step appends in O(1)
-    while len(prefix) < k:
-        lo = prefix[-1] if prefix else 0
-        for v in range(lo, e + 1):
-            t = _full_count(e, v, k - len(prefix) - 1)
-            if rem < t:
-                prefix.append(v)
-                break
-            rem -= t
-        else:  # pragma: no cover
-            raise AssertionError("position walked off its block")
-    return tuple(prefix)
+    return _full_at(n, k)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

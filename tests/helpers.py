@@ -13,7 +13,7 @@ from math import comb
 from ellentuck.cli import _COMMANDS
 from ellentuck.ramsey import _FitFilter
 from ellentuck.space import Approx, Member, one_extensions, validate_approx
-from ellentuck.wellorder import _ext_count, _full_count, classify_n, domain_at
+from ellentuck.wellorder import classify_n, domain_at
 
 
 @contextlib.contextmanager
@@ -33,8 +33,8 @@ def shallow_stack(frames):
 
 
 def oracle_block(e, k):
-    """Block e of the well-order as the recursive lex walk gave it, one
-    frame per entry: the reference for wellorder._block's flat walk."""
+    """Block e of the well-order (every sequence of length <= k ending in
+    e) as a recursive lex walk gives it, one frame per entry."""
     def rec(prefix):
         if prefix and prefix[-1] == e:
             yield prefix
@@ -62,9 +62,25 @@ def oracle_build_parser():
     return parser
 
 
+def _ext_count(d, rem):
+    # completions strictly extending a prefix whose last entry is e-d,
+    # with rem slots left, that end at e
+    if rem < 1:
+        return 0
+    return comb(d + rem, rem - 1)
+
+
+def _full_count(e, v, rem):
+    # length-rem completions from last entry v that end at e
+    if rem < 1:
+        return 1 if v == e else 0
+    return comb(e - v + rem - 1, rem - 1)
+
+
 def oracle_seq_at_rank(rank, k):
-    """wellorder.seq_at_rank growing its prefix by tuple concatenation,
-    one copy of the whole prefix per step."""
+    """seq_at_rank by a walk of the length <= k order itself: block by
+    block to the one holding the rank, then entry by entry, counting the
+    sequences each skipped entry would have begun."""
     e = 0
     while comb(e + 1 + k, k) - 1 <= rank:
         e += 1
@@ -85,8 +101,8 @@ def oracle_seq_at_rank(rank, k):
 
 
 def oracle_domain_at(n, k):
-    """wellorder.domain_at growing its prefix by tuple concatenation,
-    one copy of the whole prefix per step."""
+    """domain_at by a walk of the full-length order itself: block by
+    block, then entry by entry, one count per skipped entry."""
     e = 0
     while comb(e + k, k) <= n:
         e += 1

@@ -435,6 +435,10 @@ def test_usage_errors():
     )
     assert code == 2
     assert "--file" in err
+    # a field given twice is no last-wins value
+    text = '{"k":2,"nodes":[[0,1]],"nodes":[[5,9]]}'
+    assert run("validate", "--file", text) == (
+        2, "", "error: --file: key nodes appears twice\n")
     for oracle in ("{}", "[1,2]", "[null]", '[[0,1],"x"]'):
         code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
         assert (code, out) == (2, "")

@@ -41,6 +41,8 @@ def rejects(load, value, message):
         ({"k": 2, "nodes": {}}, "'nodes' must be a list of integer lists"),
         ({"k": 2, "nodes": [[0, "a"]]}, "'nodes' must be a list of integer lists"),
         ({"k": 2, "nodes": [], "complete": 1}, "unknown fields: complete"),
+        # a field given twice is an error, not its last value
+        ('{"k":2,"k":3,"nodes":[]}', "key k appears twice"),
     ],
 )
 def test_approx_from_obj_rejections(obj, message):
@@ -82,6 +84,8 @@ def test_load_coloring_rejections(obj, message):
         ({"domain": [A, B], "classes": [[0]]}, "classes must partition the domain indices exactly"),
         ({"domain": [A], "classes": [[0, 0]]}, "classes must partition the domain indices exactly"),
         ({"domain": [A], "classes": [[1]]}, "classes must partition the domain indices exactly"),
+        ('{"domain":[],"classes":[],"domain":[]}', "key domain appears twice"),
+        ('{"domain":[{"k":2,"nodes":[],"k":3}],"classes":[[0]]}', "key k appears twice"),
     ],
 )
 def test_load_relation_rejections(obj, message):
@@ -103,6 +107,7 @@ def test_relation_class_indices_are_not_booleans():
 def test_load_family_rejections():
     rejects(load_family, {}, "expected a list of approximations")
     rejects(load_family, [A, 5], "expected an object with 'k' and 'nodes' fields")
+    rejects(load_family, '[{"k":2,"nodes":[],"nodes":[[0,1]]}]', "key nodes appears twice")
 
 
 @pytest.mark.parametrize(
@@ -134,6 +139,9 @@ def test_two_keys_for_one_approximation(load, field):
                                      json.dumps(KEY), json.dumps(value))
     rejects(load, text, "key %s appears twice" % KEY)
     rejects(load, '{"%s":{},"%s":{}}' % (field, field), "key %s appears twice" % field)
+    # and so is a field given twice inside a key
+    rejects(load, json.dumps({field: {'{"k":2,"nodes":[],"k":3}': value}}),
+            "key k appears twice")
 
 
 def test_from_dot_needs_the_dimension():

@@ -1,14 +1,16 @@
 """Order fidelity. The oracle here is a literal transcription of the
-order definition as a sort key, kept independent of the block
-combinatorics inside the implementation."""
+order definition as a sort key, kept independent of the closed forms
+inside the implementation."""
 
+import io
 import itertools
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellentuck import cli
 from ellentuck import wellorder as wo
 from ellentuck.errors import EmptySequenceError
 
@@ -28,7 +30,7 @@ def all_seqs(k, max_entry):
     return out
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_enumeration_matches_definition_sort(k):
     seqs = sorted(all_seqs(k, 6), key=oracle_key)
     assert wo.enumerate_le_k(k, len(seqs)) == seqs
@@ -55,7 +57,7 @@ def test_full_length_listings():
     assert wo.enumerate_k(2, 0) == []
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_full_length_is_filtered_enumeration(k):
     le = wo.enumerate_le_k(k, 400)
     full = [s for s in le if len(s) == k]
@@ -70,7 +72,7 @@ def test_cmp_examples():
     assert wo.cmp_prec((0, 3), (0, 2, 3)) == 1
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_order_key_matches_the_oracle(k):
     seqs = all_seqs(k, 6)
     assert sorted(seqs, key=wo.order_key) == sorted(seqs, key=oracle_key)
@@ -86,21 +88,28 @@ def test_empty_sequence_comes_first_whatever_the_entries():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_block_walk_matches_the_recursive_walk(k):
-    for e in range(7):
-        assert list(wo._block(e, k)) == list(oracle_block(e, k))
-        for shortest in range(1, k + 1):
-            assert list(wo._block(e, k, shortest)) == [
-                s for s in oracle_block(e, k) if len(s) >= shortest]
+    """iter_le_k lists block after block as the recursive walk gives
+    each, and iter_k lists the full-length members of those blocks."""
+    blocks = [list(oracle_block(e, k)) for e in range(7)]
+    want = [()] + [s for block in blocks for s in block]
+    got = wo.iter_le_k(k)
+    assert [next(got) for _ in want] == want
+    full = [s for s in want if len(s) == k]
+    got = wo.iter_k(k)
+    assert [next(got) for _ in full] == full
 
 
 def test_full_length_walk_yields_only_full_length():
-    """iter_k asks the block for full-length sequences only, so it makes
-    no tuple of a shorter one: block 1 at k = 400 gives 400 of them,
-    against the C(401, 399) = 80,200 sequences of every length."""
-    assert sum(1 for _ in wo._block(1, 400, 400)) == 400
-    assert sum(1 for _ in wo._block(1, 400)) == comb(401, 399) == 80200
+    """At k = 400 block 1 of the full-length order holds 400 sequences,
+    and block 0 of the length <= 400 order maps onto it; block 1 of that
+    order holds C(401, 399) = 80,200, so block 2 starts at rank
+    400 + 80,200 with (0,)*399 + (2,)."""
     assert wo.enumerate_k(400, 401)[1:] == [
         (0,) * (400 - j) + (1,) * j for j in range(1, 401)]
+    assert wo.enumerate_le_k(400, 401)[1:] == [(0,) * j for j in range(1, 401)]
+    head = (0,) * 399 + (2,)
+    assert wo.rank_of(head, 400) == 400 + comb(401, 399) == 400 + 80200
+    assert wo.seq_at_rank(400 + 80200, 400) == head
 
 
 def test_block_property():
@@ -130,13 +139,13 @@ def test_seq_at_rank_examples():
         wo.seq_at_rank(-1, 2)
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_rank_round_trip(k):
     for r in range(10_000):
         assert wo.rank_of(wo.seq_at_rank(r, k), k) == r
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_rank_agrees_with_enumeration(k):
     listing = wo.enumerate_le_k(k, 800)
     for i, s in enumerate(listing[1:]):
@@ -144,7 +153,7 @@ def test_rank_agrees_with_enumeration(k):
         assert wo.seq_at_rank(i, k) == s
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_domain_round_trip(k):
     listing = wo.enumerate_k(k, 1500)
     for n, s in enumerate(listing):
@@ -152,14 +161,39 @@ def test_domain_round_trip(k):
         assert wo.domain_rank(s, k) == n
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_list_built_prefix_matches_tuple_concatenation(k):
-    """seq_at_rank and domain_at build their prefix in a list; the old
-    tuple-concatenation walk gives the same sequences."""
-    points = list(range(3000)) + [10**6 + 7 * i for i in range(50)]
+    """The closed forms of seq_at_rank and domain_at give what the walks
+    of the orders give. The walks step once per unit of the last entry,
+    which at k = 1 is the position itself, so k = 1 takes fewer points."""
+    if k == 1:
+        points = list(range(1000)) + [10**5]
+    else:
+        points = list(range(3000)) + [10**6 + 7 * i for i in range(50)]
     for i in points:
         assert wo.seq_at_rank(i, k) == oracle_seq_at_rank(i, k)
         assert wo.domain_at(i, k) == oracle_domain_at(i, k)
+
+
+def test_large_values_cost_their_size_not_their_value():
+    """The numberings answer at once for positions and ranks far past
+    anything a walk of the order could reach, in the library and in the
+    CLI; the walks took a minute at 10**16 and never ended at 10**18.
+    At k = 10**5 the sequences are long runs of a few values, and the
+    search steps once per run."""
+    n = 10**18
+    e = (isqrt(8 * n + 1) - 1) // 2  # block e of k = 2 starts at e(e+1)/2
+    assert wo.domain_at(n, 2) == (n - e * (e + 1) // 2, e)
+    for k in (3, 4, 5, 10**5):
+        n = 10**30
+        assert wo.domain_rank(wo.domain_at(n, k), k) == n
+        assert wo.rank_of(wo.seq_at_rank(n, k), k) == n
+    out, err = io.StringIO(), io.StringIO()
+    node = '{"k":2,"nodes":[[0,%d]]}' % 10**18
+    assert cli.main(["validate", "--file", node], out=out, err=err) == 1
+    assert cli.main(["classify-n", "--k", "2", "--n", str(10**16)], out=out, err=err) == 0
+    s = wo.domain_at(10**16, 2)
+    assert out.getvalue() == "%d\n" % (s[0] < s[1])
 
 
 def _st_seq(k, hi):
