@@ -15,9 +15,9 @@ from .space import (
     Member,
     _as_node,
     _check_length,
+    _full_seq,
     _require_valid,
     _Slot,
-    decode_node,
     depth_of,
     one_extensions,
     position_info,
@@ -148,12 +148,9 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     _check_length(target_len, "target length")
-    candidates = []
-    for w in oracle.candidates():
-        if len(w) != k:
-            raise MalformedNodeError(w, f"expected length {k}")
-        decode_node(w, k)
-        candidates.append(w)
+    candidates = tuple(oracle.candidates())
+    for w in candidates:
+        _full_seq(w, k)
 
     nodes: list = []
     if _greedy(k, nodes, target_len, lambda nodes, slot: candidates) is not None:
@@ -177,16 +174,12 @@ def subcopy_check(U, k: int, level: int):
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level < k:
         raise LevelOutOfRangeError(f"level {level!r} not in 0..{k - 1}")
-    nodes = []
-    for w in map(_as_node, U):  # each node checked in full, in input order
-        if len(w) != k:
-            raise MalformedNodeError(w, f"expected length {k}")
-        decode_node(w, k)
-        nodes.append(w)
-    if not nodes:
+    # each node checked in full, in input order
+    seq_of = {w: _full_seq(w, k) for w in map(_as_node, U)}
+    if not seq_of:
         raise ValueError("need at least one node to compare")
-    nodes = sorted(dict.fromkeys(nodes), key=max)
-    seqs = [decode_node(w, k) for w in nodes]
+    nodes = sorted(seq_of, key=max)
+    seqs = [seq_of[w] for w in nodes]
     dim = k - level
     targets = [domain_at(m, dim) for m in range(len(nodes))]
     for m2 in range(len(nodes)):
@@ -226,10 +219,11 @@ def thin_to_subcopy(a, X, V, target_len: int):
     step opens fresh branches, V's new nodes are grouped into blocks by
     their first index; blocks that fail the level-1 subcopy check are
     unusable, and every fresh branch of Y is built inside a single
-    usable block. Branch positions invisible to extensions of a are
-    filled greedily from X. The certificate is enforced before
-    returning: enumerating the one-step extensions of a inside Y yields
-    a subset of V.
+    usable block. Each step asks a's slot whether the first node X
+    offers it is a one-step extension of a: if so the step draws from
+    V's usable new nodes, and otherwise greedily from X. The certificate
+    is enforced before returning: enumerating the one-step extensions of
+    a inside Y yields a subset of V.
     """
     if a.k != X.k:
         raise ValueError("dimension mismatch")
@@ -238,52 +232,34 @@ def thin_to_subcopy(a, X, V, target_len: int):
         raise ValueError("target length is shorter than the input")
     _require_valid(a)
     k = a.k
-    n = len(a.nodes)
     wanted = _new_nodes_of(a, V)
     in_x = set(X.nodes)
-    usable = [w for w in wanted if w in in_x]
-    usable.sort(key=max)
-    level = position_info(k, n)[0]
+    x_pool = sorted(in_x, key=max)
+    usable = sorted((w for w in wanted if w in in_x), key=max)
+    a_slot = _Slot.of(a)
 
-    x_pool = sorted(set(X.nodes), key=max)
-    max_a = a.max_index()
-
-    if level >= 1:
+    if a_slot.level >= 1:
         if usable:
-            verdict = subcopy_check(usable, k, level)
+            verdict = subcopy_check(usable, k, a_slot.level)
             if isinstance(verdict, NotIsomorphic):
-                raise ValueError(f"V's new nodes are not a subcopy above level {level}: {verdict.reason}")
-        branch_dom = domain_at(n, k)[:level]
-        a_deep = {w[: level + 1] for w in a.nodes}
-
-        def pool_of(nodes, slot):
-            p = len(nodes)
-            l, anchor = position_info(k, p)
-            # a position holds a one-step extension of a exactly when it
-            # sits on a's branch and its node does not continue one of
-            # a's own deeper prefixes (those have too-small indices at
-            # the branching level to count as extensions)
-            constrained = domain_at(p, k)[:level] == branch_dom and (
-                l == level or nodes[anchor][: level + 1] not in a_deep
-            )
-            return usable if constrained else x_pool
+                raise ValueError("V's new nodes are not a subcopy above level "
+                                 f"{a_slot.level}: {verdict.reason}")
+        ext_pool = usable
     else:
         blocks: dict = {}
         for w in usable:
             blocks.setdefault(w[0], []).append(w)
-        good_blocks = {
-            h: blk
-            for h, blk in blocks.items()
-            if not isinstance(subcopy_check(blk, k, 1), NotIsomorphic)
-        }
-        fresh_pool = sorted((w for blk in good_blocks.values() for w in blk), key=max)
+        # one list serves every block: a slot inside a fresh branch
+        # forces the branch's first index, so it only admits its own block
+        good = [blk for blk in blocks.values()
+                if not isinstance(subcopy_check(blk, k, 1), NotIsomorphic)]
+        ext_pool = sorted((w for blk in good for w in blk), key=max)
 
-        def pool_of(nodes, slot):
-            if slot.level == 0:
-                return fresh_pool
-            if slot.prefix[0] > max_a:
-                return good_blocks.get(slot.prefix[0], ())
-            return x_pool
+    def pool_of(nodes, slot):
+        # the slot's floor is at or above a's, so it admits one-step
+        # extensions of a only or none at all: its first node tells which
+        first = next(slot.candidates(x_pool), None)
+        return ext_pool if first is not None and a_slot.admits(first) else x_pool
 
     nodes = list(a.nodes)
     if _greedy(k, nodes, target_len, pool_of) is not None:

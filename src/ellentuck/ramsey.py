@@ -465,6 +465,11 @@ class _FitFilter:
         return self.sigs[-1]
 
 
+def _candidate_levels(k, n):
+    """The levels step n may project to: 0, or above its branching level."""
+    return [0, *range(classify_n(k, n) + 1, k + 1)]
+
+
 def _level_pairs(color_of, level):
     """pairs of a level fit, by node: the (level prefix, color) pair of a
     one-step extension's new node; any other node forms none."""
@@ -537,8 +542,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     """
     base, color_of = _colored_extensions(s, X, coloring, target_len)
     budget = budget or Budget()
-    l = classify_n(X.k, len(s.nodes))
-    candidates = [0] + list(range(l + 1, X.k + 1))
+    candidates = _candidate_levels(X.k, len(s.nodes))
     floor_pairs = list(zip(candidates, candidates[1:]))
     pool = _Pool(X.nodes)
     fits = []
@@ -577,9 +581,7 @@ def admissible_vectors(k, n):
     induce literally equal relations and no round trip could tell
     them apart.
     """
-    choices = []
-    for i in range(n):
-        choices.append([0] + list(range(classify_n(k, i) + 1, k + 1)))
+    choices = [_candidate_levels(k, i) for i in range(n)]
     domains = [domain_at(i, k) for i in range(n)]
 
     def redundant(v):

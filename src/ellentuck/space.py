@@ -12,9 +12,11 @@ prefixes coincide exactly when the underlying index prefixes do (iii).
 Which nodes may come next is one rule, held by the private _Slot: the
 n-th node has length k, repeats the prefix forced at position n, and its
 next index exceeds every index used so far. admits, one_extensions, the
-searches in ramsey and the constructions all ask a _Slot. The private
-_Pool indexes a supply by forced prefix for searches that draw from it
-at every step; it only narrows what a slot is shown and never decides.
+searches in ramsey and the constructions all ask a _Slot, and thinning
+asks a's slot which later positions hold one-step extensions of a. The
+private _Pool indexes a supply by forced prefix for searches that draw
+from it at every step; it only narrows what a slot is shown and never
+decides.
 Public Approx construction checks every entry; the private _extend,
 which one_extensions uses, appends a node of an already-built member
 without re-checking.
@@ -120,6 +122,14 @@ def decode_node(node: Node, k: int):
     return prev
 
 
+def _full_seq(node: Node, k: int):
+    """The sequence a full-length node represents; raises
+    MalformedNodeError when node is not of length k or fails to decode."""
+    if len(node) != k:
+        raise MalformedNodeError(node, f"expected length {k}")
+    return decode_node(node, k)
+
+
 def wk_node(seq, k=None) -> Node:
     """The prototype node over an index sequence: ranks of its prefixes."""
     s = tuple(seq)
@@ -171,9 +181,7 @@ def validate_approx(x) -> ValidationReport:
     """
     k = x.k
     for node in x.nodes:
-        if len(node) != k:
-            raise MalformedNodeError(node, f"expected length {k}")
-        decode_node(node, k)
+        _full_seq(node, k)
 
     tree: dict[tuple, Node] = {}
     owner: dict[Node, tuple] = {}
@@ -262,7 +270,13 @@ def position_info(k: int, n: int):
 class _Slot:
     """Where the node after `nodes` may go: the forced level, the forced
     prefix (empty at a fresh-branch step) and the floor, the largest
-    index of `nodes`, which the callers keep as a running maximum."""
+    index of `nodes`, which the callers keep as a running maximum.
+
+    All or none: a slot whose floor is at or above the floor of
+    _Slot.of(a) admits either only nodes that a's slot admits too, or
+    none of them. Every node it admits has its prefix and then an index
+    above a's floor, which no index of a's nodes is, so a's slot
+    decides alike for all of them, from a valid member or not."""
 
     __slots__ = ("k", "level", "prefix", "floor")
 

@@ -331,6 +331,80 @@ def oracle_disagreement(phi, relation, family):
     return None
 
 
+def oracle_thin_to_subcopy(a, X, V, target_len):
+    """thin_to_subcopy as first written: it works out from domain
+    positions which positions of the result hold a one-step extension
+    of a, where thin_to_subcopy asks a's slot. At a branch-continuing
+    step a position is constrained when its domain sequence extends a's
+    branch and its node continues none of a's deeper prefixes; at a
+    fresh-branch step every fresh branch draws from V's usable blocks
+    and every branch opened above a's maximum from its own block."""
+    from ellentuck.constructions import _greedy, _new_nodes_of, subcopy_check
+    from ellentuck.errors import Exhausted, NotIsomorphic
+    from ellentuck.space import _check_length, _require_valid, position_info
+
+    if a.k != X.k:
+        raise ValueError("dimension mismatch")
+    _check_length(target_len, "target length")
+    if target_len < len(a.nodes):
+        raise ValueError("target length is shorter than the input")
+    _require_valid(a)
+    k = a.k
+    n = len(a.nodes)
+    wanted = _new_nodes_of(a, V)
+    in_x = set(X.nodes)
+    usable = [w for w in wanted if w in in_x]
+    usable.sort(key=max)
+    level = position_info(k, n)[0]
+
+    x_pool = sorted(set(X.nodes), key=max)
+    max_a = a.max_index()
+
+    if level >= 1:
+        if usable:
+            verdict = subcopy_check(usable, k, level)
+            if isinstance(verdict, NotIsomorphic):
+                raise ValueError("V's new nodes are not a subcopy above level "
+                                 f"{level}: {verdict.reason}")
+        branch_dom = domain_at(n, k)[:level]
+        a_deep = {w[: level + 1] for w in a.nodes}
+
+        def pool_of(nodes, slot):
+            p = len(nodes)
+            l, anchor = position_info(k, p)
+            constrained = domain_at(p, k)[:level] == branch_dom and (
+                l == level or nodes[anchor][: level + 1] not in a_deep
+            )
+            return usable if constrained else x_pool
+    else:
+        blocks = {}
+        for w in usable:
+            blocks.setdefault(w[0], []).append(w)
+        good_blocks = {
+            h: blk
+            for h, blk in blocks.items()
+            if not isinstance(subcopy_check(blk, k, 1), NotIsomorphic)
+        }
+        fresh_pool = sorted((w for blk in good_blocks.values() for w in blk), key=max)
+
+        def pool_of(nodes, slot):
+            if slot.level == 0:
+                return fresh_pool
+            if slot.prefix[0] > max_a:
+                return good_blocks.get(slot.prefix[0], ())
+            return x_pool
+
+    nodes = list(a.nodes)
+    if _greedy(k, nodes, target_len, pool_of) is not None:
+        return Exhausted("supply", f"step {len(nodes)}: no fitting node")
+    result = Member(k, tuple(nodes))
+    allowed = set(wanted)
+    for b in one_extensions(a, result):
+        if b.nodes[-1] not in allowed:
+            raise AssertionError("thinning certificate failed; this is a bug")
+    return result
+
+
 class ScanAgreementFilter:
     """The filter of irreducible_agreement's search by definition: each
     push rescans the whole family for the members it completes (those

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellentuck.constructions import (
     NodeOracle,
@@ -28,7 +30,7 @@ from ellentuck.space import (
     validate_approx,
 )
 
-from helpers import extension_closure_nodes, random_sub_member
+from helpers import extension_closure_nodes, oracle_thin_to_subcopy, random_sub_member
 
 
 def approx(k, nodes):
@@ -356,6 +358,69 @@ def test_thin_rejects_non_subcopy_v():
     bad = [Approx(3, a.nodes + ((0, 4, 5),)), Approx(3, a.nodes + ((0, 11, 12),))]
     with pytest.raises(ValueError):
         thin_to_subcopy(a, x, bad, 5)
+
+
+def _unchecked(X, big, rng):
+    """X's nodes shuffled, or mangled a few times over: an entry bumped,
+    a node dropped, repeated, swapped or borrowed from big."""
+    nodes = list(X.nodes)
+    if rng.random() < 0.5:
+        rng.shuffle(nodes)
+        return Member(X.k, tuple(nodes))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(nodes))
+        op = rng.choice(["bump", "drop", "repeat", "swap", "borrow"])
+        if op == "bump":
+            w = list(nodes[i])
+            w[rng.randrange(len(w))] += rng.randint(1, 5)
+            nodes[i] = tuple(w)
+        elif op == "drop" and len(nodes) > 2:
+            nodes.pop(i)
+        elif op == "repeat":
+            nodes.insert(rng.randrange(len(nodes) + 1), nodes[i])
+        elif op == "swap":
+            j = rng.randrange(len(nodes))
+            nodes[i], nodes[j] = nodes[j], nodes[i]
+        else:
+            nodes.insert(i, rng.choice(big.nodes))
+    return Member(X.k, tuple(nodes))
+
+
+def _outcome(thin, *args):
+    try:
+        got = thin(*args)
+    except Exception as err:  # the type and message must agree as well
+        return type(err), str(err)
+    return got if isinstance(got, Exhausted) else ("member", got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([2, 2, 3, 3, 4]),
+    kind=st.sampled_from(["truncation", "sub-member", "unchecked"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_thin_matches_the_position_reference(k, kind, rng):
+    big = build_w(k, 60 if k == 2 else 50)
+    X = r_approx(big, rng.randint(3, len(big.nodes)))
+    if kind != "truncation":
+        X = random_sub_member(big, rng.randint(3, 20), rng, bias=rng.choice([None, 2, 3])) or X
+    if kind == "unchecked":
+        X = _unchecked(X, big, rng)
+    n = rng.randint(0, min(len(X.nodes) - 1, 9))
+    a = random_sub_member(rng.choice([X, big]), n, rng, bias=rng.choice([None, 2, 3]))
+    if a is None:
+        a = Approx(k, X.nodes[:n])
+    exts = list(dict.fromkeys(one_extensions(a, X) + one_extensions(a, big)))
+    keep = rng.choice([0.0, 0.3, 0.6, 0.9, 1.0])
+    V = [b for b in exts if rng.random() < keep]
+    if rng.random() < 0.1:  # an entry that may not extend a validly
+        V.insert(rng.randrange(len(V) + 1), Approx(k, a.nodes + (rng.choice(big.nodes),)))
+    rng.shuffle(V)
+    target = len(a.nodes) + rng.randint(0, 10)
+    assert _outcome(thin_to_subcopy, a, X, V, target) == _outcome(
+        oracle_thin_to_subcopy, a, X, V, target
+    )
 
 
 def test_constructions_reject_mismatched_arguments():

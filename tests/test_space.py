@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellentuck import cli, constructions, formats, ramsey, space
 from ellentuck import wellorder as wo
@@ -313,6 +315,63 @@ def test_wrong_length_nodes_are_never_admitted():
         slot = _Slot.of(a)
         assert list(slot.candidates(_Pool(x.nodes).near(slot))) == list(slot.candidates(x.nodes))
     assert [b.nodes[-1] for b in one_extensions(Approx(2), x)] == [(0, 1), (0, 2)]
+
+
+def _mixed_supply(k, supply, rng):
+    """A shuffled supply with junk spliced in: nodes of every length up to
+    k + 1 whose entries need not decode or increase."""
+    junk = [
+        tuple(rng.randrange(40) for _ in range(rng.randint(1, k + 1)))
+        for _ in range(rng.randint(1, 20))
+    ]
+    out = list(supply) + junk
+    rng.shuffle(out)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    kind=st.sampled_from(["ordered", "shuffled", "junk"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_slots_at_or_above_the_floor_of_a_admit_all_or_none_of_its_extensions(k, kind, rng):
+    x = build_w(k, 60)
+    a = random_sub_member(x, rng.randint(0, 6), rng, bias=rng.choice([None, 3]))
+    if a is None:  # the walk dead-ended; take a prefix of W_k instead
+        a = r_approx(x, rng.randint(0, 6))
+    supply = list(x.nodes)
+    if kind == "shuffled":
+        rng.shuffle(supply)
+    elif kind == "junk":
+        supply = _mixed_supply(k, supply, rng)
+    a_slot = _Slot.of(a)
+    # a random continuation of a, each of its slots at or above a's floor
+    nodes = list(a.nodes)
+    for _ in range(rng.randint(0, 8)):
+        floor = max((max(w) for w in nodes), default=-1)
+        slot = _Slot(k, nodes, floor + rng.choice([0, 0, 1, 3]))
+        verdicts = {a_slot.admits(w) for w in slot.candidates(supply)}
+        assert len(verdicts) <= 1, (a, nodes, slot.floor)
+        picked = list(_Slot(k, nodes, floor).candidates(x.nodes))
+        if not picked:
+            break
+        nodes.append(rng.choice(picked))
+
+
+def test_slots_along_w2_admit_all_or_none_of_the_extensions_of_a():
+    # a = [(0,1)] continues branch 0 at step 1; along W_2 the slots that
+    # continue branch 0 (steps 1, 3 and 6) take a's extensions, the others none
+    x = build_w(2, 60)
+    a = r_approx(x, 1)
+    a_slot = _Slot.of(a)
+    seen = []
+    for p in range(1, 8):
+        slot = _Slot(2, x.nodes[:p], max(max(w) for w in x.nodes[:p]))
+        verdicts = {a_slot.admits(w) for w in slot.candidates(x.nodes)}
+        assert len(verdicts) == 1
+        seen.append(verdicts.pop())
+    assert seen == [True, False, True, False, False, True, False]
 
 
 @pytest.mark.parametrize("k", [2, 3])
