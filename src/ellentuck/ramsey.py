@@ -28,12 +28,15 @@ push.
 canonize_relation runs one search for every projection vector, which
 finds the n-approximations a new node completes and their classes once
 for all of them; a state is one placement tried, however many vectors
-it serves.  Each completed n-approximation is projected under every
-vector once per call and kept until the call returns, so that cache
-holds at most the distinct n-approximations of the supply the search
-completes, and a push that completes none forms no pair and pushes no
-filter.  Coloring, Relation and InnerMap are one extensional table,
-_Table.
+it serves.  The approximations of the placed nodes form a trie, kept
+until the call returns, that is built once and then shared (hash-consing,
+after Filliatre and Conchon 2006): each distinct j-approximation (j < n)
+a push extends gets one entry, with the slot of its next node and its
+table group, and each completed n-approximation one row, its pair under
+every vector.  So the trie holds at most one entry or row per distinct
+approximation the call extends or completes, however many states reach
+it, and a push that completes none forms no pair and pushes no filter.
+Coloring, Relation and InnerMap are one extensional table, _Table.
 
 A failed sub-search is never searched twice, nor from a higher running
 maximum (nogood recording, after Dechter 1990).  What a search finds
@@ -376,14 +379,15 @@ class _FitFilter:
 
     pairs gives the (key, class) pairs that placing w after nodes forms:
     a dict by w, when they depend on w alone, or else a function
-    pairs(w, nodes).  Each is checked before the next is drawn, so a veto
-    comes before any later class lookup.  Pinned pairs hold from the
+    pairs(w, nodes); None when the caller hands each push its pairs as
+    try_push's formed.  Each is checked before the next is drawn, so a
+    veto comes before any later class lookup.  Pinned pairs hold from the
     start.  accept keeps a member with at least one pair and, for each
     floor pair (c1, c2) of levels, two placed nodes that agree up to c1
     but not up to c2, so no other candidate level can fit the same data.
     """
 
-    def __init__(self, pairs, pinned=(), floor_pairs=()):
+    def __init__(self, pairs=None, pinned=(), floor_pairs=()):
         self.pairs = pairs
         self.by_node = isinstance(pairs, dict)
         self.floor_pairs = floor_pairs
@@ -395,11 +399,14 @@ class _FitFilter:
         # with pairs by node the placed nodes fix it
         self.sigs = [None]
 
-    def try_push(self, nodes, w):
-        key_class, class_key, pairs = self.key_class, self.class_key, self.pairs
+    def try_push(self, nodes, w, formed=None):
+        key_class, class_key = self.key_class, self.class_key
+        if formed is None:
+            pairs = self.pairs
+            formed = pairs.get(w, ()) if self.by_node else pairs(w, nodes)
         # a list once a pair passes; most pushes are vetoed at their first
         inserted = None
-        for key, c in pairs.get(w, ()) if self.by_node else pairs(w, nodes):
+        for key, c in formed:
             if key in key_class:
                 if key_class[key] != c:
                     break
@@ -610,16 +617,37 @@ class _UnlistedRow:
         return tuple(map(getitem, self.b, self.slices[i])), c
 
 
+class _Entry:
+    """One j-approximation (j < n) in the trie of a relation search: made
+    the first time a push of the call extends the entry of its first j - 1
+    nodes by its last, and then shared by every path that places the same
+    nodes.  It holds the slot of its next node, the table group it joins
+    while its nodes are placed and, per node w it was extended by, the
+    entry of nodes + (w,) or, when that has n nodes, its row."""
+
+    __slots__ = ("nodes", "slot", "group", "next")
+
+    def __init__(self, nodes, slot, group):
+        self.nodes, self.slot, self.group = nodes, slot, group
+        self.next = {}
+
+
 class _VectorFits:
     """Every vector's fit in one search: a _FitFilter per vector, all fed
     the n-approximations a push completes, found once with their classes.
 
-    tables[j] (j < n) groups the j-approximations of the placed nodes, with
-    the slot of their next node, by its forced prefix (of length levels[j]),
-    so a push reads one group per table and the slot still decides.
-    rows holds, for one call, the row of each n-approximation completed so
-    far: its (key, class) pair under every vector, projected once, so it
-    grows with the distinct approximations completed, not with the states.
+    The j-approximations (j < n) that pushes of the call extended form a
+    trie of _Entry, one entry per distinct approximation, kept until the
+    call returns.  tables[j] groups the entries of the j-approximations of
+    the placed nodes by the forced prefix of their slot (of length
+    levels[j]), so a push reads one group per table and the slot still
+    decides.  An entry's edge w, made at the first push that extends it by
+    w, leads to the entry of the longer approximation, with its slot and
+    group, or, at j = n - 1, to the row of the n-approximation it
+    completes: its (key, class) pair under every vector, projected once.
+    So the trie holds at most one entry or row per distinct approximation
+    the call extends or completes, and grows with those, not with the
+    states.
     Vector i's pairs are item i of the rows a push completes.  A push that
     completes none forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
@@ -634,41 +662,42 @@ class _VectorFits:
         self.k, self.relation, self.class_of = k, relation, classes.get
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
-        self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
-        self.trail, self.rows = [], {}
-        self.completed = []  # the rows of what the current push completes
-        self.filters = [_FitFilter(partial(self._pairs, itemgetter(i)))
-                        for i in range(len(vectors))]
+        self.tables = [{} for _ in range(n)]
+        root = self._entry((), -1)
+        root.group.append(root)
+        self.trail = []
+        self.filters = [_FitFilter() for _ in vectors]
+        self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
         self.live = [self.filters]
         self.found = {}  # filter -> witness nodes, or the error its search raised
 
-    def _pairs(self, item, w, nodes):
-        return map(item, self.completed)
+    def _entry(self, b, floor):
+        """b's trie entry: its slot, from the running maximum floor, and
+        the group of its table for that slot's forced prefix."""
+        slot = _Slot(self.k, b, floor)
+        return _Entry(b, slot, self.tables[len(b)].setdefault(slot.prefix, []))
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
         c = self.class_of(b)
         if c is None:
-            row = _UnlistedRow(self.relation, self.k, b, self.slices)
-        else:
-            row = tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
-        self.rows[b] = row
-        return row
-
-    def _extended(self, j, w):
-        group = self.tables[j].get(w[:self.levels[j]], ())
-        return [c + (w,) for c, slot in group if slot.admits(w)]
+            return _UnlistedRow(self.relation, self.k, b, self.slices)
+        return tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
 
     def try_push(self, nodes, w):
-        live = self.live[-1]
-        completed = self._extended(-1, w)
-        if completed:
-            rows = self.rows
-            self.completed = [rows[b] if b in rows else self._row(b) for b in completed]
-            kept = []
+        tables, levels, live = self.tables, self.levels, self.live[-1]
+        rows = []
+        for e in tables[-1].get(w[:levels[-1]], ()):
+            if e.slot.admits(w):
+                row = e.next.get(w)
+                if row is None:
+                    row = e.next[w] = self._row(e.nodes + (w,))
+                rows.append(row)
+        if rows:
+            item, kept = self.item, []
             for f in live:
                 try:
-                    if f.try_push(nodes, w):
+                    if f.try_push(nodes, w, map(item[f], rows)):
                         kept.append(f)
                 except ValueError as err:
                     self._resolve(f, err)
@@ -676,22 +705,28 @@ class _VectorFits:
         if not live:
             return False
         self.live.append(live)
-        grown = [(b, _Slot(self.k, b, max(w)))
-                 for j in range(len(self.tables) - 1) for b in self._extended(j, w)]
-        groups = [self.tables[len(b)].setdefault(slot.prefix, []) for b, slot in grown]
-        for group, entry in zip(groups, grown):
-            group.append(entry)
-        self.trail.append((bool(completed), groups))
+        grown = []
+        for j in range(len(tables) - 1):
+            for e in tables[j].get(w[:levels[j]], ()):
+                if e.slot.admits(w):
+                    b = e.next.get(w)
+                    if b is None:
+                        # w passed the slot, so its maximum is b's running maximum
+                        b = e.next[w] = self._entry(e.nodes + (w,), max(w))
+                    # a later table's read may meet b, whose slot never admits w
+                    b.group.append(b)
+                    grown.append(b)
+        self.trail.append((bool(rows), grown))
         return True
 
     def pop(self):
-        pushed, groups = self.trail.pop()
+        pushed, grown = self.trail.pop()
         live = self.live.pop()
         if pushed:
             for f in live:
                 f.pop()
-        for group in groups:
-            group.pop()
+        for b in grown:
+            b.group.pop()
 
     def signature(self):
         # a vector's future pairs read every placed node

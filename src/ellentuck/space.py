@@ -36,11 +36,13 @@ from .errors import (
 )
 from .wellorder import (
     _CACHE_SIZE,
+    _as_seq,
+    _full_rank,
+    _phi,
     classify_n,
     domain_at,
     domain_rank,
     order_key,
-    rank_of,
     seq_at_rank,
     seq_str,
 )
@@ -137,7 +139,13 @@ def wk_node(seq, k=None) -> Node:
         k = len(s)
     if len(s) > k:
         raise ValueError(f"sequence longer than k={k}: {seq!r}")
-    return tuple(rank_of(s[:p], k) for p in range(1, len(s) + 1))
+    prev = 0
+    for p, v in enumerate(s, 1):
+        if not isinstance(v, int) or isinstance(v, bool) or v < prev:
+            _as_seq(s[:p], k)  # raises, naming the first prefix that fails
+        prev = v
+    # what rank_of computes, without checking each prefix again
+    return tuple(_full_rank(_phi(s[:p], k), k) - 1 for p in range(1, len(s) + 1))
 
 
 def _check_length(n, what="length"):

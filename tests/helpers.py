@@ -8,11 +8,20 @@ rules have something definition-shaped to answer to.
 import argparse
 import contextlib
 import sys
+from functools import partial
 from math import comb
+from operator import getitem, itemgetter
 
 from ellentuck.cli import _COMMANDS
 from ellentuck.ramsey import _FitFilter
-from ellentuck.space import Approx, Member, one_extensions, validate_approx
+from ellentuck.space import (
+    Approx,
+    Member,
+    _Slot,
+    one_extensions,
+    position_info,
+    validate_approx,
+)
 from ellentuck.wellorder import classify_n, domain_at
 
 
@@ -471,3 +480,133 @@ class ExactFloorFitFilter(_FitFilter):
     def signature(self):
         part = super().signature()
         return None if part is None else part + (self.floors[-1],)
+
+
+class _ReferenceUnlistedRow:
+    """The row of an n-approximation b that the relation does not list
+    (or lists with class None): item i looks b's class up only when vector
+    i's filter reaches it, so the relation raises where that vector's own
+    search would, and not for a vector that a pair before b vetoes."""
+
+    def __init__(self, relation, k, b, slices):
+        self.relation, self.k, self.b, self.slices = relation, k, b, slices
+
+    def __getitem__(self, i):
+        c = self.relation.class_id(Approx(self.k, self.b))
+        return tuple(map(getitem, self.b, self.slices[i])), c
+
+
+class ReferenceVectorFits:
+    """ramsey._VectorFits before its completion trie, kept as the reference:
+    it builds c + (w,) for every stored approximation a push extends, a
+    _Slot and a table-group lookup for each approximation it grows, and
+    looks each completed approximation's row up in a dict.  Install it as
+    ramsey._VectorFits to run canonize_relation on it.
+
+    Every vector's fit in one search: a _FitFilter per vector, all fed
+    the n-approximations a push completes, found once with their classes.
+
+    tables[j] (j < n) groups the j-approximations of the placed nodes, with
+    the slot of their next node, by its forced prefix (of length levels[j]),
+    so a push reads one group per table and the slot still decides.
+    rows holds, for one call, the row of each n-approximation completed so
+    far: its (key, class) pair under every vector, projected once, so it
+    grows with the distinct approximations completed, not with the states.
+    Vector i's pairs are item i of the rows a push completes.  A push that
+    completes none forms no pair for any vector, so no filter is pushed.
+    live[m] lists the unresolved filters that took the first m placed
+    nodes.  A vector is resolved at its first leaf or at the first class
+    it misses; accept then backtracks to the deepest level still live.
+    So each vector gets its solo witness, and the states are the union of
+    the solo searches' states.  A push under an empty live list is vetoed.
+    """
+
+    def __init__(self, relation, k, n, vectors):
+        classes = {a.nodes: c for a, c in relation.items() if a.k == k}
+        self.k, self.relation, self.class_of = k, relation, classes.get
+        self.slices = [[slice(l) for l in v] for v in vectors]
+        self.levels = [position_info(k, j)[0] for j in range(n)]
+        self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
+        self.trail, self.rows = [], {}
+        self.completed = []  # the rows of what the current push completes
+        self.filters = [_FitFilter(partial(self._pairs, itemgetter(i)))
+                        for i in range(len(vectors))]
+        self.live = [self.filters]
+        self.found = {}  # filter -> witness nodes, or the error its search raised
+
+    def _pairs(self, item, w, nodes):
+        return map(item, self.completed)
+
+    def _row(self, b):
+        """b's (key, class) pair under every vector, kept for the call."""
+        c = self.class_of(b)
+        if c is None:
+            row = _ReferenceUnlistedRow(self.relation, self.k, b, self.slices)
+        else:
+            row = tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
+        self.rows[b] = row
+        return row
+
+    def _extended(self, j, w):
+        group = self.tables[j].get(w[:self.levels[j]], ())
+        return [c + (w,) for c, slot in group if slot.admits(w)]
+
+    def try_push(self, nodes, w):
+        live = self.live[-1]
+        completed = self._extended(-1, w)
+        if completed:
+            rows = self.rows
+            self.completed = [rows[b] if b in rows else self._row(b) for b in completed]
+            kept = []
+            for f in live:
+                try:
+                    if f.try_push(nodes, w):
+                        kept.append(f)
+                except ValueError as err:
+                    self._resolve(f, err)
+            live = kept
+        if not live:
+            return False
+        self.live.append(live)
+        grown = [(b, _Slot(self.k, b, max(w)))
+                 for j in range(len(self.tables) - 1) for b in self._extended(j, w)]
+        groups = [self.tables[len(b)].setdefault(slot.prefix, []) for b, slot in grown]
+        for group, entry in zip(groups, grown):
+            group.append(entry)
+        self.trail.append((bool(completed), groups))
+        return True
+
+    def pop(self):
+        pushed, groups = self.trail.pop()
+        live = self.live.pop()
+        if pushed:
+            for f in live:
+                f.pop()
+        for group in groups:
+            group.pop()
+
+    def signature(self):
+        # a vector's future pairs read every placed node
+        return None
+
+    def accept(self, nodes):
+        for f in self.live[-1]:
+            if f.accept(nodes) == len(nodes):
+                self._resolve(f, tuple(nodes))
+        # live lists only shrink with depth, so the nonempty ones lead
+        return sum(map(bool, self.live[:-1])) - 1
+
+    def _resolve(self, f, outcome):
+        self.found[f] = outcome
+        self.live = [[g for g in level if g is not f] for level in self.live]
+        self.settle(done=False)
+
+    def settle(self, done):
+        """Raise the error of the least vector that raised once those before
+        it fit, as one search per vector would; done: the rest did not fit."""
+        for f in self.filters:
+            got = self.found.get(f)
+            if isinstance(got, ValueError):
+                raise got
+            if got is None and not done:
+                return

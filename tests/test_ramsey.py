@@ -60,6 +60,7 @@ from ellentuck.wellorder import classify_n
 from helpers import (
     ExactFloorFitFilter,
     MemoFreeFitFilter,
+    ReferenceVectorFits,
     ScanAgreementFilter,
     all_sub_members,
     oracle_disagreement,
@@ -304,9 +305,9 @@ def test_relation_filters_run_only_on_pushes_that_complete_something():
     pushes, rows = [0], []
     push, row = ramsey._FitFilter.try_push, ramsey._VectorFits._row
 
-    def counted_push(self, nodes, w):
+    def counted_push(self, nodes, w, *formed):
         pushes[0] += 1
-        return push(self, nodes, w)
+        return push(self, nodes, w, *formed)
 
     def counted_row(self, b):
         rows.append(b)
@@ -320,6 +321,54 @@ def test_relation_filters_run_only_on_pushes_that_complete_something():
     assert pushes == [4057]
     assert len(rows) == len(set(rows)) == 110
     assert len(admissible_vectors(2, 2)) == 5
+
+
+def test_relation_search_makes_one_entry_and_one_slot_per_approximation():
+    """The relation case of test_state_counts_are_pinned, counted in items,
+    not seconds. The completion trie makes one entry, with one _Slot, for
+    each distinct j-approximation (j < 2) a push extends: the empty one
+    and each of the 40 nodes that some kept push places. 633 slots were
+    made for the same 41 approximations when every kept push built the
+    slot of each approximation it grew. The test above pins the rows."""
+    X40 = build_w(2, 40)
+    relation = Relation.from_key_function(
+        lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
+    )
+    entries, slots, placed = [], [], set()
+    entry, slot, push = ramsey._Entry, ramsey._Slot, ramsey._VectorFits.try_push
+
+    class CountedEntry(entry):
+        __slots__ = ()
+
+        def __init__(self, nodes, slot, group):
+            entries.append(nodes)
+            super().__init__(nodes, slot, group)
+
+    class CountedSlot(slot):
+        __slots__ = ()
+
+        def __init__(self, k, nodes, floor):
+            # the search core passes its list of placed nodes, the trie an
+            # approximation's node tuple
+            if isinstance(nodes, tuple):
+                slots.append(nodes)
+            super().__init__(k, nodes, floor)
+
+    def kept_push(self, nodes, w):
+        kept = push(self, nodes, w)
+        if kept:
+            placed.add(w)
+        return kept
+
+    budget = Budget(DEFAULT_BUDGET)
+    with mock.patch.object(ramsey, "_Entry", CountedEntry), \
+            mock.patch.object(ramsey, "_Slot", CountedSlot), \
+            mock.patch.object(ramsey._VectorFits, "try_push", kept_push):
+        got = canonize_relation(relation, 2, 2, X40, 8, budget)
+    assert (got.vector, budget.used) == ((0, 2), 1534)
+    assert slots == entries
+    assert len(entries) == len(set(entries)) == 41
+    assert set(entries) == {()} | {(w,) for w in placed}
 
 
 def _memo_case(data):
@@ -951,6 +1000,26 @@ def test_relation_search_vetoes_every_push_once_no_vector_is_live():
     assert budget.used == 43
 
 
+def test_pairs_come_in_the_order_their_approximations_were_grown():
+    """n = 3 on a 6-node truncation, one 3-approximation missing. One push
+    grows several 2-approximations into one table group, and a later push
+    completes a 3-approximation through each. Their pairs are formed in
+    the order the push grew them, which decides whether a vector meets a
+    vetoing pair or the missing class first: the error comes after 6
+    states, and after 10 when one push's new entries join their groups in
+    reverse."""
+    X = build_w(2, 6)
+    missing = ((0, 1), (0, 5), (7, 8))
+    relation = Relation({a: int(a.nodes != ((0, 2), (0, 5), (7, 8)))
+                         for a in approxs_of_length(X, 3) if a.nodes != missing})
+    assert len(relation) == 5
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError) as err:
+        canonize_relation(relation, 2, 3, X, 7, budget)
+    assert str(err.value) == "relation is not defined on %s" % (missing,)
+    assert budget.used == 6
+
+
 def _draw_relation_case(data):
     k = data.draw(st.sampled_from([2, 3]))
     X = build_w(k, data.draw(st.integers(4, 14 if k == 2 else 10)))
@@ -1021,6 +1090,48 @@ def test_missing_approximations_raise_what_one_search_per_vector_raises(data):
         with pytest.raises(ValueError) as err:
             canonize_relation(incomplete, k, n, X, tlen)
         assert str(err.value) == want
+
+
+def _relation_outcome(relation, k, n, X, tlen, limit):
+    """canonize_relation's outcome as its repr and fits, or the type and
+    message of what it raised, with the states it spent."""
+    budget = Budget(limit)
+    try:
+        got = canonize_relation(relation, k, n, X, tlen, budget)
+    except ValueError as err:
+        return (type(err), str(err)), budget.used
+    return (repr(got), getattr(got, "fits", None)), budget.used
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_relation_search_matches_the_reference_vector_filter(data):
+    """The completion trie changes how a push finds what it completes,
+    not what it finds: on random relations, some induced by projection
+    keys and some with approximations missing, canonize_relation gives
+    the outcome, fits or error, and spends the states, that it gives on
+    the reference _VectorFits, at any budget."""
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    X = build_w(k, data.draw(st.integers(3, 14 if n < 3 else 10), label="nodes"))
+    tlen = data.draw(st.integers(n, n + 4), label="target")
+    dom = approxs_of_length(X, n)
+    if data.draw(st.booleans(), label="induced"):
+        v = data.draw(st.tuples(*[st.integers(0, k)] * n), label="vector")
+        relation = Relation.from_key_function(
+            lambda b: tuple(w[:l] for w, l in zip(b.nodes, v)), dom
+        )
+    else:
+        top = data.draw(st.integers(0, 4), label="top class")
+        classes = st.lists(st.integers(0, top), min_size=len(dom), max_size=len(dom))
+        relation = Relation(dict(zip(dom, data.draw(classes))))
+    if dom and data.draw(st.booleans(), label="missing"):
+        dropped = set(data.draw(st.lists(st.sampled_from(dom), min_size=1, max_size=3)))
+        relation = Relation({a: c for a, c in relation.items() if a not in dropped})
+    limit = data.draw(st.one_of(st.integers(1, 3000), st.just(DEFAULT_BUDGET)), label="limit")
+    got = _relation_outcome(relation, k, n, X, tlen, limit)
+    with mock.patch.object(ramsey, "_VectorFits", ReferenceVectorFits):
+        assert got == _relation_outcome(relation, k, n, X, tlen, limit)
 
 
 # ----------------------------------------------------------------- fronts

@@ -69,6 +69,40 @@ def test_wk_node_examples():
     assert wk_node(()) == ()
 
 
+def test_wk_node_ranks_each_prefix_as_rank_of_does(monkeypatch):
+    """wk_node checks its sequence in one pass, not once per prefix: a
+    valid sequence never reaches the per-sequence check, and each entry
+    is the rank_of of its prefix."""
+    checked = []
+    monkeypatch.setattr(space, "_as_seq", lambda *args: checked.append(args))
+    for k in range(1, 6):
+        for s in wo.enumerate_le_k(k, 300):
+            assert wk_node(s, k) == tuple(wo.rank_of(s[:p], k) for p in range(1, len(s) + 1))
+    assert wk_node(tuple(range(100))) == tuple(
+        wo.rank_of(tuple(range(p)), 100) for p in range(1, 101)
+    )
+    assert checked == []
+
+
+@pytest.mark.parametrize(
+    "seq,k,message",
+    [
+        ((1, 0, -1), None, "sequence must be non-decreasing, got (1, 0)"),
+        ((0, -1, 5), 4, "sequence entries must be nonnegative integers, got (0, -1)"),
+        ((2, "a", 1), 3, "sequence entries must be nonnegative integers, got (2, 'a')"),
+        ((0, 1, 2), 2, "sequence longer than k=2: (0, 1, 2)"),
+        # equal to (0,) and (1,), which rank_of may have cached
+        ((False, 3), 3, "sequence entries must be nonnegative integers, got (False,)"),
+        ((1.0,), 2, "sequence entries must be nonnegative integers, got (1.0,)"),
+    ],
+)
+def test_wk_node_names_the_first_prefix_that_fails(seq, k, message):
+    wo.rank_of((0,), 3), wo.rank_of((1,), 2)
+    with pytest.raises(ValueError) as err:
+        wk_node(seq, k)
+    assert str(err.value) == message
+
+
 def test_decode_inverts_wk_node():
     for k in (2, 3):
         for n in range(120):
