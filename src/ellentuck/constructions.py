@@ -148,7 +148,7 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
     _check_length(target_len, "target length")
-    candidates = tuple(oracle.candidates())
+    candidates = tuple(map(_as_node, oracle.candidates()))
     for w in candidates:
         _full_seq(w, k)
 

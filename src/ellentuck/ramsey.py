@@ -25,12 +25,14 @@ when "same color" is E_0.  irreducible_agreement pins agreement the
 same way: each family member a push completes forms the pair ((),
 whether the two maps agree on it), so a disagreeing member vetoes the
 push.
-canonize_relation runs one search for every projection vector, which
-finds the n-approximations a new node completes and their classes once
-for all of them; a state is one placement tried, however many vectors
-it serves.  The approximations of the placed nodes form a trie, kept
-until the call returns, that is built once and then shared (hash-consing,
-after Filliatre and Conchon 2006): each distinct j-approximation (j < n)
+canonize_relation first looks up the class of every n-approximation of
+X, so a relation that misses one raises before the first state.  Then
+it runs one search for every projection vector, which finds the
+n-approximations a new node completes and their classes once for all of
+them; a state is one placement tried, however many vectors it serves.
+The approximations of the placed nodes form a trie, kept until the call
+returns, that is built once and then shared (hash-consing, after
+Filliatre and Conchon 2006): each distinct j-approximation (j < n)
 a push extends gets one entry, with the slot of its next node and its
 table group, and each completed n-approximation one row, its pair under
 every vector.  So the trie holds at most one entry or row per distinct
@@ -603,20 +605,6 @@ def admissible_vectors(k, n):
     ]
 
 
-class _UnlistedRow:
-    """The row of an n-approximation b that the relation does not list
-    (or lists with class None): item i looks b's class up only when vector
-    i's filter reaches it, so the relation raises where that vector's own
-    search would, and not for a vector that a pair before b vetoes."""
-
-    def __init__(self, relation, k, b, slices):
-        self.relation, self.k, self.b, self.slices = relation, k, b, slices
-
-    def __getitem__(self, i):
-        c = self.relation.class_id(Approx(self.k, self.b))
-        return tuple(map(getitem, self.b, self.slices[i])), c
-
-
 class _Entry:
     """One j-approximation (j < n) in the trie of a relation search: made
     the first time a push of the call extends the entry of its first j - 1
@@ -651,15 +639,16 @@ class _VectorFits:
     Vector i's pairs are item i of the rows a push completes.  A push that
     completes none forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
-    nodes.  A vector is resolved at its first leaf or at the first class
-    it misses; accept then backtracks to the deepest level still live.
-    So each vector gets its solo witness, and the states are the union of
-    the solo searches' states.  A push under an empty live list is vetoed.
+    nodes.  A vector is resolved at its first leaf; accept then backtracks
+    to the deepest level still live.  So each vector gets its solo
+    witness, and the states are the union of the solo searches' states.
+    The relation lists every n-approximation of X (canonize_relation
+    checks it first), so a row is a plain lookup.
     """
 
     def __init__(self, relation, k, n, vectors):
-        classes = {a.nodes: c for a, c in relation.items() if a.k == k}
-        self.k, self.relation, self.class_of = k, relation, classes.get
+        self.k = k
+        self.class_of = {a.nodes: c for a, c in relation.items() if a.k == k}
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{} for _ in range(n)]
@@ -669,7 +658,7 @@ class _VectorFits:
         self.filters = [_FitFilter() for _ in vectors]
         self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
         self.live = [self.filters]
-        self.found = {}  # filter -> witness nodes, or the error its search raised
+        self.found = {}  # filter -> its witness nodes
 
     def _entry(self, b, floor):
         """b's trie entry: its slot, from the running maximum floor, and
@@ -679,9 +668,7 @@ class _VectorFits:
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
-        c = self.class_of(b)
-        if c is None:
-            return _UnlistedRow(self.relation, self.k, b, self.slices)
+        c = self.class_of[b]
         return tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
 
     def try_push(self, nodes, w):
@@ -696,11 +683,8 @@ class _VectorFits:
         if rows:
             item, kept = self.item, []
             for f in live:
-                try:
-                    if f.try_push(nodes, w, map(item[f], rows)):
-                        kept.append(f)
-                except ValueError as err:
-                    self._resolve(f, err)
+                if f.try_push(nodes, w, map(item[f], rows)):
+                    kept.append(f)
             live = kept
         if not live:
             return False
@@ -735,24 +719,10 @@ class _VectorFits:
     def accept(self, nodes):
         for f in self.live[-1]:
             if f.accept(nodes) == len(nodes):
-                self._resolve(f, tuple(nodes))
+                self.found[f] = tuple(nodes)
+                self.live = [[g for g in level if g is not f] for level in self.live]
         # live lists only shrink with depth, so the nonempty ones lead
         return sum(map(bool, self.live[:-1])) - 1
-
-    def _resolve(self, f, outcome):
-        self.found[f] = outcome
-        self.live = [[g for g in level if g is not f] for level in self.live]
-        self.settle(done=False)
-
-    def settle(self, done):
-        """Raise the error of the least vector that raised once those before
-        it fit, as one search per vector would; done: the rest did not fit."""
-        for f in self.filters:
-            got = self.found.get(f)
-            if isinstance(got, ValueError):
-                raise got
-            if got is None and not done:
-                return
 
 
 def canonize_relation(relation, k, n, X, target_len, budget=None):
@@ -766,7 +736,10 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     carrying the least fitting vector, its witness, and all fits;
     NotCanonicalAtScale when the search space was exhausted with no fit;
     Exhausted when the budget ran out before every vector was resolved,
-    even if some had fit by then.
+    even if some had fit by then.  Raises ValueError before the first
+    state when the relation misses an n-approximation of X, naming the
+    first one in one-step-extension layer order, also where a search
+    would have found a witness that avoids it.
     """
     if X.k != k:
         raise ValueError("member dimension does not match k")
@@ -775,6 +748,13 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     _check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
+    # the n-approximations of X by layers; the trie asks the same slots as
+    # one_extensions, so it completes none that is not listed here
+    layer = [Approx(k)]
+    for _ in range(n):
+        layer = [b for a in layer for b in one_extensions(a, X)]
+    for b in layer:
+        relation.class_id(b)
     budget = budget or Budget()
     vectors = admissible_vectors(k, n)
     flt = _VectorFits(relation, k, n, vectors)
@@ -782,7 +762,6 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
-    flt.settle(done=True)
     fits = [(v, Member(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
             if f in flt.found]
     if fits:

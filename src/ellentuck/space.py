@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 
 from .errors import (
@@ -35,8 +34,10 @@ from .errors import (
     TruncationExhaustedError,
 )
 from .wellorder import (
-    _CACHE_SIZE,
     _as_seq,
+    _check_k,
+    _check_length,
+    _checked_memo,
     _full_rank,
     _phi,
     classify_n,
@@ -102,7 +103,7 @@ def _extend(a: Approx, w: Node) -> Approx:
     return b
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda node, k: (_as_node(node), _check_k(k)))
 def decode_node(node: Node, k: int):
     """The index sequence a node represents; raises MalformedNodeError."""
     if not node:
@@ -111,9 +112,7 @@ def decode_node(node: Node, k: int):
         raise MalformedNodeError(node, f"longer than k={k}")
     prev = None
     for q, r in enumerate(node):
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-            raise MalformedNodeError(node, "indices must be nonnegative integers")
-        s = seq_at_rank(r, k)
+        s = seq_at_rank.trusted(r, k)
         if len(s) != q + 1:
             raise MalformedNodeError(
                 node, f"index {r} decodes to length {len(s)}, expected {q + 1}"
@@ -126,10 +125,12 @@ def decode_node(node: Node, k: int):
 
 def _full_seq(node: Node, k: int):
     """The sequence a full-length node represents; raises
-    MalformedNodeError when node is not of length k or fails to decode."""
+    MalformedNodeError when node is not of length k or fails to decode.
+    Trusted: node's entries and k must be checked already, as an Approx
+    checks them when it is built."""
     if len(node) != k:
         raise MalformedNodeError(node, f"expected length {k}")
-    return decode_node(node, k)
+    return decode_node.trusted(node, k)
 
 
 def wk_node(seq, k=None) -> Node:
@@ -148,16 +149,9 @@ def wk_node(seq, k=None) -> Node:
     return tuple(_full_rank(_phi(s[:p], k), k) - 1 for p in range(1, len(s) + 1))
 
 
-def _check_length(n, what="length"):
-    """Raise ValueError unless n is a nonnegative int (a bool is not)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {n!r}")
-
-
-@lru_cache(maxsize=_MEMBER_CACHE_SIZE)
+@_checked_memo(lambda k, n: (_check_k(k), _check_length(n)), _MEMBER_CACHE_SIZE)
 def build_w(k: int, n: int) -> Member:
     """The first n nodes of the prototype member for dimension k."""
-    _check_length(n)
     return Member(k, tuple(wk_node(domain_at(p, k), k) for p in range(n)))
 
 
@@ -181,7 +175,8 @@ class ValidationReport:
 
 
 def validate_approx(x) -> ValidationReport:
-    """Check the tree conditions; reports the first violation in order.
+    """Check the tree conditions of an Approx, whose entries were checked
+    when it was built; reports the first violation in order.
 
     Nodes that fail to decode raise MalformedNodeError. Structural
     violations come back as a report naming the condition ("ii" or
@@ -195,7 +190,7 @@ def validate_approx(x) -> ValidationReport:
     owner: dict[Node, tuple] = {}
     violations = []  # (location, condition)
     for p, node in enumerate(x.nodes):
-        dom = domain_at(p, k)
+        dom = domain_at.trusted(p, k)
         for l in range(1, k + 1):
             dkey, val = dom[:l], node[:l]
             seen = tree.get(dkey)
@@ -261,7 +256,7 @@ def depth_of(X: Member, a) -> int:
         raise TruncationExhaustedError("approximation not inside the truncation") from None
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda k, n: (_check_k(k), _check_length(n, "position")))
 def position_info(k: int, n: int):
     """(level, anchor) for step n: the forced prefix length and the
     earliest earlier position sharing it (None at level 0)."""
@@ -289,7 +284,7 @@ class _Slot:
     __slots__ = ("k", "level", "prefix", "floor")
 
     def __init__(self, k: int, nodes, floor: int):
-        level, anchor = position_info(k, len(nodes))
+        level, anchor = position_info.trusted(k, len(nodes))
         self.k = k
         self.level = level
         self.prefix = nodes[anchor][:level] if level else ()

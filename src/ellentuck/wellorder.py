@@ -29,7 +29,7 @@ comes next. Both cost O(log e) binomials per distinct entry.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations_with_replacement, islice
 from math import comb
 
@@ -40,6 +40,34 @@ Seq = tuple[int, ...]
 # Every memo here is bounded, so a long-lived process cannot grow it
 # without limit; the bound is far above what one search touches.
 _CACHE_SIZE = 1 << 16
+
+
+def _checked_memo(check, maxsize=_CACHE_SIZE):
+    """A bounded memo behind check(*args), which raises on a bad argument
+    and returns the arguments to key the memo by.  lru_cache keys True as
+    1 and 3.0 as 3, also inside a tuple, so a check inside the memo would
+    run only on a miss.  `trusted` is the bare memo, for checked callers."""
+    def decorate(fn):
+        trusted = lru_cache(maxsize=maxsize)(fn)
+        checked = wraps(fn)(lambda *a, **kw: trusted(*check(*a, **kw)))
+        checked.trusted, checked.cache_info, checked.cache_clear = (
+            trusted, trusted.cache_info, trusted.cache_clear)
+        return checked
+    return decorate
+
+
+def _check_length(n, what="length"):
+    """n, when it is a nonnegative int (a bool is not); else ValueError."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {n!r}")
+    return n
+
+
+def _check_k(k):
+    """k, when it is a positive int (a bool is not); else ValueError."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return k
 
 
 def _as_seq(seq, k=None):
@@ -97,8 +125,7 @@ def iter_le_k(k):
 
 def iter_k(k):
     """All full-length (length exactly k) sequences in order."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     e = 0
     while True:
         for c in combinations_with_replacement(range(e + 1), k - 1):
@@ -172,45 +199,34 @@ def _full_at(n, k):
     return tuple(s)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda seq, k: (_as_seq(seq, _check_k(k)), k))
 def rank_of(seq: Seq, k: int) -> int:
     """0-based position of a nonempty sequence among nonempty ones."""
-    s = _as_seq(seq, k)
-    if not s:
+    if not seq:
         raise EmptySequenceError("the empty sequence has no rank")
-    return _full_rank(_phi(s, k), k) - 1
+    return _full_rank(_phi(seq, k), k) - 1
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda rank, k: (_check_length(rank, "rank"), _check_k(k)))
 def seq_at_rank(rank: int, k: int) -> Seq:
     """Inverse of rank_of."""
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
-        raise ValueError(f"rank must be a nonnegative integer, got {rank!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     return _phi_inv(_full_at(rank + 1, k))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda seq, k: (_as_seq(seq, _check_k(k)), k))
 def domain_rank(seq: Seq, k: int) -> int:
     """0-based position of a full-length sequence among full-length ones."""
-    s = _as_seq(seq, k)
-    if len(s) != k:
+    if len(seq) != k:
         raise ValueError(f"expected a length-{k} sequence, got {seq!r}")
-    return _full_rank(s, k)
+    return _full_rank(seq, k)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+@_checked_memo(lambda n, k: (_check_length(n, "position"), _check_k(k)))
 def domain_at(n: int, k: int) -> Seq:
     """The n-th full-length sequence (the n-th position of a member)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"position must be a nonnegative integer, got {n!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     return _full_at(n, k)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def classify_n(k: int, n: int) -> int:
     """The level l such that step n forces a length-l prefix but not l+1.
 

@@ -482,20 +482,6 @@ class ExactFloorFitFilter(_FitFilter):
         return None if part is None else part + (self.floors[-1],)
 
 
-class _ReferenceUnlistedRow:
-    """The row of an n-approximation b that the relation does not list
-    (or lists with class None): item i looks b's class up only when vector
-    i's filter reaches it, so the relation raises where that vector's own
-    search would, and not for a vector that a pair before b vetoes."""
-
-    def __init__(self, relation, k, b, slices):
-        self.relation, self.k, self.b, self.slices = relation, k, b, slices
-
-    def __getitem__(self, i):
-        c = self.relation.class_id(Approx(self.k, self.b))
-        return tuple(map(getitem, self.b, self.slices[i])), c
-
-
 class ReferenceVectorFits:
     """ramsey._VectorFits before its completion trie, kept as the reference:
     it builds c + (w,) for every stored approximation a push extends, a
@@ -515,15 +501,14 @@ class ReferenceVectorFits:
     Vector i's pairs are item i of the rows a push completes.  A push that
     completes none forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
-    nodes.  A vector is resolved at its first leaf or at the first class
-    it misses; accept then backtracks to the deepest level still live.
-    So each vector gets its solo witness, and the states are the union of
-    the solo searches' states.  A push under an empty live list is vetoed.
+    nodes.  A vector is resolved at its first leaf; accept then backtracks
+    to the deepest level still live.  So each vector gets its solo
+    witness, and the states are the union of the solo searches' states.
     """
 
     def __init__(self, relation, k, n, vectors):
-        classes = {a.nodes: c for a, c in relation.items() if a.k == k}
-        self.k, self.relation, self.class_of = k, relation, classes.get
+        self.k = k
+        self.class_of = {a.nodes: c for a, c in relation.items() if a.k == k}
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
@@ -532,19 +517,15 @@ class ReferenceVectorFits:
         self.filters = [_FitFilter(partial(self._pairs, itemgetter(i)))
                         for i in range(len(vectors))]
         self.live = [self.filters]
-        self.found = {}  # filter -> witness nodes, or the error its search raised
+        self.found = {}  # filter -> its witness nodes
 
     def _pairs(self, item, w, nodes):
         return map(item, self.completed)
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
-        c = self.class_of(b)
-        if c is None:
-            row = _ReferenceUnlistedRow(self.relation, self.k, b, self.slices)
-        else:
-            row = tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
-        self.rows[b] = row
+        c = self.class_of[b]
+        row = self.rows[b] = tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
         return row
 
     def _extended(self, j, w):
@@ -557,14 +538,7 @@ class ReferenceVectorFits:
         if completed:
             rows = self.rows
             self.completed = [rows[b] if b in rows else self._row(b) for b in completed]
-            kept = []
-            for f in live:
-                try:
-                    if f.try_push(nodes, w):
-                        kept.append(f)
-                except ValueError as err:
-                    self._resolve(f, err)
-            live = kept
+            live = [f for f in live if f.try_push(nodes, w)]
         if not live:
             return False
         self.live.append(live)
@@ -592,21 +566,7 @@ class ReferenceVectorFits:
     def accept(self, nodes):
         for f in self.live[-1]:
             if f.accept(nodes) == len(nodes):
-                self._resolve(f, tuple(nodes))
+                self.found[f] = tuple(nodes)
+                self.live = [[g for g in level if g is not f] for level in self.live]
         # live lists only shrink with depth, so the nonempty ones lead
         return sum(map(bool, self.live[:-1])) - 1
-
-    def _resolve(self, f, outcome):
-        self.found[f] = outcome
-        self.live = [[g for g in level if g is not f] for level in self.live]
-        self.settle(done=False)
-
-    def settle(self, done):
-        """Raise the error of the least vector that raised once those before
-        it fit, as one search per vector would; done: the rest did not fit."""
-        for f in self.filters:
-            got = self.found.get(f)
-            if isinstance(got, ValueError):
-                raise got
-            if got is None and not done:
-                return

@@ -344,6 +344,30 @@ def test_canonize_arn_not_canonical(tmp_path):
     assert out == "not canonical at this scale (3 vectors checked)\n"
 
 
+@pytest.mark.parametrize("budget", [None, "1"])
+def test_canonize_arn_incomplete_relation_is_an_error_at_any_budget(
+        tmp_path, monkeypatch, budget):
+    """A relation that misses an n-approximation of the member fails
+    before the search spends a state, so even a one-state budget gives
+    the error, not exhaustion."""
+    X = build_w(2, 12)
+    member = write(tmp_path, "x.json", dump_approx(X))
+    pairs = [b for a in one_extensions(Approx(2), X) for b in one_extensions(a, X)]
+    assert pairs[-1].nodes == ((3, 10), (3, 15))
+    rel = Relation.from_key_function(lambda b: b.nodes, pairs[:-1])
+    relation = write(tmp_path, "rel.json", dump_relation(rel))
+    if budget is None:
+        monkeypatch.delenv("ELLENTUCK_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ELLENTUCK_BUDGET", budget)
+    code, out, err = run(
+        "canonize-arn", "--k", "2", "--n", "2",
+        "--relation", relation, "--member", member, "--len", "6",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: relation is not defined on ((3, 10), (3, 15))\n"
+
+
 def test_canonize_arn_rejects_boolean_class_indices():
     relation = '{"domain":[{"k":2,"nodes":[[0,1]]},{"k":2,"nodes":[[0,2]]}],"classes":[[0,true]]}'
     code, out, err = run(

@@ -957,67 +957,37 @@ def test_canonize_relation_matches_the_oracle(data):
         assert got == NotCanonicalAtScale(vectors_checked=len(admissible_vectors(k, n)))
 
 
-@pytest.mark.parametrize("index,used", [(0, 2), (5, 73), (17, 165), (34, 227)])
-def test_relation_missing_an_approximation_fails_where_it_is_first_needed(index, used):
-    """The equality relation on the 2-approximations of a 20-node
-    truncation, less one. The search raises once the least vector whose
-    own search looks the missing approximation up does so, after the
-    states recorded here with every vector searched at once (2, 73, 163
-    and 225 at commit bc2ad43, when each vector had a search of its own).
-    A push vetoed by an approximation it completes earlier never looks
-    the missing one up, so index 5 raises only after 73 states."""
-    X = build_w(2, 20)
-    dom = approxs_of_length(X, 2)
-    missing = dom[index]
+@pytest.mark.parametrize(
+    "size,n,tlen,classify,dropped",
+    [
+        # the equality relation on the 2-approximations of 20 nodes, less one
+        *((20, 2, 6, lambda b: b.nodes, {nodes}) for nodes in (
+            ((0, 1), (0, 2)), ((0, 2), (0, 5)), ((3, 6), (3, 15)), ((18, 19), (18, 24)))),
+        # the first-level relation on 12 nodes, less three
+        (12, 2, 7, lambda b: b.nodes[1][:2],
+         {((3, 4), (3, 15)), ((0, 5), (0, 9)), ((0, 2), (0, 9))}),
+        # n = 3 on 6 nodes, less one
+        (6, 3, 7, lambda b: b.nodes != ((0, 2), (0, 5), (7, 8)), {((0, 1), (0, 5), (7, 8))}),
+    ],
+    ids=["equality-0", "equality-5", "equality-17", "equality-34", "first-level", "n3"],
+)
+def test_relation_missing_an_approximation_raises_before_the_first_state(
+        size, n, tlen, classify, dropped):
+    """A relation must list every n-approximation of X. canonize_relation
+    looks them up by one-step-extension layers before its first state, so
+    the error names the first missing one in that order, whatever a search
+    would have met first, and the budget is untouched."""
+    X = build_w(2, size)
+    dom = approxs_of_length(X, n)
     relation = Relation.from_key_function(
-        lambda b: b.nodes, [a for a in dom if a != missing]
+        classify, [a for a in dom if a.nodes not in dropped]
     )
     budget = Budget(DEFAULT_BUDGET)
     with pytest.raises(ValueError) as err:
-        canonize_relation(relation, 2, 2, X, 6, budget)
-    assert str(err.value) == "relation is not defined on %s" % (missing.nodes,)
-    assert budget.used == used
-
-
-def test_relation_search_vetoes_every_push_once_no_vector_is_live():
-    """The first-level relation on the 2-approximations of a 12-node
-    truncation, less three. Vectors that meet a missing approximation are
-    resolved by its error, and the search raises that of the least vector
-    only once the vectors before it are resolved too. Until then, a depth
-    where no vector is live vetoes every push, also one that completes no
-    2-approximation and so reaches no filter: keeping such a push would
-    spend 45 states before the same error."""
-    X = build_w(2, 12)
-    dropped = {((3, 4), (3, 15)), ((0, 5), (0, 9)), ((0, 2), (0, 9))}
-    relation = Relation.from_key_function(
-        lambda b: b.nodes[1][:2],
-        [a for a in approxs_of_length(X, 2) if a.nodes not in dropped],
-    )
-    budget = Budget(DEFAULT_BUDGET)
-    with pytest.raises(ValueError) as err:
-        canonize_relation(relation, 2, 2, X, 7, budget)
-    assert str(err.value) == "relation is not defined on ((0, 2), (0, 9))"
-    assert budget.used == 43
-
-
-def test_pairs_come_in_the_order_their_approximations_were_grown():
-    """n = 3 on a 6-node truncation, one 3-approximation missing. One push
-    grows several 2-approximations into one table group, and a later push
-    completes a 3-approximation through each. Their pairs are formed in
-    the order the push grew them, which decides whether a vector meets a
-    vetoing pair or the missing class first: the error comes after 6
-    states, and after 10 when one push's new entries join their groups in
-    reverse."""
-    X = build_w(2, 6)
-    missing = ((0, 1), (0, 5), (7, 8))
-    relation = Relation({a: int(a.nodes != ((0, 2), (0, 5), (7, 8)))
-                         for a in approxs_of_length(X, 3) if a.nodes != missing})
-    assert len(relation) == 5
-    budget = Budget(DEFAULT_BUDGET)
-    with pytest.raises(ValueError) as err:
-        canonize_relation(relation, 2, 3, X, 7, budget)
-    assert str(err.value) == "relation is not defined on %s" % (missing,)
-    assert budget.used == 6
+        canonize_relation(relation, 2, n, X, tlen, budget)
+    first = next(a for a in dom if a.nodes in dropped)
+    assert str(err.value) == "relation is not defined on %s" % (first.nodes,)
+    assert budget.used == 0
 
 
 def _draw_relation_case(data):
@@ -1065,31 +1035,20 @@ def test_joint_relation_search_spends_the_union_of_the_solo_searches(data):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_missing_approximations_raise_what_one_search_per_vector_raises(data):
-    """With some approximations missing from the relation, the joint search
-    raises the error of the least vector whose own search raises, as
-    searching the vectors one by one does, whatever the joint order meets
-    first."""
+def test_missing_approximations_raise_before_the_first_state(data):
+    """With some approximations dropped from the relation, canonize_relation
+    raises at any budget, naming the first dropped one in approxs_of_length
+    order, and spends no state."""
     relation, k, n, X, tlen = _draw_relation_case(data)
     table = dict(relation.items())
     dropped = data.draw(st.lists(st.sampled_from(list(table)), min_size=1, max_size=3))
     incomplete = Relation({a: c for a, c in table.items() if a not in dropped})
-    want = None
-    for v in admissible_vectors(k, n):
-        flt = ramsey._VectorFits(incomplete, k, n, [v])
-        try:
-            ramsey._search_member(k, (), _Pool(X.nodes), tlen, Budget(DEFAULT_BUDGET), flt)
-        except ValueError as err:
-            want = str(err)
-            break
-    if want is None:
-        assert canonize_relation(incomplete, k, n, X, tlen) == canonize_relation(
-            relation, k, n, X, tlen
-        )
-    else:
-        with pytest.raises(ValueError) as err:
-            canonize_relation(incomplete, k, n, X, tlen)
-        assert str(err.value) == want
+    budget = Budget(data.draw(st.integers(1, DEFAULT_BUDGET), label="limit"))
+    with pytest.raises(ValueError) as err:
+        canonize_relation(incomplete, k, n, X, tlen, budget)
+    first = next(a for a in approxs_of_length(X, n) if a in dropped)
+    assert str(err.value) == "relation is not defined on %s" % (first.nodes,)
+    assert budget.used == 0
 
 
 def _relation_outcome(relation, k, n, X, tlen, limit):

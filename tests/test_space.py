@@ -159,6 +159,44 @@ def test_every_cache_is_bounded():
         assert cache.cache_info().maxsize is not None, cache.__wrapped__.__name__
 
 
+def _clear_caches():
+    for module in (cli, constructions, formats, ramsey, space, wo):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "fn,bad,good",
+    [
+        (wo.seq_at_rank, (True, 2), (1, 2)),
+        (wo.seq_at_rank, (1, 2.0), (1, 2)),
+        (wo.rank_of, ((0, True), 2), ((0, 1), 2)),
+        (wo.rank_of, ((1.0,), 2), ((1,), 2)),
+        (wo.domain_rank, ((0, 1.0), 2), ((0, 1), 2)),
+        (wo.domain_at, (3.0, 2), (3, 2)),
+        (wo.domain_at, (3, True), (3, 1)),
+        (wo.classify_n, (2, 3.0), (2, 3)),
+        (decode_node, ((3.0, 4.0), 2), ((3, 4), 2)),
+        (decode_node, ((3, 4), 2.0), ((3, 4), 2)),
+        (space.position_info, (2, 3.0), (2, 3)),
+        (build_w, (2, True), (2, 1)),
+        (build_w, (2.0, 3), (2, 3)),
+    ],
+)
+def test_a_bad_argument_fails_whatever_the_caches_hold(fn, bad, good):
+    """lru_cache keys True as 1 and 3.0 as 3, also inside a tuple, so each
+    cached entry point checks its arguments before its memo: a bad
+    argument raises with every cache cold, and again once the good
+    argument equal to it is cached."""
+    _clear_caches()
+    with pytest.raises(ValueError):
+        fn(*bad)
+    fn(*good)
+    with pytest.raises(ValueError):
+        fn(*bad)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_build_w_validates(k):
     assert validate_approx(build_w(k, 500)).ok
