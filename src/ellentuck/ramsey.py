@@ -25,6 +25,17 @@ when "same color" is E_0.  irreducible_agreement pins agreement the
 same way: each family member a push completes forms the pair ((),
 whether the two maps agree on it), so a disagreeing member vetoes the
 push.
+The level fits, pigeonhole's included, also look ahead (forward
+checking, _LookAhead).  A valid member is a copy of the prototype W_k,
+so the positions that hold a's one-step extensions in a witness are
+those in W_k, space._extension_positions.  After every push it takes,
+each such position still to come must have an extension in the supply
+that can fill it: above the running maximum at its level, with its
+forced prefix once that is placed, and with a pair the key <-> class
+map takes.  When one has none the push is vetoed, since no push below
+it can give it one.  On a valid member that loses no witness, so the
+outcome is that of the search without it, in fewer states; on an
+invalid member it can only skip witnesses that do not validate.
 canonize_relation first looks up the class of every n-approximation of
 X, so a relation that misses one raises before the first state.  Then
 it runs one search for every projection vector, which finds the
@@ -53,10 +64,12 @@ a position whose signature is kept at or below its floor without
 spending a state.  Only a filter whose pairs come from a dict gives a
 signature, so pigeonhole and the level fits are memoized, while the
 agreement and relation searches, whose pairs read the placed nodes,
-search in full.
+search in full.  The look-ahead reads no more than the memo key holds:
+the floor, the map, and the prefixes of positions the budget can fill.
 """
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from operator import getitem, itemgetter
@@ -73,6 +86,7 @@ from .space import (
     _Pool,
     _check_length,
     _extend,
+    _extension_positions,
     _require_valid,
     _Slot,
     depth_of,
@@ -274,6 +288,8 @@ def _search_member(k, base, pool, target_len, budget, flt):
     not checked for order, and the pool keeps whatever order it is given
     (a built member is ascending by maximum, so there the least fresh
     node is tried first).
+    flt.start(stop) is told, before the first state, that no position
+    from stop on can be filled within the budget.
     flt.try_push(nodes, w) may veto a placement; when it returns True
     it has recorded state and flt.pop() undoes it on backtrack.
     flt.accept(nodes) says how many nodes of a completed member to
@@ -302,11 +318,13 @@ def _search_member(k, base, pool, target_len, budget, flt):
     nodes = list(base)
     if len(nodes) == target_len:
         return tuple(nodes) if flt.accept(nodes) == target_len else None
+    # each placement draws a new pool node and spends a state, so the
+    # slots past len(pool) or the budget's headroom are never filled
+    headroom = max(0, min(len(pool), budget.limit - budget.used))
+    stop = min(target_len, len(base) + headroom + 1)
+    flt.start(stop)
     if flt.signature() is not None:
-        # each placement draws a new pool node and spends a state, so the
-        # slots past len(pool) or the budget's headroom are never filled
-        headroom = max(0, min(len(pool), budget.limit - budget.used))
-        reads = _placed_prefixes(k, len(base), min(target_len, len(base) + headroom + 1))
+        reads = _placed_prefixes(k, len(base), stop)
     failed = {}  # signature -> the least floor its sub-search failed from
 
     def position(floor):
@@ -361,6 +379,9 @@ def _out_of_budget(budget):
 
 
 class _NoFilter:
+    def start(self, stop):
+        pass
+
     def try_push(self, nodes, w):
         return True
 
@@ -387,12 +408,16 @@ class _FitFilter:
     start.  accept keeps a member with at least one pair and, for each
     floor pair (c1, c2) of levels, two placed nodes that agree up to c1
     but not up to c2, so no other candidate level can fit the same data.
+    A level fit is handed the call's _Extensions as supply, and then looks
+    ahead from every push it takes (_LookAhead).
     """
 
-    def __init__(self, pairs=None, pinned=(), floor_pairs=()):
+    def __init__(self, pairs=None, pinned=(), floor_pairs=(), supply=None):
         self.pairs = pairs
         self.by_node = isinstance(pairs, dict)
         self.floor_pairs = floor_pairs
+        self.supply = supply
+        self.ahead = None  # the search's _LookAhead, once start is told its window
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
         self.placed = []  # the pushed nodes that formed a pair
@@ -400,6 +425,10 @@ class _FitFilter:
         # per number of placed nodes on the path, the signature once built:
         # with pairs by node the placed nodes fix it
         self.sigs = [None]
+
+    def start(self, stop):
+        if self.supply is not None:
+            self.ahead = _LookAhead(self, stop)
 
     def try_push(self, nodes, w, formed=None):
         key_class, class_key = self.key_class, self.class_key
@@ -424,11 +453,12 @@ class _FitFilter:
                 else:
                     inserted.append(key)
         else:
-            self.trail.append(inserted)
-            if inserted is not None:
-                self.placed.append(w)
-                self.sigs.append(None)
-            return True
+            if self.ahead is None or self.ahead.push(nodes, w, inserted):
+                self.trail.append(inserted)
+                if inserted is not None:
+                    self.placed.append(w)
+                    self.sigs.append(None)
+                return True
         if inserted:
             self._undo(inserted)
         return False
@@ -439,6 +469,8 @@ class _FitFilter:
 
     def pop(self):
         inserted = self.trail.pop()
+        if self.ahead is not None:
+            self.ahead.pop()
         if inserted is not None:
             self.placed.pop()
             self.sigs.pop()
@@ -474,6 +506,154 @@ class _FitFilter:
         return self.sigs[-1]
 
 
+class _Extensions:
+    """The one-step extensions of a in X, for the look-ahead of one call's
+    level fits, every color and level: the positions of a's nodes in X's
+    depth prefix and, per level l and forced prefix (None for any), the
+    extensions' nodes with that prefix, largest index at l first."""
+
+    def __init__(self, k, positions, nodes):
+        self.k, self.positions = k, positions
+        self.groups = groups = {}
+        for l in range(k):
+            ordered = groups[l, None] = sorted(nodes, key=itemgetter(l), reverse=True)
+            if l:
+                for u in ordered:
+                    group = groups.get((l, u[:l]))
+                    if group is None:
+                        groups[l, u[:l]] = [u]
+                    else:
+                        group.append(u)
+
+
+class _LookAhead:
+    """Forward checking for one level-fit search (Haralick and Elliott
+    1980): a push the filter takes is vetoed when some extension position
+    still to come can no longer be filled.
+
+    The positions below stop that hold a one-step extension of a come from
+    the template, space._extension_positions.  A pending one, q, needs a
+    node u of the supply with u[l] above the running maximum (l is q's
+    level, and every later floor is at least that maximum), with q's
+    forced prefix once q's anchor is placed, and whose pair the filter's
+    key <-> class map would take.  So a constraint is (l, q's anchor, that
+    prefix), or (l, None, None) while the anchor is unplaced, however many
+    positions share it.  Along a path the maximum only rises and the maps only grow, so a
+    constraint without such a node has none in the whole subtree, and on a
+    valid member (a copy of the template) no witness is lost.  The check
+    reads only placed nodes' prefixes of positions below stop, as the
+    search core's memo key does.
+
+    Residual supports (Lecoutre and Hemery 2007): each constraint keeps
+    the node that last supported it, the one with the largest index at l
+    that the maps allowed, and a list sorted by that index watches every
+    support.  A support stored was found on the path or below a node of
+    it, so it holds at every node of the path up to where it was found.
+    A push re-tests a support only when the running maximum reaches it,
+    checks the constraints of the anchor it places, and re-tests every
+    pending constraint when it inserts a key or is the search's first.
+    A watch entry that a push reaches while its constraint is not pending
+    goes back when that push is undone.
+    """
+
+    def __init__(self, flt, stop):
+        supply = flt.supply
+        self.groups, self.pairs = supply.groups, flt.pairs
+        self.key_class, self.class_key = flt.key_class, flt.class_key
+        self.first = max(supply.positions, default=-1) + 1
+        # per constraint (l, anchor): the last position q it serves; per
+        # level, the last q, or anchor, that leaves it at (l, None); per
+        # anchor, the levels of the constraints it fixes
+        self.last, self.until, self.anchored = {}, {}, {}
+        for q in _extension_positions(supply.k, supply.positions, stop):
+            l, a = position_info.trusted(supply.k, q)
+            if l:
+                self.last[l, a] = q
+                self.until[l] = max(self.until.get(l, -1), a)
+                self.anchored.setdefault(a, set()).add(l)
+            else:
+                self.until[0] = q
+        self.anchors = sorted((a, l, q) for (l, a), q in self.last.items())
+        self.support = {}  # (l, anchor, prefix), or (l, None, None) -> its residual support
+        # (-u[l], tie, l, anchor, prefix, u) per support found, sorted, so
+        # the least u[l] comes last
+        self.watch = []
+        self.tie = itertools.count()
+        self.trail = []  # per push, the watch entries to put back
+
+    def _takes(self, u):
+        """Whether the filter's key <-> class map would take u's pair."""
+        (key, c), = self.pairs[u]
+        return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
+
+    def _find(self, l, a, prefix, m):
+        """Whether a node supports (l, prefix) above m; stores the largest."""
+        for u in self.groups.get((l, prefix), ()):
+            if u[l] <= m:
+                return False
+            if self._takes(u):
+                self.support[l, a, prefix] = u
+                insort(self.watch, (-u[l], next(self.tie), l, a, prefix, u))
+                return True
+        return False
+
+    def _holds(self, l, a, prefix, m):
+        u = self.support.get((l, a, prefix))
+        return u is not None and u[l] > m and self._takes(u) or self._find(l, a, prefix, m)
+
+    def _holds_all(self, nodes, w, p, m):
+        """Every constraint pending after w is placed at p has support."""
+        for l, until in self.until.items():
+            if p < until and not self._holds(l, None, None, m):
+                return False
+        for a, l, last in self.anchors:
+            if a > p:
+                break
+            if p < last and not self._holds(l, a, (w if a == p else nodes[a])[:l], m):
+                return False
+        return True
+
+    def _reached(self, nodes, w, p, m, aside):
+        """Re-test the supports that the running maximum m reaches; an entry
+        whose constraint is not pending after w is placed at p goes to
+        aside, and so does that of a constraint left without support."""
+        watch, support = self.watch, self.support
+        while watch and -watch[-1][0] <= m:
+            entry = watch.pop()
+            _, _, l, a, prefix, u = entry
+            if support[l, a, prefix] is not u:
+                continue  # replaced since, and its replacement has an entry
+            if prefix is None:
+                pending = p < self.until[l]
+            else:
+                pending = a <= p < self.last[l, a] and (w if a == p else nodes[a])[:l] == prefix
+            if not pending:
+                aside.append(entry)
+            elif not self._find(l, a, prefix, m):
+                aside.append(entry)
+                return False
+        return True
+
+    def push(self, nodes, w, inserted):
+        p, m = len(nodes), max(w)
+        aside = []
+        if inserted or p == self.first:
+            ok = self._holds_all(nodes, w, p, m)
+        else:
+            ok = self._reached(nodes, w, p, m, aside) and all(
+                self._holds(l, p, w[:l], m) for l in self.anchored.get(p, ()))
+        if ok:
+            self.trail.append(aside)
+            return True
+        for entry in aside:
+            insort(self.watch, entry)
+        return False
+
+    def pop(self):
+        for entry in self.trail.pop():
+            insort(self.watch, entry)
+
+
 def _candidate_levels(k, n):
     """The levels step n may project to: 0, or above its branching level."""
     return [0, *range(classify_n(k, n) + 1, k + 1)]
@@ -490,8 +670,8 @@ def _colored_extensions(a, X, coloring, target_len):
 
     Checks target_len and a, and returns the depth prefix of a in X,
     which every witness keeps, with the {new node: color} map over the
-    one-step extensions of a in X; raises ValueError when the coloring
-    misses one of them.
+    one-step extensions of a in X and their _Extensions; raises
+    ValueError when the coloring misses one of them.
     """
     _check_length(target_len, "target length")
     a = _checked_approx(a, X.k)
@@ -499,7 +679,9 @@ def _colored_extensions(a, X, coloring, target_len):
     if target_len < d:
         raise ValueError("target length is below the depth of the approximation")
     color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
-    return X.nodes[:d], color_of
+    position = {w: p for p, w in enumerate(X.nodes[:d])}
+    supply = _Extensions(X.k, tuple(position[w] for w in a.nodes), color_of)
+    return X.nodes[:d], color_of, supply
 
 
 def pigeonhole(a, X, coloring, target_len, budget=None):
@@ -512,7 +694,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     canonization with that color pinned.  The homogeneity certificate
     is re-checked by enumeration before returning.
     """
-    base, color_of = _colored_extensions(a, X, coloring, target_len)
+    base, color_of, supply = _colored_extensions(a, X, coloring, target_len)
     budget = budget or Budget()
     pool = _Pool(X.nodes)
     try:
@@ -523,7 +705,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             return Member(X.k, got), None
         pairs = _level_pairs(color_of, 0)
         for color in sorted(set(color_of.values())):
-            flt = _FitFilter(pairs, pinned=[((), color)])
+            flt = _FitFilter(pairs, pinned=[((), color)], supply=supply)
             got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -549,7 +731,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     the outcome is still AmbiguousAtScale, listing the levels that fit
     before it ran out; otherwise it is Exhausted("budget").
     """
-    base, color_of = _colored_extensions(s, X, coloring, target_len)
+    base, color_of, supply = _colored_extensions(s, X, coloring, target_len)
     budget = budget or Budget()
     candidates = _candidate_levels(X.k, len(s.nodes))
     floor_pairs = list(zip(candidates, candidates[1:]))
@@ -558,7 +740,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     blown = False
     for level in candidates:
         pairs = _level_pairs(color_of, level)
-        flt = _FitFilter(pairs, floor_pairs=floor_pairs)
+        flt = _FitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
         try:
             got = _search_member(X.k, base, pool, target_len, budget, flt)
         except _Blown:
@@ -712,6 +894,9 @@ class _VectorFits:
         for b in grown:
             b.group.pop()
 
+    def start(self, stop):
+        pass
+
     def signature(self):
         # a vector's future pairs read every placed node
         return None
@@ -748,13 +933,18 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     _check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
-    # the n-approximations of X by layers; the trie asks the same slots as
-    # one_extensions, so it completes none that is not listed here
-    layer = [Approx(k)]
-    for _ in range(n):
-        layer = [b for a in layer for b in one_extensions(a, X)]
-    for b in layer:
-        relation.class_id(b)
+    # the n-approximations of X, depth first, which is one-step-extension
+    # layer order, each looked up as it is built; the trie asks the same
+    # slots as one_extensions, so it completes none that is not met here
+    stack = [iter((Approx(k),))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+        elif len(a.nodes) < n:
+            stack.append(iter(one_extensions(a, X)))
+        else:
+            relation.class_id(a)
     budget = budget or Budget()
     vectors = admissible_vectors(k, n)
     flt = _VectorFits(relation, k, n, vectors)

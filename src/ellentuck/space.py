@@ -346,6 +346,19 @@ class _Pool:
         return islice(nodes, bisect_right(peaks, slot.floor), None)
 
 
+def _extension_positions(k: int, positions, stop: int) -> list[int]:
+    """The template of the one-step extensions of a: the positions q from
+    a's depth to stop - 1 whose node in W_k the slot of W_k's
+    approximation at `positions` (those of a's nodes in the member, in
+    a's order) admits. A valid member is a copy of W_k, so it holds a's
+    one-step extensions at exactly these positions."""
+    template = build_w.trusted(k, stop).nodes
+    a = tuple(template[p] for p in positions)
+    slot = _Slot(k, a, max((max(w) for w in a), default=-1))
+    return [q for q in range(max(positions, default=-1) + 1, stop)
+            if slot.admits(template[q])]
+
+
 def admits(a: Approx, w: Node) -> bool:
     """Whether appending w to a yields a valid one-step extension."""
     return _Slot.of(a).admits(w)

@@ -72,11 +72,15 @@ def _check_k(k):
 
 def _as_seq(seq, k=None):
     s = tuple(seq)
+    prev = 0
     for v in s:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v < prev:
+            # an entry that is no nonnegative int is named first, wherever
+            # the order breaks
+            if all(isinstance(x, int) and not isinstance(x, bool) and x >= 0 for x in s):
+                raise ValueError(f"sequence must be non-decreasing, got {seq!r}")
             raise ValueError(f"sequence entries must be nonnegative integers, got {seq!r}")
-    if any(s[i] > s[i + 1] for i in range(len(s) - 1)):
-        raise ValueError(f"sequence must be non-decreasing, got {seq!r}")
+        prev = v
     if k is not None and len(s) > k:
         raise ValueError(f"sequence longer than k={k}: {seq!r}")
     return s

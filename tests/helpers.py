@@ -428,6 +428,9 @@ class ScanAgreementFilter:
         self.family = family
         self.hits = []
 
+    def start(self, stop):
+        pass
+
     def try_push(self, nodes, w):
         have = set(nodes) | {w}
         inside = [a for a in self.family if w in a.nodes and set(a.nodes) <= have]
@@ -445,6 +448,115 @@ class ScanAgreementFilter:
     def signature(self):
         # the members a push completes depend on every placed node
         return None
+
+
+class ReferenceFitFilter:
+    """ramsey._FitFilter before the level fits looked ahead, kept as the
+    reference: a push is vetoed only by its own pairs, so a subtree that
+    cannot be completed is searched until its pushes run out.  It takes
+    and ignores the call's supply.  Install it as ramsey._FitFilter to run
+    pigeonhole or canonize_one_extensions without the look-ahead.
+
+    A relation must coincide with agreement of projection keys: the
+    map key <-> class stays a bijection on the pairs formed so far, an
+    O(1) check per pair with both directions kept as dicts.
+
+    pairs gives the (key, class) pairs that placing w after nodes forms:
+    a dict by w, when they depend on w alone, or else a function
+    pairs(w, nodes); None when the caller hands each push its pairs as
+    try_push's formed.  Each is checked before the next is drawn, so a
+    veto comes before any later class lookup.  Pinned pairs hold from the
+    start.  accept keeps a member with at least one pair and, for each
+    floor pair (c1, c2) of levels, two placed nodes that agree up to c1
+    but not up to c2, so no other candidate level can fit the same data.
+    """
+
+    def __init__(self, pairs=None, pinned=(), floor_pairs=(), supply=None):
+        self.pairs = pairs
+        self.by_node = isinstance(pairs, dict)
+        self.floor_pairs = floor_pairs
+        self.key_class = dict(pinned)
+        self.class_key = {c: key for key, c in pinned}
+        self.placed = []  # the pushed nodes that formed a pair
+        self.trail = []  # per push, the keys it inserted; None if no pair
+        # per number of placed nodes on the path, the signature once built:
+        # with pairs by node the placed nodes fix it
+        self.sigs = [None]
+
+    def start(self, stop):
+        pass
+
+    def try_push(self, nodes, w, formed=None):
+        key_class, class_key = self.key_class, self.class_key
+        if formed is None:
+            pairs = self.pairs
+            formed = pairs.get(w, ()) if self.by_node else pairs(w, nodes)
+        # a list once a pair passes; most pushes are vetoed at their first
+        inserted = None
+        for key, c in formed:
+            if key in key_class:
+                if key_class[key] != c:
+                    break
+                if inserted is None:
+                    inserted = []
+            elif c in class_key:
+                break
+            else:
+                key_class[key] = c
+                class_key[c] = key
+                if inserted is None:
+                    inserted = [key]
+                else:
+                    inserted.append(key)
+        else:
+            self.trail.append(inserted)
+            if inserted is not None:
+                self.placed.append(w)
+                self.sigs.append(None)
+            return True
+        if inserted:
+            self._undo(inserted)
+        return False
+
+    def _undo(self, inserted):
+        for key in inserted:
+            del self.class_key[self.key_class.pop(key)]
+
+    def pop(self):
+        inserted = self.trail.pop()
+        if inserted is not None:
+            self.placed.pop()
+            self.sigs.pop()
+            self._undo(inserted)
+
+    def _floor_states(self):
+        """Per floor pair (c1, c2): None once two placed nodes agree up to
+        c1 but not up to c2, which no push undoes; else the placed nodes'
+        c2-prefixes, sorted, which fix their c1 -> c2 map."""
+        for c1, c2 in self.floor_pairs:
+            below = {}  # c1-prefix -> c2-prefix of the placed nodes
+            for u in self.placed:
+                if below.setdefault(u[:c1], u[:c2]) != u[:c2]:
+                    yield None
+                    break
+            else:
+                yield tuple(sorted(below.values()))
+
+    def accept(self, nodes):
+        fits = bool(self.placed) and all(s is None for s in self._floor_states())
+        return len(nodes) if fits else len(nodes) - 1
+
+    def signature(self):
+        """What the rest of a search reads of the filter: whether a pair was
+        formed, the floor pairs' states and, last and so the only part of
+        varying length, the key <-> class pairs, sorted.  None when the
+        pairs read the placed nodes, which then are the signature."""
+        if not self.by_node:
+            return None
+        if self.sigs[-1] is None:
+            self.sigs[-1] = (bool(self.placed), *self._floor_states(),
+                             *sorted(self.key_class.items()))
+        return self.sigs[-1]
 
 
 class MemoFreeFitFilter(_FitFilter):
@@ -558,6 +670,9 @@ class ReferenceVectorFits:
                 f.pop()
         for group in groups:
             group.pop()
+
+    def start(self, stop):
+        pass
 
     def signature(self):
         # a vector's future pairs read every placed node

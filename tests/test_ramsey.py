@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellentuck import ramsey
+from ellentuck import ramsey, space
 from ellentuck.constructions import (
     NodeOracle,
     construct_in_basic_set,
@@ -60,6 +60,7 @@ from ellentuck.wellorder import classify_n
 from helpers import (
     ExactFloorFitFilter,
     MemoFreeFitFilter,
+    ReferenceFitFilter,
     ReferenceVectorFits,
     ScanAgreementFilter,
     all_sub_members,
@@ -167,15 +168,19 @@ def test_budget_cases_cover_the_outcomes():
     search core remembered its failed sub-searches; the memo skips the
     repeats among the failing levels' sub-searches, so 331 and 130. Since
     a failure also rules out the same sub-search from a higher running
-    maximum, it skips those too, so 261 and 117. The pigeonhole case is
-    by-branch of test_state_counts_are_pinned (123 -> 67 there); the
-    relation, front and agreement searches keep no memo, so theirs stay."""
+    maximum, it skips those too, so 261 and 117. Since the level fits look
+    ahead, a push after which some extension position can no longer be
+    filled is vetoed, so 66 and 51: a failing level's sub-searches are
+    refuted at their first push instead of at the pushes that complete
+    them. The pigeonhole case is by-branch of test_state_counts_are_pinned
+    (123 -> 67 -> 38 there); the relation, front and agreement searches
+    keep no memo and do not look ahead, so theirs stay."""
     full = {name: _unbounded(run) for name, run in _BUDGET_CASES}
     assert full["pigeonhole"][0][1] == 1  # after color 0 is refuted
     assert full["level"][0][1] == CanonicalRelation(0)
-    assert full["level"][1] == 261
+    assert full["level"][1] == 66
     assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
-    assert full["ambiguous"][1] == 117
+    assert full["ambiguous"][1] == 51
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
     assert full["front"][0].counterexample == Approx(2, ((0, 20),))
     assert full["front"][1] == 52
@@ -238,14 +243,20 @@ def test_state_counts_are_pinned():
     signature already failed, fresh spent 4,682 (12,067 before) and
     by-branch 123 (193): refuting levels 0 and 1, and color 0, reaches
     the same failed sub-search along many paths. Since it also skips one
-    whose signature failed from a lower running maximum, fresh spends
+    whose signature failed from a lower running maximum, fresh spent
     1,929, by-branch 67 and continuing 786 (1,787): refuting a level
     reaches a failed sub-search again from higher maxima, which admit
-    some of the same candidates and so find no leaf either. The relation
-    and agreement filters give no signature, and the parity search never
-    meets a failed signature again, so theirs stay. An index or a filter
-    that only saves time leaves them exactly as they are; a change that
-    moves the search must say why and update them."""
+    some of the same candidates and so find no leaf either. Since the
+    level fits look ahead, fresh spends 179, continuing 22 and by-branch
+    38: a push after which some extension position of the template has
+    no supply node left that is above the running maximum, carries its
+    forced prefix and has a pair the key <-> class map takes is vetoed
+    at once, where its subtree used to be searched until the pushes that
+    complete it. The relation and agreement filters give no signature
+    and do not look ahead, and the parity search is vetoed nowhere, so
+    theirs stay. An index or a filter that only saves time leaves them
+    exactly as they are; a change that moves the search must say why and
+    update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -271,14 +282,14 @@ def test_state_counts_are_pinned():
     full, part, identity = _agreement_maps(pairs30, 7)
     cases = {
         "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
-        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 1929),
+        "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 179),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
-            786,
+            22,
         ),
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
         # color 0 refuted, then color 1 found
-        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 67),
+        "by-branch": (lambda bud: pigeonhole(Approx(2), X30, by_root, 6, bud), 38),
         "agreement": (
             lambda bud: irreducible_agreement(full, part, identity, pairs30, X30, 10, bud),
             88,
@@ -458,17 +469,121 @@ def test_memo_signature_misses_no_part(search, size, m, tlen):
     assert memo.used <= full.used
 
 
-@pytest.mark.parametrize("name,exact", [("pigeonhole", 123), ("level", 331), ("ambiguous", 130)])
+def _search_outcome(search, a, X, coloring, tlen, flt=None):
+    """(outcome, states) of one call with the default budget, on the
+    installed fit filter or on flt; an error is its type and message."""
+    budget = Budget(DEFAULT_BUDGET)
+    with mock.patch.object(ramsey, "_FitFilter", flt or ramsey._FitFilter):
+        try:
+            got = search(a, X, coloring, tlen, budget)
+        except ValueError as e:
+            got = (ValueError, str(e))
+    return got, budget.used
+
+
+def _look_ahead_call(data, X):
+    """a = the first m <= 4 nodes of X, a random coloring of its one-step
+    extensions, a target m + 2..m + 7 and the search to run."""
+    m = data.draw(st.integers(0, 4), label="m")
+    a = Approx(X.k, X.nodes[:m])
+    rng = data.draw(st.randoms(use_true_random=False))
+    colors = data.draw(st.integers(1, 4), label="colors")
+    coloring = Coloring({b: rng.randrange(colors) for b in one_extensions(a, X)})
+    tlen = m + data.draw(st.integers(2, 7), label="past a")
+    search = data.draw(st.sampled_from((pigeonhole, canonize_one_extensions)))
+    return search, a, coloring, tlen
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_look_ahead_keeps_every_outcome_of_the_reference_filter(data):
+    """On a valid member the look-ahead vetoes only pushes below which no
+    witness is left, so pigeonhole and canonize_one_extensions return what
+    the filter that looks no further than its own pairs returns, witness
+    and reason alike, and spend no more states."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    X = build_w(k, data.draw(st.integers(8, 30), label="nodes"))
+    search, a, coloring, tlen = _look_ahead_call(data, X)
+    got, used = _search_outcome(search, a, X, coloring, tlen)
+    want, spent = _search_outcome(search, a, X, coloring, tlen, ReferenceFitFilter)
+    assert got == want
+    assert used <= spent
+
+
+def _corrupted(data, X):
+    """X with one node bumped, shortened, duplicated or swapped."""
+    nodes = list(X.nodes)
+    p = data.draw(st.integers(0, len(nodes) - 1), label="position")
+    w = nodes[p]
+    how = data.draw(st.sampled_from(("bump", "short", "dup", "swap")), label="how")
+    if how == "bump":
+        j = data.draw(st.integers(0, X.k - 1), label="entry")
+        nodes[p] = w[:j] + (w[j] + data.draw(st.integers(1, 2)),) + w[j + 1:]
+    elif how == "short":
+        nodes[p] = w[:-1]
+    else:
+        q = data.draw(st.integers(0, len(nodes) - 1), label="other")
+        nodes[p] = nodes[q]
+        if how == "swap":
+            nodes[q] = w
+    return Member(X.k, tuple(nodes))
+
+
+def _is_valid_witness(got):
+    if not isinstance(got, tuple) or not isinstance(got[0], Approx):
+        return False
+    try:
+        return validate_approx(got[0]).ok
+    except ValueError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_look_ahead_on_a_corrupted_member_skips_only_invalid_witnesses(data):
+    """The template is the shape of a valid member, so on a corrupted one
+    the look-ahead may skip a witness that does not validate, but never a
+    valid one: where the reference filter exhausts the supply, returns a
+    valid witness or raises, the look-ahead does the same."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    X = _corrupted(data, build_w(k, data.draw(st.integers(8, 30), label="nodes")))
+    search, a, coloring, tlen = _look_ahead_call(data, X)
+    got, _ = _search_outcome(search, a, X, coloring, tlen)
+    want, _ = _search_outcome(search, a, X, coloring, tlen, ReferenceFitFilter)
+    raised = isinstance(want, tuple) and want[0] is ValueError
+    supply = isinstance(want, Exhausted) and want.reason == "supply"
+    if raised or supply or _is_valid_witness(want):
+        assert got == want
+
+
+def _higher_maxima_cases():
+    """Colorings max(w) % 2 of the one-step extensions of the empty
+    approximation, one per outcome, on which the look-ahead leaves the
+    memo repeats to skip; on _BUDGET_CASES it leaves none."""
+    x40, x30, w40 = build_w(2, 40), build_w(2, 30), build_w(3, 40)
+    w40_parity = Coloring.from_function(
+        lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(3), w40)
+    )
+    return {
+        "pigeonhole": lambda bud: pigeonhole(Approx(2), x40, _parity(x40), 6, bud),
+        "level": lambda bud: canonize_one_extensions(Approx(2), x30, _parity(x30), 6, bud),
+        "ambiguous": lambda bud: canonize_one_extensions(Approx(3), w40, w40_parity, 4, bud),
+    }
+
+
+@pytest.mark.parametrize("name,exact", [("pigeonhole", 38), ("level", 316), ("ambiguous", 200)])
 def test_memo_skips_a_failed_sub_search_from_higher_maxima(name, exact):
     """A sub-search that failed from one running maximum is skipped from
     every higher one, which admits some of the same candidates in the
     same order: the outcome of the memo that skips it only from the same
-    maximum, in fewer states (exact: that memo's states)."""
-    run = dict(_BUDGET_CASES)[name]
+    maximum, in fewer states (exact: that memo's states). The memo-free
+    search spends 43, 345 and 206."""
+    run = _higher_maxima_cases()[name]
     got, used = _unbounded(run)
     with mock.patch.object(ramsey, "_FitFilter", ExactFloorFitFilter):
         assert _unbounded(run) == (got, exact)
     assert used < exact
+    assert not isinstance(got, Exhausted)
 
 
 def _parity(X):
@@ -987,6 +1102,29 @@ def test_relation_missing_an_approximation_raises_before_the_first_state(
         canonize_relation(relation, 2, n, X, tlen, budget)
     first = next(a for a in dom if a.nodes in dropped)
     assert str(err.value) == "relation is not defined on %s" % (first.nodes,)
+    assert budget.used == 0
+
+
+def test_relation_lookup_stops_at_the_first_missing_approximation():
+    """The n-approximations of X are built depth first, which is layer
+    order, and each is looked up as it is built, so an empty relation on
+    40 nodes at n = 8 raises after 128 approximations: the first one's
+    ancestors and their siblings. Building every layer before the first
+    lookup made 11,095."""
+    X = build_w(2, 40)
+    built = []
+    extend = space._extend
+
+    def counted(a, w):
+        built.append(w)
+        return extend(a, w)
+
+    budget = Budget(DEFAULT_BUDGET)
+    with mock.patch.object(space, "_extend", counted), pytest.raises(ValueError) as err:
+        canonize_relation(Relation({}), 2, 8, X, 8, budget)
+    first = ((0, 1), (0, 2), (3, 4), (0, 5), (3, 6), (7, 8), (0, 9), (3, 10))
+    assert str(err.value) == "relation is not defined on %s" % (first,)
+    assert len(built) == 128
     assert budget.used == 0
 
 

@@ -15,6 +15,7 @@ from ellentuck.errors import (
 from ellentuck.space import (
     Approx,
     Member,
+    _extension_positions,
     _Pool,
     _Slot,
     admits,
@@ -32,6 +33,7 @@ from ellentuck.space import (
 
 from figures import R4_E3, R5_E3, R6_E2, R10_E2, W2_LEAVES, W3_LEAVES
 from helpers import (
+    all_sub_members,
     oracle_extensions,
     oracle_level,
     oracle_position_info,
@@ -444,6 +446,27 @@ def test_slots_along_w2_admit_all_or_none_of_the_extensions_of_a():
         assert len(verdicts) == 1
         seen.append(verdicts.pop())
     assert seen == [True, False, True, False, False, True, False]
+
+
+@pytest.mark.parametrize("X", [build_w(2, 16), build_w(3, 14)], ids=["w2-16", "w3-14"])
+def test_the_template_places_the_extensions_of_every_sub_member(X):
+    """A valid member is a copy of W_k: where an approximation a sits in
+    it, the positions of a's one-step extensions are those of the
+    template's. Checked against a's own slot, over every position of every
+    sub-member of 6 or 7 nodes, for every a whose nodes are among the
+    sub-member's first 3."""
+    members = checks = 0
+    for length in (6, 7):
+        for Y in all_sub_members(X, (), length):
+            members += 1
+            position = {w: p for p, w in enumerate(Y.nodes)}
+            for a in sub_approxs_up_to(Approx(X.k, Y.nodes[:3]), 3):
+                slot = _Slot.of(a)
+                want = [q for q in range(length) if slot.admits(Y.nodes[q])]
+                got = _extension_positions(X.k, tuple(position[w] for w in a.nodes), length)
+                assert got == want, (Y, a)
+                checks += 1
+    assert (members, checks) == {2: (111, 666), 3: (24, 144)}[X.k]
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -131,6 +131,24 @@ def test_rank_examples():
         wo.rank_of((), 2)
 
 
+@pytest.mark.parametrize(
+    "seq,message",
+    [
+        ((2, 1), "sequence must be non-decreasing, got (2, 1)"),
+        # an entry that is no nonnegative int is named, wherever the order breaks
+        ((3, 1, -1), "sequence entries must be nonnegative integers, got (3, 1, -1)"),
+        ((3, 1, 0.5), "sequence entries must be nonnegative integers, got (3, 1, 0.5)"),
+        ((1, True), "sequence entries must be nonnegative integers, got (1, True)"),
+        ([0, 2, "x"], "sequence entries must be nonnegative integers, got [0, 2, 'x']"),
+    ],
+)
+def test_a_bad_sequence_is_named_for_its_entries_before_its_order(seq, message):
+    for fn in (wo.rank_of, wo.domain_rank):
+        with pytest.raises(ValueError) as err:
+            fn(seq, 3)
+        assert str(err.value) == message
+
+
 def test_seq_at_rank_examples():
     assert wo.seq_at_rank(0, 2) == (0,)
     assert wo.seq_at_rank(6, 2) == (1, 2)
