@@ -37,10 +37,24 @@ it can give it one.  On a valid member that loses no witness, so the
 outcome is that of the search without it, in fewer states; on an
 invalid member it can only skip witnesses that do not validate.
 canonize_relation first looks up the class of every n-approximation of
-X, so a relation that misses one raises before the first state.  Then
-it runs one search for every projection vector, which finds the
-n-approximations a new node completes and their classes once for all of
-them; a state is one placement tried, however many vectors it serves.
+X, so a relation that misses one raises before the first state.
+Both canonizers then drop, before the first state, every candidate
+level or vector that no witness can carry.  A witness of t nodes is a
+copy of the template space.build_w(k, t), so a level partitions the
+positions of a's one-step extensions in it, and a vector those of its
+n-approximations, as on the template.  A fit maps the blocks one-to-one
+into classes, and a witness's class is part of X's, so a candidate
+whose block sizes, each list sorted, exceed the class sizes rank by
+rank, or outnumber them, has no witness (Hall's condition, _refuted).
+When no two of the template's extensions agree up to one candidate
+level but not up to the next, no witness passes _FitFilter.accept's
+floor pairs, so no level is searched.  On a valid member no witness is
+lost; on an invalid one only witnesses that do not validate can be.  A
+target longer than X has no sub-member and builds no template.  Then
+canonize_relation runs one search for every surviving projection
+vector, which finds the n-approximations a new node completes and their
+classes once for all of them; a state is one placement tried, however
+many vectors it serves.
 The approximations of the placed nodes form a trie, kept until the call
 returns, that is built once and then shared (hash-consing, after
 Filliatre and Conchon 2006): each distinct j-approximation (j < n)
@@ -70,6 +84,7 @@ the floor, the map, and the prefixes of positions the budget can fill.
 
 import itertools
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from operator import getitem, itemgetter
@@ -89,6 +104,7 @@ from .space import (
     _extension_positions,
     _require_valid,
     _Slot,
+    build_w,
     depth_of,
     one_extensions,
     position_info,
@@ -270,7 +286,7 @@ def _placed_prefixes(k, start, stop):
     as (anchor, level) pairs."""
     longest, out = {}, []
     for p in reversed(range(start, stop)):
-        l, a = position_info(k, p)
+        l, a = position_info.trusted(k, p)
         if l and longest.get(a, 0) < l:
             longest[a] = l
         out.append(tuple((a, l) for a, l in longest.items() if a < p))
@@ -718,6 +734,18 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     return Exhausted("supply", "no color admits a homogeneous sub-member")
 
 
+def _refuted(blocks, classes):
+    """Whether a candidate's blocks cannot go one-to-one to classes at
+    least as large, given both lists of sizes: sorted largest first, it
+    has more blocks than there are classes, or some block is larger than
+    the class of the same rank (Hall's condition)."""
+    blocks, classes = sorted(blocks, reverse=True), sorted(classes, reverse=True)
+    return len(blocks) > len(classes) or any(b > c for b, c in zip(blocks, classes))
+
+
+_NO_LEVEL = Exhausted("supply", "no projection level fits a sub-member")
+
+
 def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     """Canonical form of a coloring of one-step extensions of s.
 
@@ -730,15 +758,34 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     Exhausted.  When the budget runs out after two levels already fit,
     the outcome is still AmbiguousAtScale, listing the levels that fit
     before it ran out; otherwise it is Exhausted("budget").
+
+    Before the first state, the template (space.build_w(k, target_len))
+    decides what every witness's shape decides: when no two of its
+    extensions of s agree up to one candidate level but not up to the
+    next, no level fits; and a level whose blocks of the template's
+    extensions, grouped by level prefix, cannot go one-to-one to colors
+    with at least as many extensions in X is not searched.
     """
     base, color_of, supply = _colored_extensions(s, X, coloring, target_len)
-    budget = budget or Budget()
+    if target_len > len(X.nodes):
+        return _NO_LEVEL  # a sub-member places a new node of X per position
     candidates = _candidate_levels(X.k, len(s.nodes))
+    template = build_w.trusted(X.k, target_len).nodes
+    exts = [template[q] for q in _extension_positions(X.k, supply.positions, target_len)]
+    blocks = {level: Counter(u[:level] for u in exts) for level in candidates}
     floor_pairs = list(zip(candidates, candidates[1:]))
+    if any(len(blocks[c1]) == len(blocks[c2]) for c1, c2 in floor_pairs):
+        # no two extensions agree up to c1 but not up to c2
+        return _NO_LEVEL
+    colors = Counter(color_of.values()).values()
+    levels = [level for level in candidates if not _refuted(blocks[level].values(), colors)]
+    if not levels:
+        return _NO_LEVEL
+    budget = budget or Budget()
     pool = _Pool(X.nodes)
     fits = []
     blown = False
-    for level in candidates:
+    for level in levels:
         pairs = _level_pairs(color_of, level)
         flt = _FitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
         try:
@@ -755,7 +802,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     if fits:
         level, Y = fits[0]
         return Y, CanonicalRelation(level)
-    return Exhausted("supply", "no projection level fits a sub-member")
+    return _NO_LEVEL
 
 
 def admissible_vectors(k, n):
@@ -824,13 +871,14 @@ class _VectorFits:
     nodes.  A vector is resolved at its first leaf; accept then backtracks
     to the deepest level still live.  So each vector gets its solo
     witness, and the states are the union of the solo searches' states.
-    The relation lists every n-approximation of X (canonize_relation
-    checks it first), so a row is a plain lookup.
+    class_of holds the class of every n-approximation of X by its nodes,
+    looked up by canonize_relation before the first state, so a row is a
+    plain lookup.
     """
 
-    def __init__(self, relation, k, n, vectors):
+    def __init__(self, class_of, k, n, vectors):
         self.k = k
-        self.class_of = {a.nodes: c for a, c in relation.items() if a.k == k}
+        self.class_of = class_of
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{} for _ in range(n)]
@@ -910,6 +958,20 @@ class _VectorFits:
         return sum(map(bool, self.live[:-1])) - 1
 
 
+def _approximations(X, n):
+    """The n-approximations of X depth first, which is one-step-extension
+    layer order, each built when the one before it has been taken."""
+    stack = [iter((Approx(X.k),))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+        elif len(a.nodes) < n:
+            stack.append(iter(one_extensions(a, X)))
+        else:
+            yield a
+
+
 def canonize_relation(relation, k, n, X, target_len, budget=None):
     """Canonical projection vector for a relation on n-approximations.
 
@@ -925,6 +987,11 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     state when the relation misses an n-approximation of X, naming the
     first one in one-step-extension layer order, also where a search
     would have found a witness that avoids it.
+
+    Before the first state, a vector is dropped when its blocks of the
+    template's n-approximations (those of space.build_w(k, target_len)),
+    grouped by projection key, cannot go one-to-one to classes with at
+    least as many n-approximations of X.
     """
     if X.k != k:
         raise ValueError("member dimension does not match k")
@@ -933,26 +1000,30 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     _check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
-    # the n-approximations of X, depth first, which is one-step-extension
-    # layer order, each looked up as it is built; the trie asks the same
-    # slots as one_extensions, so it completes none that is not met here
-    stack = [iter((Approx(k),))]
-    while stack:
-        a = next(stack[-1], None)
-        if a is None:
-            stack.pop()
-        elif len(a.nodes) < n:
-            stack.append(iter(one_extensions(a, X)))
-        else:
-            relation.class_id(a)
-    budget = budget or Budget()
+    # each looked up as it is built; the trie asks the same slots as
+    # one_extensions, so it completes none that is not met here
+    classes = {a.nodes: relation.class_id(a) for a in _approximations(X, n)}
+    sizes = Counter(classes.values()).values()
     vectors = admissible_vectors(k, n)
-    flt = _VectorFits(relation, k, n, vectors)
+    if target_len > len(X.nodes):
+        # a sub-member places a new node of X per position
+        return NotCanonicalAtScale(vectors_checked=len(vectors))
+    template = [a.nodes for a in _approximations(build_w.trusted(k, target_len), n)]
+
+    def blocks(v):
+        # the template's n-approximations grouped by their key under v
+        return Counter(tuple(w[:l] for w, l in zip(b, v)) for b in template).values()
+
+    survivors = [v for v in vectors if not _refuted(blocks(v), sizes)]
+    if not survivors:
+        return NotCanonicalAtScale(vectors_checked=len(vectors))
+    budget = budget or Budget()
+    flt = _VectorFits(classes, k, n, survivors)
     try:
         _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
-    fits = [(v, Member(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
+    fits = [(v, Member(k, flt.found[f])) for v, f in zip(survivors, flt.filters)
             if f in flt.found]
     if fits:
         vector, member = fits[0]

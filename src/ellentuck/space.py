@@ -152,7 +152,7 @@ def wk_node(seq, k=None) -> Node:
 @_checked_memo(lambda k, n: (_check_k(k), _check_length(n)), _MEMBER_CACHE_SIZE)
 def build_w(k: int, n: int) -> Member:
     """The first n nodes of the prototype member for dimension k."""
-    return Member(k, tuple(wk_node(domain_at(p, k), k) for p in range(n)))
+    return Member(k, tuple(wk_node(domain_at.trusted(p, k), k) for p in range(n)))
 
 
 def project(node, level) -> Node:

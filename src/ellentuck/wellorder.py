@@ -43,13 +43,19 @@ _CACHE_SIZE = 1 << 16
 
 
 def _checked_memo(check, maxsize=_CACHE_SIZE):
-    """A bounded memo behind check(*args), which raises on a bad argument
-    and returns the arguments to key the memo by.  lru_cache keys True as
-    1 and 3.0 as 3, also inside a tuple, so a check inside the memo would
-    run only on a miss.  `trusted` is the bare memo, for checked callers."""
+    """A bounded memo of a function of two positional arguments behind
+    check(x, y), which raises on a bad argument and returns the arguments
+    to key the memo by.  lru_cache keys True as 1 and 3.0 as 3, also inside
+    a tuple, so a check inside the memo would run only on a miss.
+    `trusted` is the bare memo, for checked callers."""
     def decorate(fn):
         trusted = lru_cache(maxsize=maxsize)(fn)
-        checked = wraps(fn)(lambda *a, **kw: trusted(*check(*a, **kw)))
+
+        @wraps(fn)
+        def checked(x, y):
+            x, y = check(x, y)
+            return trusted(x, y)
+
         checked.trusted, checked.cache_info, checked.cache_clear = (
             trusted, trusted.cache_info, trusted.cache_clear)
         return checked

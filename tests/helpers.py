@@ -12,11 +12,19 @@ from functools import partial
 from math import comb
 from operator import getitem, itemgetter
 
+from ellentuck import ramsey
 from ellentuck.cli import _COMMANDS
-from ellentuck.ramsey import _FitFilter
+from ellentuck.errors import AmbiguousAtScale, Exhausted, NotCanonicalAtScale
+from ellentuck.ramsey import (
+    Budget,
+    CanonicalRelation,
+    RelationCanonization,
+    _FitFilter,
+)
 from ellentuck.space import (
     Approx,
     Member,
+    _Pool,
     _Slot,
     one_extensions,
     position_info,
@@ -618,9 +626,9 @@ class ReferenceVectorFits:
     witness, and the states are the union of the solo searches' states.
     """
 
-    def __init__(self, relation, k, n, vectors):
+    def __init__(self, class_of, k, n, vectors):
         self.k = k
-        self.class_of = {a.nodes: c for a, c in relation.items() if a.k == k}
+        self.class_of = class_of
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
@@ -685,3 +693,64 @@ class ReferenceVectorFits:
                 self.live = [[g for g in level if g is not f] for level in self.live]
         # live lists only shrink with depth, so the nonempty ones lead
         return sum(map(bool, self.live[:-1])) - 1
+
+
+def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
+    """canonize_one_extensions before the template refuted levels, kept as
+    the reference: every candidate level is searched, in ascending order,
+    until its search finds a witness or runs out, and no floor pair is
+    decided before the first state. Reads ramsey's filter and search core
+    at call time, so a filter installed there is used here too."""
+    base, color_of, supply = ramsey._colored_extensions(s, X, coloring, target_len)
+    budget = budget or Budget()
+    candidates = ramsey._candidate_levels(X.k, len(s.nodes))
+    floor_pairs = list(zip(candidates, candidates[1:]))
+    pool = _Pool(X.nodes)
+    fits = []
+    blown = False
+    for level in candidates:
+        pairs = ramsey._level_pairs(color_of, level)
+        flt = ramsey._FitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
+        try:
+            got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
+        except ramsey._Blown:
+            blown = True
+            break
+        if got is not None:
+            fits.append((level, Member(X.k, got)))
+    if len(fits) > 1:
+        return AmbiguousAtScale(candidates=tuple(level for level, _ in fits))
+    if blown:
+        return ramsey._out_of_budget(budget)
+    if fits:
+        level, Y = fits[0]
+        return Y, CanonicalRelation(level)
+    return Exhausted("supply", "no projection level fits a sub-member")
+
+
+def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
+    """canonize_relation before the template refuted vectors, kept as the
+    reference: after the same argument checks and the same up-front
+    lookup of every n-approximation of X, every admissible vector is
+    searched in the one joint search."""
+    if X.k != k:
+        raise ValueError("member dimension does not match k")
+    if n < 1:
+        raise ValueError("approximation length must be at least 1")
+    ramsey._check_length(target_len, "target length")
+    if target_len < n:
+        raise ValueError("target length cannot be below the approximation length")
+    classes = {a.nodes: relation.class_id(a) for a in ramsey._approximations(X, n)}
+    budget = budget or Budget()
+    vectors = ramsey.admissible_vectors(k, n)
+    flt = ramsey._VectorFits(classes, k, n, vectors)
+    try:
+        ramsey._search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
+    except ramsey._Blown:
+        return ramsey._out_of_budget(budget)
+    fits = [(v, Member(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
+            if f in flt.found]
+    if fits:
+        vector, member = fits[0]
+        return RelationCanonization(vector, member, tuple(fits))
+    return NotCanonicalAtScale(vectors_checked=len(vectors))

@@ -34,6 +34,7 @@ from ellentuck.ramsey import (
     Coloring,
     InnerMap,
     Relation,
+    RelationCanonization,
     admissible_vectors,
     canonize_one_extensions,
     canonize_relation,
@@ -69,6 +70,8 @@ from helpers import (
     oracle_irreducible,
     oracle_nash_williams,
     oracle_relation_fits,
+    reference_canonize_one_extensions,
+    reference_canonize_relation,
     shallow_stack,
     sub_approxs_up_to,
 )
@@ -172,13 +175,18 @@ def test_budget_cases_cover_the_outcomes():
     ahead, a push after which some extension position can no longer be
     filled is vetoed, so 66 and 51: a failing level's sub-searches are
     refuted at their first push instead of at the pushes that complete
-    them. The pigeonhole case is by-branch of test_state_counts_are_pinned
+    them. Since the template refutes levels before the first state, the
+    level search spends 6: its coloring has one color, and the template's
+    extensions fall into 3 blocks at level 1 and 6 at level 2, so only
+    level 0 is searched, and its first 6 pushes make its witness. The
+    ambiguous search's levels all pass that test, so its 51 stay. The
+    pigeonhole case is by-branch of test_state_counts_are_pinned
     (123 -> 67 -> 38 there); the relation, front and agreement searches
     keep no memo and do not look ahead, so theirs stay."""
     full = {name: _unbounded(run) for name, run in _BUDGET_CASES}
     assert full["pigeonhole"][0][1] == 1  # after color 0 is refuted
     assert full["level"][0][1] == CanonicalRelation(0)
-    assert full["level"][1] == 66
+    assert full["level"][1] == 6
     assert full["ambiguous"][0] == AmbiguousAtScale(candidates=(1, 2))
     assert full["ambiguous"][1] == 51
     assert [v for v, _ in full["relation"][0].fits] == [(0, 0), (1, 0)]
@@ -227,10 +235,17 @@ def test_bad_target_lengths_raise_before_any_state_is_spent(search, target_len):
 
 
 def test_level_fit_found_before_the_budget_ran_out_is_not_final():
+    """Level 0 fits in 19 states and level 1, which takes 138 more to fail,
+    is still searched when the budget of 20 runs out, so the outcome is
+    Exhausted, not level 0. Colored by max(w) % 3: three colors, of 12,
+    10 and 8 extensions, which level 1's blocks of the template (3, 2 and
+    1 extensions) fit into. The constant coloring this test used has one
+    color, so the template refutes level 1 before the first state."""
     X = build_w(2, 30)
-    constant = Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))
-    got = canonize_one_extensions(Approx(2), X, constant, 6, budget=Budget(20))
+    coloring = _max_mod(X, 3)
+    got = canonize_one_extensions(Approx(2), X, coloring, 6, budget=Budget(20))
     assert got == Exhausted("budget", "state budget ran out at 21")
+    assert canonize_one_extensions(Approx(2), X, coloring, 6)[1] == CanonicalRelation(0)
 
 
 def test_state_counts_are_pinned():
@@ -247,16 +262,22 @@ def test_state_counts_are_pinned():
     1,929, by-branch 67 and continuing 786 (1,787): refuting a level
     reaches a failed sub-search again from higher maxima, which admit
     some of the same candidates and so find no leaf either. Since the
-    level fits look ahead, fresh spends 179, continuing 22 and by-branch
+    level fits look ahead, fresh spent 179, continuing 22 and by-branch
     38: a push after which some extension position of the template has
     no supply node left that is above the running maximum, carries its
     forced prefix and has a pair the key <-> class map takes is vetoed
     at once, where its subtree used to be searched until the pushes that
-    complete it. The relation and agreement filters give no signature
-    and do not look ahead, and the parity search is vetoed nowhere, so
-    theirs stay. An index or a filter that only saves time leaves them
-    exactly as they are; a change that moves the search must say why and
-    update them."""
+    complete it. Since the template refutes levels before the first
+    state, continuing spends 9: its coloring gives every extension a
+    color of its own, and level 0's one block of the template holds more
+    than one extension, so only level 2 is searched. The relation search
+    refutes the vector (0, 0) the same way (one block of more
+    2-approximations than the largest class holds), but the other
+    vectors' searches visit its states too, so its count stays. The
+    agreement filter gives no signature and does not look ahead, and the
+    parity search is vetoed nowhere, so theirs stay. An index or a
+    filter that only saves time leaves them exactly as they are; a
+    change that moves the search must say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -285,7 +306,7 @@ def test_state_counts_are_pinned():
         "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 179),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
-            22,
+            9,
         ),
         "parity": (lambda bud: pigeonhole(Approx(2), X300, parity, 8, bud), 17),
         # color 0 refuted, then color 1 found
@@ -303,12 +324,13 @@ def test_state_counts_are_pinned():
 
 def test_relation_filters_run_only_on_pushes_that_complete_something():
     """The relation case of test_state_counts_are_pinned, counted in items,
-    not seconds. The vector filters take 4,057 pushes; they took 6,128 when
+    not seconds. The vector filters take 3,044 pushes; they took 6,128 when
     every state pushed every live filter, also where the new node completes
-    no 2-approximation and so forms no pair. The 110 distinct
-    2-approximations the search completes are each projected once for the
-    call, under all 5 vectors at once, however often a push completes them
-    again."""
+    no 2-approximation and so forms no pair, and 4,057 before the template
+    refuted the vector (0, 0), whose filter no longer runs. The 110
+    distinct 2-approximations the search completes are each projected
+    once for the call, under the 4 vectors searched at once, however
+    often a push completes them again."""
     X40 = build_w(2, 40)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -329,7 +351,7 @@ def test_relation_filters_run_only_on_pushes_that_complete_something():
             mock.patch.object(ramsey._VectorFits, "_row", counted_row):
         got = canonize_relation(relation, 2, 2, X40, 8, budget)
     assert (got.vector, budget.used) == ((0, 2), 1534)
-    assert pushes == [4057]
+    assert pushes == [3044]
     assert len(rows) == len(set(rows)) == 110
     assert len(admissible_vectors(2, 2)) == 5
 
@@ -469,16 +491,21 @@ def test_memo_signature_misses_no_part(search, size, m, tlen):
     assert memo.used <= full.used
 
 
-def _search_outcome(search, a, X, coloring, tlen, flt=None):
-    """(outcome, states) of one call with the default budget, on the
-    installed fit filter or on flt; an error is its type and message."""
+def _outcome(search, args):
+    """(outcome, states) of one call with the default budget; an error is
+    its type and message."""
     budget = Budget(DEFAULT_BUDGET)
-    with mock.patch.object(ramsey, "_FitFilter", flt or ramsey._FitFilter):
-        try:
-            got = search(a, X, coloring, tlen, budget)
-        except ValueError as e:
-            got = (ValueError, str(e))
+    try:
+        got = search(*args, budget)
+    except ValueError as e:
+        got = (ValueError, str(e))
     return got, budget.used
+
+
+def _search_outcome(search, a, X, coloring, tlen, flt=None):
+    """_outcome of one call on the installed fit filter or on flt."""
+    with mock.patch.object(ramsey, "_FitFilter", flt or ramsey._FitFilter):
+        return _outcome(search, (a, X, coloring, tlen))
 
 
 def _look_ahead_call(data, X):
@@ -529,11 +556,19 @@ def _corrupted(data, X):
     return Member(X.k, tuple(nodes))
 
 
-def _is_valid_witness(got):
-    if not isinstance(got, tuple) or not isinstance(got[0], Approx):
-        return False
+def _witnesses_validate(got):
+    """Whether every witness an outcome shows validates. An error, the
+    supply run out or no vector fitting shows none and passes; an
+    ambiguity, whose witnesses are not shown, does not."""
+    if isinstance(got, RelationCanonization):
+        members = [Y for _, Y in got.fits]
+    elif isinstance(got, tuple) and isinstance(got[0], Approx):
+        members = [got[0]]
+    else:
+        return isinstance(got, (tuple, NotCanonicalAtScale)) or (
+            isinstance(got, Exhausted) and got.reason == "supply")
     try:
-        return validate_approx(got[0]).ok
+        return all(validate_approx(Y).ok for Y in members)
     except ValueError:
         return False
 
@@ -550,34 +585,100 @@ def test_look_ahead_on_a_corrupted_member_skips_only_invalid_witnesses(data):
     search, a, coloring, tlen = _look_ahead_call(data, X)
     got, _ = _search_outcome(search, a, X, coloring, tlen)
     want, _ = _search_outcome(search, a, X, coloring, tlen, ReferenceFitFilter)
-    raised = isinstance(want, tuple) and want[0] is ValueError
-    supply = isinstance(want, Exhausted) and want.reason == "supply"
-    if raised or supply or _is_valid_witness(want):
+    if _witnesses_validate(want):
+        assert got == want
+
+
+def _template_case(data, X):
+    """A call whose candidates the template may refute, as (search, its
+    reference, arguments): canonize_one_extensions on a coloring of the
+    one-step extensions of the first m <= 4 nodes of X (random, constant,
+    by a level prefix or one-to-one), or canonize_relation on a complete
+    relation on the n-approximations of X (n <= 2, random or induced by a
+    vector). The target may pass the last node of X."""
+    if data.draw(st.booleans(), label="coloring"):
+        m = data.draw(st.integers(0, 4), label="m")
+        a = Approx(X.k, X.nodes[:m])
+        exts = one_extensions(a, X)
+        how = data.draw(st.sampled_from(("random", "constant", "prefix", "one-to-one")))
+        if how == "random":
+            rng = data.draw(st.randoms(use_true_random=False))
+            colors = data.draw(st.integers(1, 4), label="colors")
+            coloring = Coloring({b: rng.randrange(colors) for b in exts})
+        elif how == "prefix":
+            j = data.draw(st.integers(0, X.k), label="j")
+            labels = {}
+            coloring = Coloring.from_function(
+                lambda b: labels.setdefault(b.nodes[-1][:j], len(labels)), exts)
+        else:
+            coloring = Coloring({b: i if how == "one-to-one" else 0 for i, b in enumerate(exts)})
+        tlen = m + data.draw(st.integers(0, 7), label="past a")
+        return canonize_one_extensions, reference_canonize_one_extensions, (a, X, coloring, tlen)
+    n = data.draw(st.sampled_from([1, 2]), label="n")
+    tlen = data.draw(st.integers(n, n + 6), label="target")
+    relation = _draw_relation(data, X, n)
+    return canonize_relation, reference_canonize_relation, (relation, X.k, n, X, tlen)
+
+
+def _template_member(data):
+    """W_k of 8 to 14 nodes (k = 2) or 8 to 10 (k = 3): small enough that
+    the reference searches every vector of a relation quickly."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    return build_w(k, data.draw(st.integers(8, 14 if k == 2 else 10), label="nodes"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_template_refutation_keeps_every_outcome_of_the_reference(data):
+    """On a valid member, a witness is a copy of the template, so a level or
+    vector that the template refutes has none: canonize_one_extensions and
+    canonize_relation return what the searches of every candidate return,
+    witnesses, fits, reasons and errors alike, and spend no more states."""
+    search, reference, args = _template_case(data, _template_member(data))
+    got, used = _outcome(search, args)
+    want, spent = _outcome(reference, args)
+    assert got == want
+    assert used <= spent
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_template_refutation_on_a_corrupted_member_skips_only_invalid_witnesses(data):
+    """On a corrupted member a refuted candidate may have a witness that
+    does not validate, never one that does: where the reference raises,
+    runs out of supply, finds no vector or finds only witnesses that
+    validate, the refuting search returns the same."""
+    X = _corrupted(data, _template_member(data))
+    search, reference, args = _template_case(data, X)
+    got, _ = _outcome(search, args)
+    want, _ = _outcome(reference, args)
+    if _witnesses_validate(want):
         assert got == want
 
 
 def _higher_maxima_cases():
-    """Colorings max(w) % 2 of the one-step extensions of the empty
+    """Colorings max(w) % m of the one-step extensions of the empty
     approximation, one per outcome, on which the look-ahead leaves the
-    memo repeats to skip; on _BUDGET_CASES it leaves none."""
-    x40, x30, w40 = build_w(2, 40), build_w(2, 30), build_w(3, 40)
-    w40_parity = Coloring.from_function(
-        lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(3), w40)
-    )
+    memo repeats to skip; on _BUDGET_CASES it leaves none. The level and
+    ambiguous cases used m = 2, on 30 nodes of W_2 and 40 of W_3. Two
+    colors cannot take three or more blocks, so there the template now
+    refutes the failing levels whose repeats the memo skipped; with m = 3
+    and m = 6 a failing level is still searched."""
+    x40, x30 = build_w(2, 40), build_w(2, 30)
     return {
         "pigeonhole": lambda bud: pigeonhole(Approx(2), x40, _parity(x40), 6, bud),
-        "level": lambda bud: canonize_one_extensions(Approx(2), x30, _parity(x30), 6, bud),
-        "ambiguous": lambda bud: canonize_one_extensions(Approx(3), w40, w40_parity, 4, bud),
+        "level": lambda bud: canonize_one_extensions(Approx(2), x30, _max_mod(x30, 3), 6, bud),
+        "ambiguous": lambda bud: canonize_one_extensions(Approx(2), x40, _max_mod(x40, 6), 5, bud),
     }
 
 
-@pytest.mark.parametrize("name,exact", [("pigeonhole", 38), ("level", 316), ("ambiguous", 200)])
+@pytest.mark.parametrize("name,exact", [("pigeonhole", 38), ("level", 175), ("ambiguous", 170)])
 def test_memo_skips_a_failed_sub_search_from_higher_maxima(name, exact):
     """A sub-search that failed from one running maximum is skipped from
     every higher one, which admits some of the same candidates in the
     same order: the outcome of the memo that skips it only from the same
     maximum, in fewer states (exact: that memo's states). The memo-free
-    search spends 43, 345 and 206."""
+    search spends 43, 199 and 182."""
     run = _higher_maxima_cases()[name]
     got, used = _unbounded(run)
     with mock.patch.object(ramsey, "_FitFilter", ExactFloorFitFilter):
@@ -586,8 +687,12 @@ def test_memo_skips_a_failed_sub_search_from_higher_maxima(name, exact):
     assert not isinstance(got, Exhausted)
 
 
+def _max_mod(X, m):
+    return Coloring.from_function(lambda b: max(b.nodes[-1]) % m, one_extensions(Approx(X.k), X))
+
+
 def _parity(X):
-    return Coloring.from_function(lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), X))
+    return _max_mod(X, 2)
 
 
 def _ran_out_at(used):
@@ -1128,21 +1233,25 @@ def test_relation_lookup_stops_at_the_first_missing_approximation():
     assert budget.used == 0
 
 
+def _draw_relation(data, X, n):
+    """A complete relation on the n-approximations of X: induced by an
+    admissible vector, or of random classes 0..3."""
+    dom = approxs_of_length(X, n)
+    if data.draw(st.booleans(), label="induced"):
+        v = data.draw(st.sampled_from(admissible_vectors(X.k, n)))
+        return Relation.from_key_function(
+            lambda b: tuple(w[:l] for w, l in zip(b.nodes, v)), dom
+        )
+    classes = st.lists(st.integers(0, 3), min_size=len(dom), max_size=len(dom))
+    return Relation(dict(zip(dom, data.draw(classes))))
+
+
 def _draw_relation_case(data):
     k = data.draw(st.sampled_from([2, 3]))
     X = build_w(k, data.draw(st.integers(4, 14 if k == 2 else 10)))
     n = data.draw(st.sampled_from([1, 2]))
     tlen = data.draw(st.integers(min(len(X.nodes), n + 2), min(len(X.nodes), n + 5)))
-    dom = approxs_of_length(X, n)
-    if data.draw(st.booleans(), label="induced"):
-        v = data.draw(st.sampled_from(admissible_vectors(k, n)))
-        relation = Relation.from_key_function(
-            lambda b: tuple(w[:l] for w, l in zip(b.nodes, v)), dom
-        )
-    else:
-        classes = st.lists(st.integers(0, 3), min_size=len(dom), max_size=len(dom))
-        relation = Relation(dict(zip(dom, data.draw(classes))))
-    return relation, k, n, X, tlen
+    return _draw_relation(data, X, n), k, n, X, tlen
 
 
 @settings(max_examples=60, deadline=None)
@@ -1150,17 +1259,28 @@ def _draw_relation_case(data):
 def test_joint_relation_search_spends_the_union_of_the_solo_searches(data):
     """A state is one placement, however many vectors are live: the joint
     search spends exactly the distinct (nodes, w) states that searches for
-    one vector at a time visit, and gives each vector its solo witness."""
+    one vector at a time visit, and gives each vector its solo witness.
+    The template refutes some vectors before the first state, so the
+    states are the union over the vectors searched; a refuted vector's
+    solo search finds no witness."""
     relation, k, n, X, tlen = _draw_relation_case(data)
     budget = Budget(DEFAULT_BUDGET)
-    got = canonize_relation(relation, k, n, X, tlen, budget)
+    searched, joint = [], ramsey._VectorFits
+
+    def recording_fits(class_of, k, n, vectors):
+        searched.extend(vectors)
+        return joint(class_of, k, n, vectors)
+
+    with mock.patch.object(ramsey, "_VectorFits", recording_fits):
+        got = canonize_relation(relation, k, n, X, tlen, budget)
     states, solo = set(), []
     for v in admissible_vectors(k, n):
-        flt = ramsey._VectorFits(relation, k, n, [v])
+        flt = ramsey._VectorFits({a.nodes: c for a, c in relation.items()}, k, n, [v])
         (one,) = flt.filters
 
-        def recording(nodes, w, push=flt.try_push):
-            states.add((tuple(nodes), w))
+        def recording(nodes, w, push=flt.try_push, v=v):
+            if v in searched:
+                states.add((tuple(nodes), w))
             return push(nodes, w)
 
         flt.try_push = recording

@@ -469,6 +469,51 @@ def test_the_template_places_the_extensions_of_every_sub_member(X):
     assert (members, checks) == {2: (111, 666), 3: (24, 144)}[X.k]
 
 
+def _blocks(Y, units, key):
+    """The partition of units (node tuples of Y) by key, each unit named by
+    the positions of its nodes in Y."""
+    position = {w: p for p, w in enumerate(Y.nodes)}
+    groups = {}
+    for u in units:
+        groups.setdefault(key(u), set()).add(tuple(position[w] for w in u))
+    return {frozenset(g) for g in groups.values()}
+
+
+@pytest.mark.parametrize("X", [build_w(2, 16), build_w(3, 14)], ids=["w2-16", "w3-14"])
+def test_a_sub_member_has_the_blocks_of_the_template(X):
+    """What the searches refute candidates by before their first state: on
+    a valid member Y, a projection vector splits the n-approximations, and
+    a level splits the one-step extensions of a, into the blocks it makes
+    at the same positions of the template build_w(k, len(Y)). Checked on
+    every sub-member of 6 or 7 nodes, for n <= 3 under every admissible
+    vector, and for every a whose nodes are among the sub-member's first 3
+    under every level."""
+    checks = 0
+    for length in (6, 7):
+        T = build_w(X.k, length)
+        for Y in all_sub_members(X, (), length):
+            for n in (1, 2, 3):
+                units = [[b.nodes for b in sub_approxs_up_to(Z, n) if len(b.nodes) == n]
+                         for Z in (Y, T)]
+                for v in ramsey.admissible_vectors(X.k, n):
+                    def key(b):
+                        return tuple(w[:l] for w, l in zip(b, v))
+
+                    assert _blocks(Y, units[0], key) == _blocks(T, units[1], key), (Y, v)
+                    checks += 1
+            for a in sub_approxs_up_to(Approx(X.k, Y.nodes[:3]), 3):
+                at = Approx(X.k, tuple(T.nodes[Y.nodes.index(w)] for w in a.nodes))
+                units = [[(w,) for w in Z.nodes if _Slot.of(b).admits(w)]
+                         for Z, b in ((Y, a), (T, at))]
+                for level in range(X.k + 1):
+                    def key(u):
+                        return u[0][:level]
+
+                    assert _blocks(Y, units[0], key) == _blocks(T, units[1], key), (Y, a, level)
+                    checks += 1
+    assert checks == {2: 4551, 3: 1200}[X.k]
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_classify_matches_definitional_oracle_small(k):
     x = build_w(k, 300)
