@@ -54,15 +54,9 @@ target longer than X has no sub-member and builds no template.  Then
 canonize_relation runs one search for every surviving projection
 vector, which finds the n-approximations a new node completes and their
 classes once for all of them; a state is one placement tried, however
-many vectors it serves.
-The approximations of the placed nodes form a trie, kept until the call
-returns, that is built once and then shared (hash-consing, after
-Filliatre and Conchon 2006): each distinct j-approximation (j < n)
-a push extends gets one entry, with the slot of its next node and its
-table group, and each completed n-approximation one row, its pair under
-every vector.  So the trie holds at most one entry or row per distinct
-approximation the call extends or completes, however many states reach
-it, and a push that completes none forms no pair and pushes no filter.
+many vectors it serves.  It reads what a push completes off the
+n-approximations looked up before the first state (why that is exact:
+_VectorFits).
 Coloring, Relation and InnerMap are one extensional table, _Table.
 
 A failed sub-search is never searched twice, nor from a higher running
@@ -102,6 +96,7 @@ from .space import (
     _check_length,
     _extend,
     _extension_positions,
+    _first_positions,
     _require_valid,
     _Slot,
     build_w,
@@ -695,7 +690,7 @@ def _colored_extensions(a, X, coloring, target_len):
     if target_len < d:
         raise ValueError("target length is below the depth of the approximation")
     color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
-    position = {w: p for p, w in enumerate(X.nodes[:d])}
+    position = _first_positions(X.nodes[:d])
     supply = _Extensions(X.k, tuple(position[w] for w in a.nodes), color_of)
     return X.nodes[:d], color_of, supply
 
@@ -834,67 +829,39 @@ def admissible_vectors(k, n):
     ]
 
 
-class _Entry:
-    """One j-approximation (j < n) in the trie of a relation search: made
-    the first time a push of the call extends the entry of its first j - 1
-    nodes by its last, and then shared by every path that places the same
-    nodes.  It holds the slot of its next node, the table group it joins
-    while its nodes are placed and, per node w it was extended by, the
-    entry of nodes + (w,) or, when that has n nodes, its row."""
-
-    __slots__ = ("nodes", "slot", "group", "next")
-
-    def __init__(self, nodes, slot, group):
-        self.nodes, self.slot, self.group = nodes, slot, group
-        self.next = {}
-
-
 class _VectorFits:
     """Every vector's fit in one search: a _FitFilter per vector, all fed
     the n-approximations a push completes, found once with their classes.
 
-    The j-approximations (j < n) that pushes of the call extended form a
-    trie of _Entry, one entry per distinct approximation, kept until the
-    call returns.  tables[j] groups the entries of the j-approximations of
-    the placed nodes by the forced prefix of their slot (of length
-    levels[j]), so a push reads one group per table and the slot still
-    decides.  An entry's edge w, made at the first push that extends it by
-    w, leads to the entry of the longer approximation, with its slot and
-    group, or, at j = n - 1, to the row of the n-approximation it
-    completes: its (key, class) pair under every vector, projected once.
-    So the trie holds at most one entry or row per distinct approximation
-    the call extends or completes, and grows with those, not with the
-    states.
+    class_of holds the class of every n-approximation of X by its nodes,
+    looked up by canonize_relation before the first state.  A slot admits
+    only a node whose maximum exceeds the running maximum, so the placed
+    nodes ascend by maximum, and so do the nodes of each n-approximation.
+    A push of w therefore completes exactly the listed n-approximations
+    that end in w and whose other nodes are all placed, on any member.
+    ending lists them by last node, each as [its other nodes, its nodes,
+    its row]: the row, its (key, class) pair under every vector, is
+    projected at its first completion and kept for the call.
     Vector i's pairs are item i of the rows a push completes.  A push that
     completes none forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
     nodes.  A vector is resolved at its first leaf; accept then backtracks
     to the deepest level still live.  So each vector gets its solo
     witness, and the states are the union of the solo searches' states.
-    class_of holds the class of every n-approximation of X by its nodes,
-    looked up by canonize_relation before the first state, so a row is a
-    plain lookup.
     """
 
-    def __init__(self, class_of, k, n, vectors):
-        self.k = k
+    def __init__(self, class_of, vectors):
         self.class_of = class_of
         self.slices = [[slice(l) for l in v] for v in vectors]
-        self.levels = [position_info(k, j)[0] for j in range(n)]
-        self.tables = [{} for _ in range(n)]
-        root = self._entry((), -1)
-        root.group.append(root)
-        self.trail = []
+        self.ending = {}
+        for b in class_of:
+            self.ending.setdefault(b[-1], []).append([frozenset(b[:-1]), b, None])
+        self.placed = set()
+        self.trail = []  # per kept push, whether it pushed the filters, and its node
         self.filters = [_FitFilter() for _ in vectors]
         self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
         self.live = [self.filters]
         self.found = {}  # filter -> its witness nodes
-
-    def _entry(self, b, floor):
-        """b's trie entry: its slot, from the running maximum floor, and
-        the group of its table for that slot's forced prefix."""
-        slot = _Slot(self.k, b, floor)
-        return _Entry(b, slot, self.tables[len(b)].setdefault(slot.prefix, []))
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
@@ -902,13 +869,13 @@ class _VectorFits:
         return tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
 
     def try_push(self, nodes, w):
-        tables, levels, live = self.tables, self.levels, self.live[-1]
+        placed, live = self.placed, self.live[-1]
         rows = []
-        for e in tables[-1].get(w[:levels[-1]], ()):
-            if e.slot.admits(w):
-                row = e.next.get(w)
+        for entry in self.ending.get(w, ()):
+            if entry[0] <= placed:
+                row = entry[2]
                 if row is None:
-                    row = e.next[w] = self._row(e.nodes + (w,))
+                    row = entry[2] = self._row(entry[1])
                 rows.append(row)
         if rows:
             item, kept = self.item, []
@@ -919,28 +886,17 @@ class _VectorFits:
         if not live:
             return False
         self.live.append(live)
-        grown = []
-        for j in range(len(tables) - 1):
-            for e in tables[j].get(w[:levels[j]], ()):
-                if e.slot.admits(w):
-                    b = e.next.get(w)
-                    if b is None:
-                        # w passed the slot, so its maximum is b's running maximum
-                        b = e.next[w] = self._entry(e.nodes + (w,), max(w))
-                    # a later table's read may meet b, whose slot never admits w
-                    b.group.append(b)
-                    grown.append(b)
-        self.trail.append((bool(rows), grown))
+        placed.add(w)
+        self.trail.append((bool(rows), w))
         return True
 
     def pop(self):
-        pushed, grown = self.trail.pop()
+        pushed, w = self.trail.pop()
         live = self.live.pop()
         if pushed:
             for f in live:
                 f.pop()
-        for b in grown:
-            b.group.pop()
+        self.placed.remove(w)
 
     def start(self, stop):
         pass
@@ -1000,8 +956,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     _check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
-    # each looked up as it is built; the trie asks the same slots as
-    # one_extensions, so it completes none that is not met here
+    # each looked up as it is built; the search completes only these (_VectorFits)
     classes = {a.nodes: relation.class_id(a) for a in _approximations(X, n)}
     sizes = Counter(classes.values()).values()
     vectors = admissible_vectors(k, n)
@@ -1018,7 +973,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     if not survivors:
         return NotCanonicalAtScale(vectors_checked=len(vectors))
     budget = budget or Budget()
-    flt = _VectorFits(classes, k, n, survivors)
+    flt = _VectorFits(classes, survivors)
     try:
         _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:

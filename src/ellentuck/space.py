@@ -242,6 +242,14 @@ def le_fin(a, b) -> bool:
     return set(a.nodes) <= set(b.nodes)
 
 
+def _first_positions(nodes) -> dict:
+    """Each node's least position in nodes, also where a node repeats."""
+    pos: dict = {}
+    for i, w in enumerate(nodes):
+        pos.setdefault(w, i)
+    return pos
+
+
 def depth_of(X: Member, a) -> int:
     """Least n with ran(a) inside the first n nodes of X; raises
     TruncationExhaustedError when a is not inside the truncation."""
@@ -249,7 +257,7 @@ def depth_of(X: Member, a) -> int:
         raise ValueError("dimension mismatch")
     if not a.nodes:
         return 0
-    pos = {w: i for i, w in enumerate(X.nodes)}
+    pos = _first_positions(X.nodes)
     try:
         return 1 + max(pos[w] for w in a.nodes)
     except KeyError:

@@ -18,6 +18,7 @@ from ellentuck.errors import AmbiguousAtScale, Exhausted, NotCanonicalAtScale
 from ellentuck.ramsey import (
     Budget,
     CanonicalRelation,
+    Coloring,
     RelationCanonization,
     _FitFilter,
 )
@@ -26,6 +27,7 @@ from ellentuck.space import (
     Member,
     _Pool,
     _Slot,
+    build_w,
     one_extensions,
     position_info,
     validate_approx,
@@ -195,6 +197,19 @@ def random_sub_member(X, length, rng, bias=None):
             return None
         a = rng.choice(exts[:bias] if bias else exts)
     return a
+
+
+def repeated_node_case():
+    """build_w(2, 8) with node 4 replaced by node 0, as (a, X, coloring):
+    a is the first 3 nodes, and its one-step extensions (0, 5) and (0, 9)
+    have colors 0 and 1. Every sub-member of 7 nodes sharing a's depth
+    prefix places both, so no color is homogeneous."""
+    nodes = list(build_w(2, 8).nodes)
+    nodes[4] = nodes[0]
+    X = Member(2, tuple(nodes))
+    a = Approx(2, X.nodes[:3])
+    coloring = Coloring({b: int(b.nodes[-1] == (0, 9)) for b in one_extensions(a, X)})
+    return a, X, coloring
 
 
 def extension_closure_nodes(a, Y):
@@ -603,11 +618,15 @@ class ExactFloorFitFilter(_FitFilter):
 
 
 class ReferenceVectorFits:
-    """ramsey._VectorFits before its completion trie, kept as the reference:
-    it builds c + (w,) for every stored approximation a push extends, a
-    _Slot and a table-group lookup for each approximation it grows, and
-    looks each completed approximation's row up in a dict.  Install it as
-    ramsey._VectorFits to run canonize_relation on it.
+    """ramsey._VectorFits as it was before it read completions off the
+    approximations of X, kept as the reference: it asks the slots again
+    at every push, building c + (w,) for every stored approximation a
+    push extends, a _Slot and a table-group lookup for each approximation
+    it grows, and looks each completed approximation's row up in a dict.
+    Install it as ramsey._VectorFits to run canonize_relation on it.
+    It reads k and n off a key of class_of, which is never empty there:
+    with no n-approximation of X every vector is refuted before the
+    search.
 
     Every vector's fit in one search: a _FitFilter per vector, all fed
     the n-approximations a push completes, found once with their classes.
@@ -626,7 +645,9 @@ class ReferenceVectorFits:
     witness, and the states are the union of the solo searches' states.
     """
 
-    def __init__(self, class_of, k, n, vectors):
+    def __init__(self, class_of, vectors):
+        b = next(iter(class_of))
+        k, n = len(b[0]), len(b)
         self.k = k
         self.class_of = class_of
         self.slices = [[slice(l) for l in v] for v in vectors]
@@ -743,7 +764,7 @@ def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
     classes = {a.nodes: relation.class_id(a) for a in ramsey._approximations(X, n)}
     budget = budget or Budget()
     vectors = ramsey.admissible_vectors(k, n)
-    flt = ramsey._VectorFits(classes, k, n, vectors)
+    flt = ramsey._VectorFits(classes, vectors)
     try:
         ramsey._search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except ramsey._Blown:

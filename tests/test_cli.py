@@ -23,7 +23,7 @@ from ellentuck.space import Approx, build_w, one_extensions
 from ellentuck.wellorder import domain_at, seq_at_rank, seq_str
 
 from figures import R10_E2, R6_E2
-from helpers import oracle_build_parser, shallow_stack
+from helpers import oracle_build_parser, repeated_node_case, shallow_stack
 
 
 def run(*argv):
@@ -239,6 +239,17 @@ def test_pigeonhole(tmp_path):
         "--coloring", coloring, "--len", "8",
     )[1]
     assert again == out
+
+
+def test_pigeonhole_on_a_member_with_a_repeated_node_exits_3(tmp_path):
+    """No color is homogeneous there, which is exit 3, not an internal
+    error."""
+    a, X, coloring = repeated_node_case()
+    code, out, err = run(
+        "pigeonhole", "--a", dump_approx(a), "--member", write(tmp_path, "x.json", dump_approx(X)),
+        "--coloring", write(tmp_path, "c.json", dump_coloring(coloring)), "--len", "7",
+    )
+    assert (code, out, err) == (3, "exhausted: no color admits a homogeneous sub-member\n", "")
 
 
 def test_pigeonhole_budget_env(tmp_path, monkeypatch):

@@ -38,6 +38,7 @@ from helpers import (
     oracle_level,
     oracle_position_info,
     random_sub_member,
+    repeated_node_case,
     sub_approxs_up_to,
 )
 
@@ -304,6 +305,9 @@ def test_depth_examples():
     with pytest.raises(TruncationExhaustedError) as err:
         depth_of(x, approx(2, [wk_node((9, 9), 2)]))
     assert str(err.value) == "approximation not inside the truncation"
+    # a member is not checked for repeats; a node counts at its first position
+    a, x, _ = repeated_node_case()
+    assert depth_of(x, a) == 3
 
 
 # ------------------------------------------------------------ extensions
