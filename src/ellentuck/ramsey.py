@@ -38,11 +38,11 @@ outcome is that of the search without it, in fewer states; on an
 invalid member it can only skip witnesses that do not validate.
 canonize_relation first looks up the class of every n-approximation of
 X, so a relation that misses one raises before the first state.
-Both canonizers then drop, before the first state, every candidate
-level or vector that no witness can carry.  A witness of t nodes is a
-copy of the template space.build_w(k, t), so a level partitions the
-positions of a's one-step extensions in it, and a vector those of its
-n-approximations, as on the template.  A fit maps the blocks one-to-one
+pigeonhole and both canonizers then drop, before the first state, every
+color, level or vector that no witness can carry.  A witness of t nodes
+is a copy of the template space.build_w(k, t), so a level (a color is
+level 0) partitions the positions of a's one-step extensions in it, and
+a vector those of its n-approximations, as on the template.  A fit maps the blocks one-to-one
 into classes, and a witness's class is part of X's, so a candidate
 whose block sizes, each list sorted, exceed the class sizes rank by
 rank, or outnumber them, has no witness (Hall's condition, _refuted).
@@ -77,10 +77,10 @@ the floor, the map, and the prefixes of positions the budget can fill.
 """
 
 import itertools
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from operator import getitem, itemgetter
 
 from .errors import (
@@ -547,122 +547,78 @@ class _LookAhead:
     node u of the supply with u[l] above the running maximum (l is q's
     level, and every later floor is at least that maximum), with q's
     forced prefix once q's anchor is placed, and whose pair the filter's
-    key <-> class map would take.  So a constraint is (l, q's anchor, that
-    prefix), or (l, None, None) while the anchor is unplaced, however many
-    positions share it.  Along a path the maximum only rises and the maps only grow, so a
-    constraint without such a node has none in the whole subtree, and on a
-    valid member (a copy of the template) no witness is lost.  The check
-    reads only placed nodes' prefixes of positions below stop, as the
-    search core's memo key does.
+    key <-> class map would take.  So a constraint is (l, q's anchor) with
+    the last q it serves, and it looks in the group (l, prefix), None
+    while the anchor is unplaced.  Along a path the maximum only rises and
+    the maps only grow, so a constraint without such a node has none in
+    the whole subtree, and on a valid member (a copy of the template) no
+    witness is lost.  The check reads only placed nodes' prefixes of
+    positions below stop, as the search core's memo key does.
 
-    Residual supports (Lecoutre and Hemery 2007): each constraint keeps
-    the node that last supported it, the one with the largest index at l
-    that the maps allowed, and a list sorted by that index watches every
-    support.  A support stored was found on the path or below a node of
-    it, so it holds at every node of the path up to where it was found.
-    A push re-tests a support only when the running maximum reaches it,
-    checks the constraints of the anchor it places, and re-tests every
-    pending constraint when it inserts a key or is the search's first.
-    A watch entry that a push reaches while its constraint is not pending
-    goes back when that push is undone.
+    A group keeps its last support (a residual support, Lecoutre and
+    Hemery 2007) and re-tests it before it scans.  Per push kept, a stack
+    holds a bound and the constraint that sets it: every constraint
+    pending after the push has a support, at or above the bound at its
+    level, that the maps then take.  A push that inserts no key and whose
+    maximum stays below the bound leaves those supports valid, so only the
+    constraints of the anchor it places, whose prefix is new, are tested.
+    Any other push tests the bound's constraint first, then all pending.
     """
 
     def __init__(self, flt, stop):
         supply = flt.supply
         self.groups, self.pairs = supply.groups, flt.pairs
         self.key_class, self.class_key = flt.key_class, flt.class_key
-        self.first = max(supply.positions, default=-1) + 1
-        # per constraint (l, anchor): the last position q it serves; per
-        # level, the last q, or anchor, that leaves it at (l, None); per
-        # anchor, the levels of the constraints it fixes
-        self.last, self.until, self.anchored = {}, {}, {}
+        self.constraints = {}  # (l, anchor) -> the last position it serves
         for q in _extension_positions(supply.k, supply.positions, stop):
-            l, a = position_info.trusted(supply.k, q)
-            if l:
-                self.last[l, a] = q
-                self.until[l] = max(self.until.get(l, -1), a)
-                self.anchored.setdefault(a, set()).add(l)
-            else:
-                self.until[0] = q
-        self.anchors = sorted((a, l, q) for (l, a), q in self.last.items())
-        self.support = {}  # (l, anchor, prefix), or (l, None, None) -> its residual support
-        # (-u[l], tie, l, anchor, prefix, u) per support found, sorted, so
-        # the least u[l] comes last
-        self.watch = []
-        self.tie = itertools.count()
-        self.trail = []  # per push, the watch entries to put back
+            self.constraints[position_info.trusted(supply.k, q)] = q
+        self.anchored = {}  # per anchor, its constraints, as (l, anchor), last
+        for c in self.constraints.items():
+            self.anchored.setdefault(c[0][1], []).append(c)
+        self.support = {}  # (l, prefix) -> its residual support
+        self.stack = [(-1, None)]  # below every maximum: the first push tests all
 
     def _takes(self, u):
         """Whether the filter's key <-> class map would take u's pair."""
         (key, c), = self.pairs[u]
         return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
 
-    def _find(self, l, a, prefix, m):
-        """Whether a node supports (l, prefix) above m; stores the largest."""
+    def _top(self, l, prefix, m):
+        """The index at l of a support of (l, prefix) above m, or -1."""
+        u = self.support.get((l, prefix))
+        if u is not None and u[l] > m and self._takes(u):
+            return u[l]
         for u in self.groups.get((l, prefix), ()):
             if u[l] <= m:
-                return False
-            if self._takes(u):
-                self.support[l, a, prefix] = u
-                insort(self.watch, (-u[l], next(self.tie), l, a, prefix, u))
-                return True
-        return False
-
-    def _holds(self, l, a, prefix, m):
-        u = self.support.get((l, a, prefix))
-        return u is not None and u[l] > m and self._takes(u) or self._find(l, a, prefix, m)
-
-    def _holds_all(self, nodes, w, p, m):
-        """Every constraint pending after w is placed at p has support."""
-        for l, until in self.until.items():
-            if p < until and not self._holds(l, None, None, m):
-                return False
-        for a, l, last in self.anchors:
-            if a > p:
                 break
-            if p < last and not self._holds(l, a, (w if a == p else nodes[a])[:l], m):
-                return False
-        return True
-
-    def _reached(self, nodes, w, p, m, aside):
-        """Re-test the supports that the running maximum m reaches; an entry
-        whose constraint is not pending after w is placed at p goes to
-        aside, and so does that of a constraint left without support."""
-        watch, support = self.watch, self.support
-        while watch and -watch[-1][0] <= m:
-            entry = watch.pop()
-            _, _, l, a, prefix, u = entry
-            if support[l, a, prefix] is not u:
-                continue  # replaced since, and its replacement has an entry
-            if prefix is None:
-                pending = p < self.until[l]
-            else:
-                pending = a <= p < self.last[l, a] and (w if a == p else nodes[a])[:l] == prefix
-            if not pending:
-                aside.append(entry)
-            elif not self._find(l, a, prefix, m):
-                aside.append(entry)
-                return False
-        return True
+            if self._takes(u):
+                self.support[l, prefix] = u
+                return u[l]
+        return -1
 
     def push(self, nodes, w, inserted):
         p, m = len(nodes), max(w)
-        aside = []
-        if inserted or p == self.first:
-            ok = self._holds_all(nodes, w, p, m)
+        bound, worst = self.stack[-1]
+        if not inserted and m < bound:
+            pending = self.anchored.get(p, ())
         else:
-            ok = self._reached(nodes, w, p, m, aside) and all(
-                self._holds(l, p, w[:l], m) for l in self.anchored.get(p, ()))
-        if ok:
-            self.trail.append(aside)
-            return True
-        for entry in aside:
-            insort(self.watch, entry)
-        return False
+            pending = itertools.chain((worst,) if worst else (), self.constraints.items())
+            bound, worst = inf, None
+        for c in pending:
+            (l, a), last = c
+            if p >= last:
+                continue
+            prefix = None if a is None or a > p else (w if a == p else nodes[a])[:l]
+            top = self._top(l, prefix, m)
+            if top <= m:
+                return False
+            if top < bound:
+                bound, worst = top, c
+        self.stack.append((bound, worst))
+        return True
 
     def pop(self):
-        for entry in self.trail.pop():
-            insort(self.watch, entry)
+        self.stack.pop()
 
 
 def _candidate_levels(k, n):
@@ -695,6 +651,20 @@ def _colored_extensions(a, X, coloring, target_len):
     return X.nodes[:d], color_of, supply
 
 
+def _refuted(blocks, classes):
+    """Whether a candidate's blocks cannot go one-to-one to classes at
+    least as large, given both lists of sizes: sorted largest first, it
+    has more blocks than there are classes, or some block is larger than
+    the class of the same rank (Hall's condition)."""
+    blocks, classes = sorted(blocks, reverse=True), sorted(classes, reverse=True)
+    return len(blocks) > len(classes) or any(b > c for b, c in zip(blocks, classes))
+
+
+_NO_COMPLETION = Exhausted("supply", "no completion from the depth prefix")
+_NO_COLOR = Exhausted("supply", "no color admits a homogeneous sub-member")
+_NO_LEVEL = Exhausted("supply", "no projection level fits a sub-member")
+
+
 def pigeonhole(a, X, coloring, target_len, budget=None):
     """Monochromatic sub-member for a coloring of one-step extensions.
 
@@ -704,18 +674,25 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     ascending order, or Exhausted.  Each color is tried as a level-0
     canonization with that color pinned.  The homogeneity certificate
     is re-checked by enumeration before returning.
+
+    Before the first state, a color with fewer one-step extensions in X
+    than the template has extension positions is dropped (_refuted).
     """
     base, color_of, supply = _colored_extensions(a, X, coloring, target_len)
+    if target_len > len(X.nodes):  # a sub-member places a new node of X per position
+        return _NO_COLOR if color_of else _NO_COMPLETION
     budget = budget or Budget()
     pool = _Pool(X.nodes)
     try:
         if not color_of:
             got = _search_member(X.k, base, pool, target_len, budget, _NoFilter())
             if got is None:
-                return Exhausted("supply", "no completion from the depth prefix")
+                return _NO_COMPLETION
             return Member(X.k, got), None
+        block = [len(_extension_positions(X.k, supply.positions, target_len))]
+        sizes = Counter(color_of.values())
         pairs = _level_pairs(color_of, 0)
-        for color in sorted(set(color_of.values())):
+        for color in sorted(c for c in sizes if not _refuted(block, [sizes[c]])):
             flt = _FitFilter(pairs, pinned=[((), color)], supply=supply)
             got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
@@ -726,19 +703,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
                 return Y, color
     except _Blown:
         return _out_of_budget(budget)
-    return Exhausted("supply", "no color admits a homogeneous sub-member")
-
-
-def _refuted(blocks, classes):
-    """Whether a candidate's blocks cannot go one-to-one to classes at
-    least as large, given both lists of sizes: sorted largest first, it
-    has more blocks than there are classes, or some block is larger than
-    the class of the same rank (Hall's condition)."""
-    blocks, classes = sorted(blocks, reverse=True), sorted(classes, reverse=True)
-    return len(blocks) > len(classes) or any(b > c for b, c in zip(blocks, classes))
-
-
-_NO_LEVEL = Exhausted("supply", "no projection level fits a sub-member")
+    return _NO_COLOR
 
 
 def canonize_one_extensions(s, X, coloring, target_len, budget=None):

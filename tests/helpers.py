@@ -7,7 +7,9 @@ rules have something definition-shaped to answer to.
 
 import argparse
 import contextlib
+import itertools
 import sys
+from bisect import insort
 from functools import partial
 from math import comb
 from operator import getitem, itemgetter
@@ -27,6 +29,7 @@ from ellentuck.space import (
     Member,
     _Pool,
     _Slot,
+    _extension_positions,
     build_w,
     one_extensions,
     position_info,
@@ -617,6 +620,140 @@ class ExactFloorFitFilter(_FitFilter):
         return None if part is None else part + (self.floors[-1],)
 
 
+class ReferenceLookAhead:
+    """ramsey._LookAhead as it was before it kept one bound per depth,
+    kept as the reference: its residual supports sit in a list sorted by
+    index, and a push re-tests those the running maximum reaches.
+    Install it as ramsey._LookAhead to run pigeonhole or
+    canonize_one_extensions on it.
+
+    Forward checking for one level-fit search (Haralick and Elliott
+    1980): a push the filter takes is vetoed when some extension position
+    still to come can no longer be filled.
+
+    The positions below stop that hold a one-step extension of a come from
+    the template, space._extension_positions.  A pending one, q, needs a
+    node u of the supply with u[l] above the running maximum (l is q's
+    level, and every later floor is at least that maximum), with q's
+    forced prefix once q's anchor is placed, and whose pair the filter's
+    key <-> class map would take.  So a constraint is (l, q's anchor, that
+    prefix), or (l, None, None) while the anchor is unplaced, however many
+    positions share it.  Along a path the maximum only rises and the maps only grow, so a
+    constraint without such a node has none in the whole subtree, and on a
+    valid member (a copy of the template) no witness is lost.  The check
+    reads only placed nodes' prefixes of positions below stop, as the
+    search core's memo key does.
+
+    Residual supports (Lecoutre and Hemery 2007): each constraint keeps
+    the node that last supported it, the one with the largest index at l
+    that the maps allowed, and a list sorted by that index watches every
+    support.  A support stored was found on the path or below a node of
+    it, so it holds at every node of the path up to where it was found.
+    A push re-tests a support only when the running maximum reaches it,
+    checks the constraints of the anchor it places, and re-tests every
+    pending constraint when it inserts a key or is the search's first.
+    A watch entry that a push reaches while its constraint is not pending
+    goes back when that push is undone.
+    """
+
+    def __init__(self, flt, stop):
+        supply = flt.supply
+        self.groups, self.pairs = supply.groups, flt.pairs
+        self.key_class, self.class_key = flt.key_class, flt.class_key
+        self.first = max(supply.positions, default=-1) + 1
+        # per constraint (l, anchor): the last position q it serves; per
+        # level, the last q, or anchor, that leaves it at (l, None); per
+        # anchor, the levels of the constraints it fixes
+        self.last, self.until, self.anchored = {}, {}, {}
+        for q in _extension_positions(supply.k, supply.positions, stop):
+            l, a = position_info.trusted(supply.k, q)
+            if l:
+                self.last[l, a] = q
+                self.until[l] = max(self.until.get(l, -1), a)
+                self.anchored.setdefault(a, set()).add(l)
+            else:
+                self.until[0] = q
+        self.anchors = sorted((a, l, q) for (l, a), q in self.last.items())
+        self.support = {}  # (l, anchor, prefix), or (l, None, None) -> its residual support
+        # (-u[l], tie, l, anchor, prefix, u) per support found, sorted, so
+        # the least u[l] comes last
+        self.watch = []
+        self.tie = itertools.count()
+        self.trail = []  # per push, the watch entries to put back
+
+    def _takes(self, u):
+        """Whether the filter's key <-> class map would take u's pair."""
+        (key, c), = self.pairs[u]
+        return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
+
+    def _find(self, l, a, prefix, m):
+        """Whether a node supports (l, prefix) above m; stores the largest."""
+        for u in self.groups.get((l, prefix), ()):
+            if u[l] <= m:
+                return False
+            if self._takes(u):
+                self.support[l, a, prefix] = u
+                insort(self.watch, (-u[l], next(self.tie), l, a, prefix, u))
+                return True
+        return False
+
+    def _holds(self, l, a, prefix, m):
+        u = self.support.get((l, a, prefix))
+        return u is not None and u[l] > m and self._takes(u) or self._find(l, a, prefix, m)
+
+    def _holds_all(self, nodes, w, p, m):
+        """Every constraint pending after w is placed at p has support."""
+        for l, until in self.until.items():
+            if p < until and not self._holds(l, None, None, m):
+                return False
+        for a, l, last in self.anchors:
+            if a > p:
+                break
+            if p < last and not self._holds(l, a, (w if a == p else nodes[a])[:l], m):
+                return False
+        return True
+
+    def _reached(self, nodes, w, p, m, aside):
+        """Re-test the supports that the running maximum m reaches; an entry
+        whose constraint is not pending after w is placed at p goes to
+        aside, and so does that of a constraint left without support."""
+        watch, support = self.watch, self.support
+        while watch and -watch[-1][0] <= m:
+            entry = watch.pop()
+            _, _, l, a, prefix, u = entry
+            if support[l, a, prefix] is not u:
+                continue  # replaced since, and its replacement has an entry
+            if prefix is None:
+                pending = p < self.until[l]
+            else:
+                pending = a <= p < self.last[l, a] and (w if a == p else nodes[a])[:l] == prefix
+            if not pending:
+                aside.append(entry)
+            elif not self._find(l, a, prefix, m):
+                aside.append(entry)
+                return False
+        return True
+
+    def push(self, nodes, w, inserted):
+        p, m = len(nodes), max(w)
+        aside = []
+        if inserted or p == self.first:
+            ok = self._holds_all(nodes, w, p, m)
+        else:
+            ok = self._reached(nodes, w, p, m, aside) and all(
+                self._holds(l, p, w[:l], m) for l in self.anchored.get(p, ()))
+        if ok:
+            self.trail.append(aside)
+            return True
+        for entry in aside:
+            insort(self.watch, entry)
+        return False
+
+    def pop(self):
+        for entry in self.trail.pop():
+            insort(self.watch, entry)
+
+
 class ReferenceVectorFits:
     """ramsey._VectorFits as it was before it read completions off the
     approximations of X, kept as the reference: it asks the slots again
@@ -714,6 +851,37 @@ class ReferenceVectorFits:
                 self.live = [[g for g in level if g is not f] for level in self.live]
         # live lists only shrink with depth, so the nonempty ones lead
         return sum(map(bool, self.live[:-1])) - 1
+
+
+def reference_pigeonhole(a, X, coloring, target_len, budget=None):
+    """pigeonhole before it refuted colors on the template, kept as the
+    reference: every color is searched, in ascending order, also one with
+    fewer one-step extensions in X than a witness holds, and a target
+    longer than X is searched until the supply runs out. Reads ramsey's
+    filter, look-ahead and search core at call time, so one installed
+    there is used here too."""
+    base, color_of, supply = ramsey._colored_extensions(a, X, coloring, target_len)
+    budget = budget or Budget()
+    pool = _Pool(X.nodes)
+    try:
+        if not color_of:
+            got = ramsey._search_member(X.k, base, pool, target_len, budget, ramsey._NoFilter())
+            if got is None:
+                return Exhausted("supply", "no completion from the depth prefix")
+            return Member(X.k, got), None
+        pairs = ramsey._level_pairs(color_of, 0)
+        for color in sorted(set(color_of.values())):
+            flt = ramsey._FitFilter(pairs, pinned=[((), color)], supply=supply)
+            got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
+            if got is not None:
+                Y = Member(X.k, got)
+                seen = {coloring.of(b) for b in one_extensions(a, Y)}
+                if seen != {color}:
+                    raise AssertionError("homogeneity certificate failed")
+                return Y, color
+    except ramsey._Blown:
+        return ramsey._out_of_budget(budget)
+    return Exhausted("supply", "no color admits a homogeneous sub-member")
 
 
 def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):

@@ -6,6 +6,7 @@ exhaustive cross-checks re-decide existence questions with the unpruned
 enumerator from helpers.
 """
 
+import itertools
 import random
 from unittest import mock
 
@@ -62,6 +63,7 @@ from helpers import (
     ExactFloorFitFilter,
     MemoFreeFitFilter,
     ReferenceFitFilter,
+    ReferenceLookAhead,
     ReferenceVectorFits,
     ScanAgreementFilter,
     all_sub_members,
@@ -72,6 +74,7 @@ from helpers import (
     oracle_relation_fits,
     reference_canonize_one_extensions,
     reference_canonize_relation,
+    reference_pigeonhole,
     repeated_node_case,
     shallow_stack,
     sub_approxs_up_to,
@@ -482,10 +485,10 @@ def test_memo_signature_misses_no_part(search, size, m, tlen):
     assert memo.used <= full.used
 
 
-def _outcome(search, args):
-    """(outcome, states) of one call with the default budget; an error is
-    its type and message."""
-    budget = Budget(DEFAULT_BUDGET)
+def _outcome(search, args, budget=None):
+    """(outcome, states) of one call with budget, by default the default
+    budget; an error is its type and message."""
+    budget = budget or Budget(DEFAULT_BUDGET)
     try:
         got = search(*args, budget)
     except ValueError as e:
@@ -580,31 +583,116 @@ def test_look_ahead_on_a_corrupted_member_skips_only_invalid_witnesses(data):
         assert got == want
 
 
+def _draw_coloring(data, k, exts, kinds):
+    """A coloring of exts, one-step extensions in W_k, of a kind drawn from
+    kinds: random (1 to 4 colors), constant, one-to-one, max(w) % m (m 1
+    to 6), or one color per level-j prefix."""
+    how = data.draw(st.sampled_from(kinds))
+    if how == "random":
+        rng = data.draw(st.randoms(use_true_random=False))
+        colors = data.draw(st.integers(1, 4), label="colors")
+        return Coloring({b: rng.randrange(colors) for b in exts})
+    if how == "max mod m":
+        m = data.draw(st.integers(1, 6), label="m")
+        return Coloring.from_function(lambda b: max(b.nodes[-1]) % m, exts)
+    if how == "prefix":
+        j = data.draw(st.integers(0, k), label="j")
+        labels = {}
+        return Coloring.from_function(
+            lambda b: labels.setdefault(b.nodes[-1][:j], len(labels)), exts)
+    return Coloring({b: i if how == "one-to-one" else 0 for i, b in enumerate(exts)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_look_ahead_matches_the_reference_look_ahead(data):
+    """One bound per depth decides every push as the sorted watch list of
+    residual supports did: pigeonhole and canonize_one_extensions give
+    the same outcome, witness, reason or error, and spend the same states,
+    under any budget, on valid and corrupted members alike."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    X = build_w(k, data.draw(st.integers(8, 30), label="nodes"))
+    if data.draw(st.booleans(), label="corrupted"):
+        X = _corrupted(data, X)
+    m = data.draw(st.integers(0, 4), label="m")
+    a = Approx(k, X.nodes[:m])
+    coloring = _draw_coloring(data, k, one_extensions(a, X), ("random", "max mod m", "prefix"))
+    tlen = m + data.draw(st.integers(2, 7), label="past a")
+    search = data.draw(st.sampled_from((pigeonhole, canonize_one_extensions)))
+    limit = data.draw(st.integers(1, 5000), label="limit")
+
+    def run(look_ahead):
+        with mock.patch.object(ramsey, "_LookAhead", look_ahead):
+            return _outcome(search, (a, X, coloring, tlen), Budget(limit))
+
+    assert run(ramsey._LookAhead) == run(ReferenceLookAhead)
+
+
+def test_look_ahead_matches_the_reference_look_ahead_on_a_grid():
+    """The same on every call of a fixed grid, where a push whose anchor's
+    group has no support left, or one that inserts a key, comes up in a
+    few of the 216 calls: a look-ahead that skipped either test spent more
+    states than the reference there, which 200 random examples missed."""
+    for k, m, how, past, search in itertools.product(
+            (2, 3), (0, 1, 2), range(6), (3, 5, 7), (pigeonhole, canonize_one_extensions)):
+        X = build_w(k, 21)
+        a = Approx(k, X.nodes[:m])
+        exts = one_extensions(a, X)
+        if how < 3:
+            coloring = Coloring.from_function(lambda b: max(b.nodes[-1]) % (how + 2), exts)
+        else:
+            rng = random.Random(how)
+            coloring = Coloring({b: rng.randrange(3) for b in exts})
+        args = (a, X, coloring, m + past)
+        with mock.patch.object(ramsey, "_LookAhead", ReferenceLookAhead):
+            want = _outcome(search, args)
+        assert _outcome(search, args) == want, (k, m, how, past, search.__name__)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_look_ahead_work_on_a_long_target_is_bounded(monkeypatch, m):
+    """The look-ahead's support tests (_takes calls) on a 3,000-node
+    target with about 1,500 extension positions, counted in items, not
+    seconds: 1,370 (m = 0) and 1,766 (m = 2) with one bound per depth,
+    1,307 and 1,703 with the sorted watch list it replaced, and 189,993
+    and 216,800 when every push re-tests every pending constraint. The
+    parity colors have too few extensions for the target, so pigeonhole
+    refutes both before the first state; reference_pigeonhole searches
+    them, as pigeonhole did before, until the budget runs out."""
+    X = build_w(2, 3000)
+    a = Approx(2, X.nodes[:m])
+    coloring = Coloring.from_function(lambda b: max(b.nodes[-1]) % 2, one_extensions(a, X))
+    calls = [0]
+    real = ramsey._LookAhead._takes
+
+    def spy(self, u):
+        calls[0] += 1
+        return real(self, u)
+
+    monkeypatch.setattr(ramsey._LookAhead, "_takes", spy)
+    assert reference_pigeonhole(a, X, coloring, 3000, Budget(20000)) == _ran_out_at(20001)
+    assert calls[0] <= 2000
+
+
 def _template_case(data, X):
     """A call whose candidates the template may refute, as (search, its
-    reference, arguments): canonize_one_extensions on a coloring of the
-    one-step extensions of the first m <= 4 nodes of X (random, constant,
-    by a level prefix or one-to-one), or canonize_relation on a complete
-    relation on the n-approximations of X (n <= 2, random or induced by a
-    vector). The target may pass the last node of X."""
+    reference, arguments): pigeonhole or canonize_one_extensions on a
+    coloring of the one-step extensions of the first m <= 4 nodes of X
+    (random, constant, by a level prefix or one-to-one), or
+    canonize_relation on a complete relation on the n-approximations of
+    X (n <= 2, random or induced by a vector). The target may pass the
+    last node of X."""
     if data.draw(st.booleans(), label="coloring"):
         m = data.draw(st.integers(0, 4), label="m")
         a = Approx(X.k, X.nodes[:m])
         exts = one_extensions(a, X)
-        how = data.draw(st.sampled_from(("random", "constant", "prefix", "one-to-one")))
-        if how == "random":
-            rng = data.draw(st.randoms(use_true_random=False))
-            colors = data.draw(st.integers(1, 4), label="colors")
-            coloring = Coloring({b: rng.randrange(colors) for b in exts})
-        elif how == "prefix":
-            j = data.draw(st.integers(0, X.k), label="j")
-            labels = {}
-            coloring = Coloring.from_function(
-                lambda b: labels.setdefault(b.nodes[-1][:j], len(labels)), exts)
-        else:
-            coloring = Coloring({b: i if how == "one-to-one" else 0 for i, b in enumerate(exts)})
+        coloring = _draw_coloring(data, X.k, exts, ("random", "constant", "prefix", "one-to-one"))
         tlen = m + data.draw(st.integers(0, 7), label="past a")
-        return canonize_one_extensions, reference_canonize_one_extensions, (a, X, coloring, tlen)
+        search, reference = data.draw(st.sampled_from((
+            (pigeonhole, reference_pigeonhole),
+            (canonize_one_extensions, reference_canonize_one_extensions),
+        )))
+        return search, reference, (a, X, coloring, tlen)
     n = data.draw(st.sampled_from([1, 2]), label="n")
     tlen = data.draw(st.integers(n, n + 6), label="target")
     relation = _draw_relation(data, X, n)
@@ -621,10 +709,11 @@ def _template_member(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_template_refutation_keeps_every_outcome_of_the_reference(data):
-    """On a valid member, a witness is a copy of the template, so a level or
-    vector that the template refutes has none: canonize_one_extensions and
-    canonize_relation return what the searches of every candidate return,
-    witnesses, fits, reasons and errors alike, and spend no more states."""
+    """On a valid member, a witness is a copy of the template, so a color,
+    level or vector that the template refutes has none: pigeonhole,
+    canonize_one_extensions and canonize_relation return what the
+    searches of every candidate return, witnesses, fits, reasons and
+    errors alike, and spend no more states."""
     search, reference, args = _template_case(data, _template_member(data))
     got, used = _outcome(search, args)
     want, spent = _outcome(reference, args)
@@ -694,7 +783,10 @@ def test_memo_look_ahead_stops_at_the_budget_headroom(monkeypatch):
     """A search with 10 states left places at most 10 nodes, so the memo
     reads the forced prefixes of at most 11 positions, however long the
     target: the look-ahead of a 3,000-node target used to cover all
-    3,000 positions before the first state."""
+    3,000 positions before the first state. The coloring is constant:
+    each parity color has fewer extensions than the target's extension
+    positions, so pigeonhole now refutes both before the first state and
+    the memo is never built."""
     X = build_w(2, 3000)
     spans = []
     real = ramsey._placed_prefixes
@@ -704,7 +796,8 @@ def test_memo_look_ahead_stops_at_the_budget_headroom(monkeypatch):
         return real(k, start, stop)
 
     monkeypatch.setattr(ramsey, "_placed_prefixes", spy)
-    got = pigeonhole(Approx(2), X, _parity(X), 3000, Budget(10))
+    constant = Coloring.from_function(lambda b: 0, one_extensions(Approx(2), X))
+    got = pigeonhole(Approx(2), X, constant, 3000, Budget(10))
     assert got == Exhausted("budget", "state budget ran out at 11")
     assert spans and max(spans) <= 11
 
