@@ -25,31 +25,38 @@ when "same color" is E_0.  irreducible_agreement pins agreement the
 same way: each family member a push completes forms the pair ((),
 whether the two maps agree on it), so a disagreeing member vetoes the
 push.
+A witness of t nodes copies the depth prefix of a in X and places every
+later node by the slot rule, so once that prefix validates it has the
+shape of the template space.build_w(k, t) on any member: which positions
+hold a's one-step extensions or its n-approximations, and which of those
+agree up to which level, are the template's.  The level fits validate
+the depth prefix before the first state (_colored_extensions), and
+canonize_relation's is empty, so the template arguments below are exact
+on every member a search accepts.  X's later nodes are taken as given.
 The level fits, pigeonhole's included, also look ahead (forward
-checking, _LookAhead).  A valid member is a copy of the prototype W_k,
-so the positions that hold a's one-step extensions in a witness are
-those in W_k, space._extension_positions.  After every push it takes,
-each such position still to come must have an extension in the supply
-that can fill it: above the running maximum at its level, with its
-forced prefix once that is placed, and with a pair the key <-> class
-map takes.  When one has none the push is vetoed, since no push below
-it can give it one.  On a valid member that loses no witness, so the
-outcome is that of the search without it, in fewer states; on an
-invalid member it can only skip witnesses that do not validate.
+checking, _LookAhead).  After every push it takes, each position of
+the template that holds a one-step extension of a and is still to come
+must have an extension in the supply that can fill it: above the
+running maximum at its level, with its forced prefix once that is
+placed, and with a pair the key <-> class map takes.  When one has none
+the push is vetoed, since no push below it can give it one.  That loses
+no witness, so the outcome is that of the search without it, in fewer
+states.
 canonize_relation first looks up the class of every n-approximation of
 X, so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
-color, level or vector that no witness can carry.  A witness of t nodes
-is a copy of the template space.build_w(k, t), so a level (a color is
-level 0) partitions the positions of a's one-step extensions in it, and
-a vector those of its n-approximations, as on the template.  A fit maps the blocks one-to-one
-into classes, and a witness's class is part of X's, so a candidate
-whose block sizes, each list sorted, exceed the class sizes rank by
-rank, or outnumber them, has no witness (Hall's condition, _refuted).
-When no two of the template's extensions agree up to one candidate
-level but not up to the next, no witness passes _FitFilter.accept's
-floor pairs, so no level is searched.  On a valid member no witness is
-lost; on an invalid one only witnesses that do not validate can be.  A
+color, level or vector that no witness can carry.  A level (a color is
+level 0) partitions the positions of a's one-step extensions in a
+witness, and a vector those of its n-approximations, as on the
+template.  A fit maps the blocks one-to-one into classes, and a
+witness's class is part of X's, so a candidate whose block sizes, each
+list sorted, exceed the class sizes rank by rank, or outnumber them,
+has no witness (Hall's condition, _refuted).  A level fits only where,
+for every two consecutive candidate levels, two extensions agree up to
+the lower but not up to the higher, or the data cannot tell those
+levels apart.  That is the floor rule, and the template alone decides
+it: when the template has no such pair for some two consecutive
+candidates, no level is searched, and no leaf checks it again.  A
 target longer than X has no sub-member and builds no template.  Then
 canonize_relation runs one search for every surviving projection
 vector, which finds the n-approximations a new node completes and their
@@ -103,6 +110,7 @@ from .space import (
     depth_of,
     one_extensions,
     position_info,
+    r_approx,
 )
 from .wellorder import classify_n, domain_at, seq_str
 
@@ -416,25 +424,21 @@ class _FitFilter:
     pairs(w, nodes); None when the caller hands each push its pairs as
     try_push's formed.  Each is checked before the next is drawn, so a
     veto comes before any later class lookup.  Pinned pairs hold from the
-    start.  accept keeps a member with at least one pair and, for each
-    floor pair (c1, c2) of levels, two placed nodes that agree up to c1
-    but not up to c2, so no other candidate level can fit the same data.
+    start.  accept keeps a member on which at least one pair was formed.
     A level fit is handed the call's _Extensions as supply, and then looks
     ahead from every push it takes (_LookAhead).
     """
 
-    def __init__(self, pairs=None, pinned=(), floor_pairs=(), supply=None):
+    def __init__(self, pairs=None, pinned=(), supply=None):
         self.pairs = pairs
         self.by_node = isinstance(pairs, dict)
-        self.floor_pairs = floor_pairs
         self.supply = supply
         self.ahead = None  # the search's _LookAhead, once start is told its window
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
-        self.placed = []  # the pushed nodes that formed a pair
         self.trail = []  # per push, the keys it inserted; None if no pair
-        # per number of placed nodes on the path, the signature once built:
-        # with pairs by node the placed nodes fix it
+        # one, and one more per push on the path that formed a pair, each the
+        # signature once built: with pairs by node the placed nodes fix it
         self.sigs = [None]
 
     def start(self, stop):
@@ -467,7 +471,6 @@ class _FitFilter:
             if self.ahead is None or self.ahead.push(nodes, w, inserted):
                 self.trail.append(inserted)
                 if inserted is not None:
-                    self.placed.append(w)
                     self.sigs.append(None)
                 return True
         if inserted:
@@ -483,37 +486,21 @@ class _FitFilter:
         if self.ahead is not None:
             self.ahead.pop()
         if inserted is not None:
-            self.placed.pop()
             self.sigs.pop()
             self._undo(inserted)
 
-    def _floor_states(self):
-        """Per floor pair (c1, c2): None once two placed nodes agree up to
-        c1 but not up to c2, which no push undoes; else the placed nodes'
-        c2-prefixes, sorted, which fix their c1 -> c2 map."""
-        for c1, c2 in self.floor_pairs:
-            below = {}  # c1-prefix -> c2-prefix of the placed nodes
-            for u in self.placed:
-                if below.setdefault(u[:c1], u[:c2]) != u[:c2]:
-                    yield None
-                    break
-            else:
-                yield tuple(sorted(below.values()))
-
     def accept(self, nodes):
-        fits = bool(self.placed) and all(s is None for s in self._floor_states())
-        return len(nodes) if fits else len(nodes) - 1
+        return len(nodes) if len(self.sigs) > 1 else len(nodes) - 1
 
     def signature(self):
         """What the rest of a search reads of the filter: whether a pair was
-        formed, the floor pairs' states and, last and so the only part of
-        varying length, the key <-> class pairs, sorted.  None when the
-        pairs read the placed nodes, which then are the signature."""
+        formed and, last and so the only part of varying length, the key
+        <-> class pairs, sorted.  None when the pairs read the placed
+        nodes, which then are the signature."""
         if not self.by_node:
             return None
         if self.sigs[-1] is None:
-            self.sigs[-1] = (bool(self.placed), *self._floor_states(),
-                             *sorted(self.key_class.items()))
+            self.sigs[-1] = (len(self.sigs) > 1, *sorted(self.key_class.items()))
         return self.sigs[-1]
 
 
@@ -551,9 +538,10 @@ class _LookAhead:
     the last q it serves, and it looks in the group (l, prefix), None
     while the anchor is unplaced.  Along a path the maximum only rises and
     the maps only grow, so a constraint without such a node has none in
-    the whole subtree, and on a valid member (a copy of the template) no
-    witness is lost.  The check reads only placed nodes' prefixes of
-    positions below stop, as the search core's memo key does.
+    the whole subtree, and since every witness holds a's extensions at the
+    template's positions (its depth prefix validates), no witness is lost.
+    The check reads only placed nodes' prefixes of positions below stop,
+    as the search core's memo key does.
 
     A group keeps its last support (a residual support, Lecoutre and
     Hemery 2007) and re-tests it before it scans.  Per push kept, a stack
@@ -635,16 +623,18 @@ def _level_pairs(color_of, level):
 def _colored_extensions(a, X, coloring, target_len):
     """The prologue of the searches over one-step extensions of a in X.
 
-    Checks target_len and a, and returns the depth prefix of a in X,
-    which every witness keeps, with the {new node: color} map over the
-    one-step extensions of a in X and their _Extensions; raises
-    ValueError when the coloring misses one of them.
+    Checks target_len, a and the depth prefix of a in X, which every
+    witness keeps, and returns that prefix with the {new node: color} map
+    over the one-step extensions of a in X and their _Extensions; raises
+    ValueError when the prefix does not validate or the coloring misses
+    one of the extensions.
     """
     _check_length(target_len, "target length")
     a = _checked_approx(a, X.k)
     d = depth_of(X, a)
     if target_len < d:
         raise ValueError("target length is below the depth of the approximation")
+    _require_valid(r_approx(X, d), "depth prefix")
     color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
     position = _first_positions(X.nodes[:d])
     supply = _Extensions(X.k, tuple(position[w] for w in a.nodes), color_of)
@@ -675,8 +665,9 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     canonization with that color pinned.  The homogeneity certificate
     is re-checked by enumeration before returning.
 
-    Before the first state, a color with fewer one-step extensions in X
-    than the template has extension positions is dropped (_refuted).
+    Raises ValueError when the depth prefix does not validate.  Before
+    the first state, a color with fewer one-step extensions in X than the
+    template has extension positions is dropped (_refuted).
     """
     base, color_of, supply = _colored_extensions(a, X, coloring, target_len)
     if target_len > len(X.nodes):  # a sub-member places a new node of X per position
@@ -691,8 +682,9 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             return Member(X.k, got), None
         block = [len(_extension_positions(X.k, supply.positions, target_len))]
         sizes = Counter(color_of.values())
-        pairs = _level_pairs(color_of, 0)
-        for color in sorted(c for c in sizes if not _refuted(block, [sizes[c]])):
+        colors = sorted(c for c in sizes if not _refuted(block, [sizes[c]]))
+        pairs = _level_pairs(color_of, 0) if colors else None
+        for color in colors:
             flt = _FitFilter(pairs, pinned=[((), color)], supply=supply)
             got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
@@ -719,12 +711,13 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     the outcome is still AmbiguousAtScale, listing the levels that fit
     before it ran out; otherwise it is Exhausted("budget").
 
-    Before the first state, the template (space.build_w(k, target_len))
-    decides what every witness's shape decides: when no two of its
-    extensions of s agree up to one candidate level but not up to the
-    next, no level fits; and a level whose blocks of the template's
-    extensions, grouped by level prefix, cannot go one-to-one to colors
-    with at least as many extensions in X is not searched.
+    Raises ValueError when the depth prefix does not validate.  Before
+    the first state, the template (space.build_w(k, target_len)) decides
+    what every witness's shape decides: when no two of its extensions of
+    s agree up to one candidate level but not up to the next, no level
+    fits; and a level whose blocks of the template's extensions, grouped
+    by level prefix, cannot go one-to-one to colors with at least as many
+    extensions in X is not searched.
     """
     base, color_of, supply = _colored_extensions(s, X, coloring, target_len)
     if target_len > len(X.nodes):
@@ -747,7 +740,7 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     blown = False
     for level in levels:
         pairs = _level_pairs(color_of, level)
-        flt = _FitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
+        flt = _FitFilter(pairs, supply=supply)
         try:
             got = _search_member(X.k, base, pool, target_len, budget, flt)
         except _Blown:

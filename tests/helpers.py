@@ -215,6 +215,20 @@ def repeated_node_case():
     return a, X, coloring
 
 
+def swapped_prefix_case():
+    """build_w(2, 6) with its first two nodes swapped, as (a, X, coloring):
+    a = ((0, 1),) is valid and has depth 2, and its one-step extensions
+    (0, 2) and (0, 5) have colors 0 and 1, by parity. The depth prefix
+    ((0, 2), (0, 1)) does not validate, and it holds (0, 2), which no
+    search places, so a witness for color 1 would carry both colors."""
+    nodes = list(build_w(2, 6).nodes)
+    nodes[:2] = nodes[1::-1]
+    X = Member(2, tuple(nodes))
+    a = Approx(2, ((0, 1),))
+    coloring = Coloring({b: max(b.nodes[-1]) % 2 for b in one_extensions(a, X)})
+    return a, X, coloring
+
+
 def extension_closure_nodes(a, Y):
     """Every node Y can contribute to any chain of extensions of a.
     Each reachable approximation has a unique chain, so plain BFS."""
@@ -479,9 +493,11 @@ class ScanAgreementFilter:
 class ReferenceFitFilter:
     """ramsey._FitFilter before the level fits looked ahead, kept as the
     reference: a push is vetoed only by its own pairs, so a subtree that
-    cannot be completed is searched until its pushes run out.  It takes
-    and ignores the call's supply.  Install it as ramsey._FitFilter to run
-    pigeonhole or canonize_one_extensions without the look-ahead.
+    cannot be completed is searched until its pushes run out, and the
+    floor pairs it is given are decided at every leaf, not on the
+    template.  It takes and ignores the call's supply.  Install it as
+    ramsey._FitFilter to run pigeonhole or canonize_one_extensions without
+    the look-ahead.
 
     A relation must coincide with agreement of projection keys: the
     map key <-> class stays a bijection on the pairs formed so far, an
@@ -885,11 +901,12 @@ def reference_pigeonhole(a, X, coloring, target_len, budget=None):
 
 
 def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
-    """canonize_one_extensions before the template refuted levels, kept as
-    the reference: every candidate level is searched, in ascending order,
-    until its search finds a witness or runs out, and no floor pair is
-    decided before the first state. Reads ramsey's filter and search core
-    at call time, so a filter installed there is used here too."""
+    """canonize_one_extensions before the template refuted levels or the
+    look-ahead, kept as the reference: every candidate level is searched,
+    in ascending order, until its search finds a witness or runs out, and
+    no floor pair is decided before the first state: ReferenceFitFilter
+    decides them at every leaf. Reads ramsey's search core at call
+    time."""
     base, color_of, supply = ramsey._colored_extensions(s, X, coloring, target_len)
     budget = budget or Budget()
     candidates = ramsey._candidate_levels(X.k, len(s.nodes))
@@ -899,7 +916,7 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
     blown = False
     for level in candidates:
         pairs = ramsey._level_pairs(color_of, level)
-        flt = ramsey._FitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
+        flt = ReferenceFitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
         try:
             got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
         except ramsey._Blown:

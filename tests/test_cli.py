@@ -23,7 +23,12 @@ from ellentuck.space import Approx, build_w, one_extensions
 from ellentuck.wellorder import domain_at, seq_at_rank, seq_str
 
 from figures import R10_E2, R6_E2
-from helpers import oracle_build_parser, repeated_node_case, shallow_stack
+from helpers import (
+    oracle_build_parser,
+    repeated_node_case,
+    shallow_stack,
+    swapped_prefix_case,
+)
 
 
 def run(*argv):
@@ -250,6 +255,20 @@ def test_pigeonhole_on_a_member_with_a_repeated_node_exits_3(tmp_path):
         "--coloring", write(tmp_path, "c.json", dump_coloring(coloring)), "--len", "7",
     )
     assert (code, out, err) == (3, "exhausted: no color admits a homogeneous sub-member\n", "")
+
+
+@pytest.mark.parametrize("command,flag", [("pigeonhole", "--a"), ("canonize-ext", "--s")])
+def test_level_fits_on_a_depth_prefix_that_does_not_validate_exit_1(tmp_path, command, flag):
+    """A depth prefix that does not validate is an input error: one error
+    line and exit 1, not a traceback (pigeonhole) or exit 3 with "no
+    projection level fits" (canonize-ext)."""
+    a, X, coloring = swapped_prefix_case()
+    code, out, err = run(
+        command, flag, dump_approx(a), "--member", write(tmp_path, "x.json", dump_approx(X)),
+        "--coloring", write(tmp_path, "c.json", dump_coloring(coloring)), "--len", "4",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: depth prefix does not validate: condition (ii) at (0,1)\n"
 
 
 def test_pigeonhole_budget_env(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from ellentuck.errors import (
     AmbiguousAtScale,
     DisagreeWitness,
     Exhausted,
+    MalformedNodeError,
     NotCanonicalAtScale,
 )
 from ellentuck.ramsey import (
@@ -35,7 +36,6 @@ from ellentuck.ramsey import (
     Coloring,
     InnerMap,
     Relation,
-    RelationCanonization,
     admissible_vectors,
     canonize_one_extensions,
     canonize_relation,
@@ -78,6 +78,7 @@ from helpers import (
     repeated_node_case,
     shallow_stack,
     sub_approxs_up_to,
+    swapped_prefix_case,
 )
 
 
@@ -550,37 +551,63 @@ def _corrupted(data, X):
     return Member(X.k, tuple(nodes))
 
 
-def _witnesses_validate(got):
-    """Whether every witness an outcome shows validates. An error, the
-    supply run out or no vector fitting shows none and passes; an
-    ambiguity, whose witnesses are not shown, does not."""
-    if isinstance(got, RelationCanonization):
-        members = [Y for _, Y in got.fits]
-    elif isinstance(got, tuple) and isinstance(got[0], Approx):
-        members = [got[0]]
-    else:
-        return isinstance(got, (tuple, NotCanonicalAtScale)) or (
-            isinstance(got, Exhausted) and got.reason == "supply")
-    try:
-        return all(validate_approx(Y).ok for Y in members)
-    except ValueError:
-        return False
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_look_ahead_on_a_corrupted_member_skips_only_invalid_witnesses(data):
-    """The template is the shape of a valid member, so on a corrupted one
-    the look-ahead may skip a witness that does not validate, but never a
-    valid one: where the reference filter exhausts the supply, returns a
-    valid witness or raises, the look-ahead does the same."""
+def test_look_ahead_keeps_every_outcome_of_the_reference_filter_on_a_corrupted_member(data):
+    """A witness keeps the depth prefix, which the level fits validate,
+    and places every later node by the slot rule, so it has the
+    template's shape on a corrupted member too: the look-ahead returns
+    what the reference filter returns, witness, reason and error alike."""
     k = data.draw(st.sampled_from((2, 3)), label="k")
     X = _corrupted(data, build_w(k, data.draw(st.integers(8, 30), label="nodes")))
     search, a, coloring, tlen = _look_ahead_call(data, X)
     got, _ = _search_outcome(search, a, X, coloring, tlen)
     want, _ = _search_outcome(search, a, X, coloring, tlen, ReferenceFitFilter)
-    if _witnesses_validate(want):
-        assert got == want
+    assert got == want
+
+
+def _prefix_validates(X, a):
+    """Whether the depth prefix of a in X validates: a report that is ok
+    and no node that fails to decode."""
+    try:
+        return validate_approx(r_approx(X, depth_of(X, a))).ok
+    except MalformedNodeError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_level_fits_on_a_corrupted_member_raise_exactly_on_a_bad_depth_prefix(data):
+    """a is drawn by a walk of one-step extensions inside a corrupted
+    member, so its depth prefix can hold a bad node outside a. pigeonhole
+    and canonize_one_extensions raise ValueError exactly when that prefix
+    does not validate, and otherwise return the outcome of the reference,
+    which searches every candidate without the look-ahead and decides
+    floor pairs at every leaf."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    X = _corrupted(data, build_w(k, data.draw(st.integers(8, 30), label="nodes")))
+    a = Approx(k)
+    for _ in range(data.draw(st.integers(0, 4), label="steps")):
+        exts = one_extensions(a, X)
+        if not exts:
+            break
+        a = data.draw(st.sampled_from(exts[:6]), label="step")
+    coloring = _draw_coloring(data, k, one_extensions(a, X), ("random", "max mod m", "prefix"))
+    tlen = depth_of(X, a) + data.draw(st.integers(0, 7), label="past the depth")
+    search, reference = data.draw(st.sampled_from((
+        (pigeonhole, reference_pigeonhole),
+        (canonize_one_extensions, reference_canonize_one_extensions),
+    )))
+    args = (a, X, coloring, tlen)
+    if not _prefix_validates(X, a):
+        with pytest.raises(ValueError):
+            search(*args)
+        return
+    got, used = _outcome(search, args)
+    with mock.patch.object(ramsey, "_FitFilter", ReferenceFitFilter):
+        want, spent = _outcome(reference, args)
+    assert got == want
+    assert used <= spent
 
 
 def _draw_coloring(data, k, exts, kinds):
@@ -723,17 +750,17 @@ def test_template_refutation_keeps_every_outcome_of_the_reference(data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_template_refutation_on_a_corrupted_member_skips_only_invalid_witnesses(data):
-    """On a corrupted member a refuted candidate may have a witness that
-    does not validate, never one that does: where the reference raises,
-    runs out of supply, finds no vector or finds only witnesses that
-    validate, the refuting search returns the same."""
+def test_template_refutation_keeps_every_outcome_of_the_reference_on_a_corrupted_member(data):
+    """Every witness has the template's shape once its depth prefix
+    validates, which the level fits check and canonize_relation's empty
+    prefix always does, so on a corrupted member too a candidate the
+    template refutes has no witness: the refuting searches return what
+    the references return, witnesses, fits, reasons and errors alike."""
     X = _corrupted(data, _template_member(data))
     search, reference, args = _template_case(data, X)
     got, _ = _outcome(search, args)
     want, _ = _outcome(reference, args)
-    if _witnesses_validate(want):
-        assert got == want
+    assert got == want
 
 
 def _higher_maxima_cases():
@@ -957,6 +984,21 @@ def test_pigeonhole_on_a_member_with_a_repeated_node_keeps_the_least_depth():
     assert [b.nodes[-1] for b in one_extensions(a, X)] == [(0, 5), (0, 9)]
     got = pigeonhole(a, X, coloring, 7)
     assert got == Exhausted("supply", "no color admits a homogeneous sub-member")
+
+
+def test_level_fits_reject_a_depth_prefix_that_does_not_validate():
+    """The depth prefix is the one part of X a witness copies verbatim, so
+    both level fits check it before the first state. Unchecked, pigeonhole
+    kept the prefix's (0, 2), of color 0, in a witness for color 1 and its
+    homogeneity certificate raised AssertionError, and
+    canonize_one_extensions found no level."""
+    a, X, coloring = swapped_prefix_case()
+    assert X.nodes == ((0, 2), (0, 1), (3, 4), (0, 5), (3, 6), (7, 8))
+    assert validate_approx(a).ok and depth_of(X, a) == 2
+    assert {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)} == {(0, 2): 0, (0, 5): 1}
+    for search in (pigeonhole, canonize_one_extensions):
+        with pytest.raises(ValueError, match="depth prefix does not validate"):
+            search(a, X, coloring, 4)
 
 
 def test_pigeonhole_budget_blowout():
