@@ -9,22 +9,20 @@ a wrong answer.  A search given no budget gets Budget(), 10**6 states;
 an outcome follows from the arguments of its call alone.
 
 Which node may fill the next position is decided by space._Slot and
-nowhere else here.  The search core and the front walk draw each
-position's candidates from a space._Pool, the supply indexed by forced
-prefix once per public call, which only narrows what the slot is shown.
-A canonical relation is agreement of coordinatewise projections, which
-on finite data is one check: the map from projection key to class stays
-a bijection.
-_FitFilter alone holds that map, and each search hands it a source of
-(key, class) pairs: a dict by new node when they depend on that node
-alone, or else a function that also reads the placed nodes.  A level
-fit's dict covers the one-step extensions only, built once per level;
-any other node forms no pair.  pigeonhole is level 0 with the color
-pinned, since a coloring is constant on the one-step extensions exactly
-when "same color" is E_0.  irreducible_agreement pins agreement the
-same way: each family member a push completes forms the pair ((),
-whether the two maps agree on it), so a disagreeing member vetoes the
-push.
+nowhere else here.  The search core and _walk, the one walk of X's tree
+of approximations, draw each position's candidates from a space._Pool,
+the supply indexed by forced prefix, which only narrows what the slot
+is shown.  A canonical relation is agreement of coordinatewise
+projections, which on finite data is one check: the map from projection
+key to class stays a bijection.  _FitFilter alone holds that map, and
+its (key, class) pairs have one of two sources: a dict by new node,
+built once per level fit over the one-step extensions (any other node
+forms no pair), or the pairs _VectorFits hands each push, read off the
+approximations the push completes.  pigeonhole is level 0 with the
+color pinned, since a coloring is constant on the one-step extensions
+exactly when "same color" is E_0.  irreducible_agreement is the
+relation search with the empty vector, which keys every family member
+(), and agreement pinned, so a disagreeing member vetoes the push.
 A witness of t nodes copies the depth prefix of a in X and places every
 later node by the slot rule, so once that prefix validates it has the
 shape of the template space.build_w(k, t) on any member: which positions
@@ -43,7 +41,7 @@ the push is vetoed, since no push below it can give it one.  That loses
 no witness, so the outcome is that of the search without it, in fewer
 states.
 canonize_relation first looks up the class of every n-approximation of
-X, so a relation that misses one raises before the first state.
+X (_walk), so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
 color, level or vector that no witness can carry.  A level (a color is
 level 0) partitions the positions of a's one-step extensions in a
@@ -58,12 +56,9 @@ levels apart.  That is the floor rule, and the template alone decides
 it: when the template has no such pair for some two consecutive
 candidates, no level is searched, and no leaf checks it again.  A
 target longer than X has no sub-member and builds no template.  Then
-canonize_relation runs one search for every surviving projection
-vector, which finds the n-approximations a new node completes and their
-classes once for all of them; a state is one placement tried, however
-many vectors it serves.  It reads what a push completes off the
-n-approximations looked up before the first state (why that is exact:
-_VectorFits).
+canonize_relation runs one search for every surviving vector: a state
+is one placement tried, however many vectors it serves, and what a push
+completes is read once for all of them (_VectorFits).
 Coloring, Relation and InnerMap are one extensional table, _Table.
 
 A failed sub-search is never searched twice, nor from a higher running
@@ -143,7 +138,7 @@ class _Table:
     The table is extensional: only approximations listed in it have a
     value, and looking up anything else is an error.  This keeps every
     claim about the map checkable by enumeration.  Subclasses name what
-    they hold (_what) and how a value is stored (_value).
+    they hold (_what) and how a value is checked and stored (_value).
     """
 
     @staticmethod
@@ -175,12 +170,22 @@ class _Table:
         return len(self._table)
 
 
+def _check_int(v, what):
+    """v, when it is an int (a bool is not); else ValueError."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
 class Coloring(_Table):
     """Finite map from approximations to integer colors."""
 
     _what = "coloring"
-    _value = int
     of = _Table._lookup
+
+    @staticmethod
+    def _value(c):
+        return _check_int(c, "color")
 
     @classmethod
     def from_function(cls, fn, domain):
@@ -419,19 +424,18 @@ class _FitFilter:
     map key <-> class stays a bijection on the pairs formed so far, an
     O(1) check per pair with both directions kept as dicts.
 
-    pairs gives the (key, class) pairs that placing w after nodes forms:
-    a dict by w, when they depend on w alone, or else a function
-    pairs(w, nodes); None when the caller hands each push its pairs as
-    try_push's formed.  Each is checked before the next is drawn, so a
-    veto comes before any later class lookup.  Pinned pairs hold from the
-    start.  accept keeps a member on which at least one pair was formed.
+    pairs gives the (key, class) pairs that placing w forms, as a dict by
+    w, when they depend on w alone (the level fits); None when the caller
+    hands each push its pairs as try_push's formed (_VectorFits).  Each
+    is checked before the next is drawn, so a veto comes before any later
+    class lookup.  Pinned pairs hold from the start.  accept keeps a
+    member on which at least one pair was formed.
     A level fit is handed the call's _Extensions as supply, and then looks
     ahead from every push it takes (_LookAhead).
     """
 
     def __init__(self, pairs=None, pinned=(), supply=None):
         self.pairs = pairs
-        self.by_node = isinstance(pairs, dict)
         self.supply = supply
         self.ahead = None  # the search's _LookAhead, once start is told its window
         self.key_class = dict(pinned)
@@ -448,8 +452,7 @@ class _FitFilter:
     def try_push(self, nodes, w, formed=None):
         key_class, class_key = self.key_class, self.class_key
         if formed is None:
-            pairs = self.pairs
-            formed = pairs.get(w, ()) if self.by_node else pairs(w, nodes)
+            formed = self.pairs.get(w, ())
         # a list once a pair passes; most pushes are vetoed at their first
         inserted = None
         for key, c in formed:
@@ -495,9 +498,9 @@ class _FitFilter:
     def signature(self):
         """What the rest of a search reads of the filter: whether a pair was
         formed and, last and so the only part of varying length, the key
-        <-> class pairs, sorted.  None when the pairs read the placed
-        nodes, which then are the signature."""
-        if not self.by_node:
+        <-> class pairs, sorted.  None when the pairs are handed in: they
+        read the placed nodes, which then are the signature."""
+        if self.pairs is None:
             return None
         if self.sigs[-1] is None:
             self.sigs[-1] = (len(self.sigs) > 1, *sorted(self.key_class.items()))
@@ -517,11 +520,7 @@ class _Extensions:
             ordered = groups[l, None] = sorted(nodes, key=itemgetter(l), reverse=True)
             if l:
                 for u in ordered:
-                    group = groups.get((l, u[:l]))
-                    if group is None:
-                        groups[l, u[:l]] = [u]
-                    else:
-                        group.append(u)
+                    groups.setdefault((l, u[:l]), []).append(u)
 
 
 class _LookAhead:
@@ -772,6 +771,7 @@ def admissible_vectors(k, n):
     induce literally equal relations and no round trip could tell
     them apart.
     """
+    _check_length(n, "approximation length")
     choices = [_candidate_levels(k, i) for i in range(n)]
     domains = [domain_at(i, k) for i in range(n)]
 
@@ -789,34 +789,36 @@ def admissible_vectors(k, n):
 
 class _VectorFits:
     """Every vector's fit in one search: a _FitFilter per vector, all fed
-    the n-approximations a push completes, found once with their classes.
+    the approximations a push completes, found once with their classes.
 
-    class_of holds the class of every n-approximation of X by its nodes,
-    looked up by canonize_relation before the first state.  A slot admits
-    only a node whose maximum exceeds the running maximum, so the placed
-    nodes ascend by maximum, and so do the nodes of each n-approximation.
-    A push of w therefore completes exactly the listed n-approximations
-    that end in w and whose other nodes are all placed, on any member.
-    ending lists them by last node, each as [its other nodes, its nodes,
+    class_of holds, by its nodes, the class of every approximation a push
+    may complete: X's n-approximations, or the family members inside X.
+    A slot admits only a node whose maximum exceeds the running maximum,
+    so the placed nodes strictly ascend by maximum, on any member.  A push
+    of w therefore completes exactly the listed approximations whose node
+    of largest maximum is w (an n-approximation's last) and whose other
+    nodes are all placed, in whatever order their nodes are listed.
+    ending lists them by that node, each as [its other nodes, its nodes,
     its row]: the row, its (key, class) pair under every vector, is
     projected at its first completion and kept for the call.
-    Vector i's pairs are item i of the rows a push completes.  A push that
-    completes none forms no pair for any vector, so no filter is pushed.
+    Vector i's pairs are item i of the rows a push completes; pinned pairs
+    hold for every vector from the start.  A push that completes none forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
     nodes.  A vector is resolved at its first leaf; accept then backtracks
     to the deepest level still live.  So each vector gets its solo
     witness, and the states are the union of the solo searches' states.
     """
 
-    def __init__(self, class_of, vectors):
+    def __init__(self, class_of, vectors, pinned=()):
         self.class_of = class_of
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.ending = {}
         for b in class_of:
-            self.ending.setdefault(b[-1], []).append([frozenset(b[:-1]), b, None])
+            top = max(b, key=max)
+            self.ending.setdefault(top, []).append([frozenset(b) - {top}, b, None])
         self.placed = set()
         self.trail = []  # per kept push, whether it pushed the filters, and its node
-        self.filters = [_FitFilter() for _ in vectors]
+        self.filters = [_FitFilter(pinned=pinned) for _ in vectors]
         self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
         self.live = [self.filters]
         self.found = {}  # filter -> its witness nodes
@@ -872,18 +874,41 @@ class _VectorFits:
         return sum(map(bool, self.live[:-1])) - 1
 
 
-def _approximations(X, n):
-    """The n-approximations of X depth first, which is one-step-extension
-    layer order, each built when the one before it has been taken."""
-    stack = [iter((Approx(X.k),))]
+def _walk(X, closed):
+    """The tree of approximations below X depth first, in one_extensions'
+    order, not descending below any a with closed(a): yields each visited
+    a and whether it is open with no one-step extension in X.  Children
+    come from a space._Pool of X's nodes of length k (no other is
+    admitted) sorted by maximum, each built when the walk reaches it."""
+    pool = _Pool(sorted((w for w in X.nodes if len(w) == X.k), key=max))
+    # one lazy stream of pending siblings per level of the walk, each with
+    # its largest index: an admitted node's maximum is the new running maximum
+    stack = [iter(((Approx(X.k), -1),))]
     while stack:
-        a = next(stack[-1], None)
-        if a is None:
+        cur, floor = next(stack[-1], (None, None))
+        if cur is None:
             stack.pop()
-        elif len(a.nodes) < n:
-            stack.append(iter(one_extensions(a, X)))
+        elif closed(cur):
+            yield cur, False
         else:
-            yield a
+            slot = _Slot(X.k, cur.nodes, floor)
+            nodes = slot.candidates(pool.near(slot))
+            first = next(nodes, None)
+            yield cur, first is None
+            if first is not None:
+                # cur is bound now: the stream is drawn from after cur moves on
+                stack.append(map(partial(_child, cur), itertools.chain((first,), nodes)))
+
+
+def _child(a, w):
+    """The walk's entry for a with w appended: the child and its floor."""
+    return _extend(a, w), max(w)
+
+
+def _approximations(X, n):
+    """The n-approximations of X in _walk's order, which is one-step-extension
+    layer order, each built when the one before it has been taken."""
+    return (a for a, _ in _walk(X, lambda a: len(a.nodes) == n) if len(a.nodes) == n)
 
 
 def canonize_relation(relation, k, n, X, target_len, budget=None):
@@ -907,6 +932,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     grouped by projection key, cannot go one-to-one to classes with at
     least as many n-approximations of X.
     """
+    _check_length(n, "approximation length")
     if X.k != k:
         raise ValueError("member dimension does not match k")
     if n < 1:
@@ -965,44 +991,21 @@ def front_cover_check(family, X, budget=None):
     """Check that every restriction chain of X meets the family.
 
     The family must pass nash_williams_check.  Walks the tree of
-    approximations below X depth first; a chain is closed off as soon
-    as it hits the family, and a maximal chain that never does is
+    approximations below X depth first (_walk); a chain is closed off as
+    soon as it hits the family, and a maximal chain that never does is
     returned as the counterexample.  Each approximation visited is one
     state of the budget; Exhausted when it runs out.
     """
-    approxs = list(dict.fromkeys(family))
-    for a in approxs:
-        if a.k != X.k:
-            raise ValueError("family and member dimensions differ")
+    approxs = _checked_family(family, X)
     if not nash_williams_check(approxs):
         raise ValueError("family fails the no-end-extension check")
     budget = budget or Budget()
-    hits = set(approxs)
-    # one_extensions' order; only a node of length k is ever admitted
-    pool = _Pool(sorted((w for w in X.nodes if len(w) == X.k), key=max))
-    # one lazy stream of pending siblings per level of the walk, each with
-    # its largest index: an admitted node's maximum is the new running maximum
-    stack = [iter(((Approx(X.k), -1),))]
-    while stack:
-        cur, floor = next(stack[-1], (None, None))
-        if cur is None:
-            stack.pop()
-        elif not budget.spend():
+    for a, dead_end in _walk(X, set(approxs).__contains__):
+        if not budget.spend():
             return _out_of_budget(budget)
-        elif cur not in hits:
-            slot = _Slot(X.k, cur.nodes, floor)
-            nodes = slot.candidates(pool.near(slot))
-            first = next(nodes, None)
-            if first is None:
-                return CoverReport(False, counterexample=cur)
-            # cur is bound now: the stream is drawn from after cur moves on
-            stack.append(map(partial(_child, cur), itertools.chain((first,), nodes)))
+        if dead_end:
+            return CoverReport(False, counterexample=a)
     return CoverReport(True)
-
-
-def _child(a, w):
-    """The walk's entry for a with w appended: the child and its floor."""
-    return _extend(a, w), max(w)
 
 
 def proj_image(a, vector):
@@ -1025,7 +1028,7 @@ class InnerMap(_Table):
 
     @staticmethod
     def _value(v):
-        return tuple(int(c) for c in v)
+        return tuple(_check_int(c, "projection level") for c in v)
 
     @classmethod
     def uniform(cls, vector, family):
@@ -1086,45 +1089,32 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
     """
     _check_length(target_len, "target length")
     supply = set(X.nodes)
-    approxs = [a for a in dict.fromkeys(family) if supply.issuperset(a.nodes)]
-    for a in approxs:
-        if a.k != X.k:
-            raise ValueError("family and member dimensions differ")
+    approxs = [a for a in _checked_family(family, X) if supply.issuperset(a.nodes)]
     images = []
     for phi, tag in ((phi1, "first"), (phi2, "second")):
         image = {a: phi.image(a) for a in approxs}
         images.append(image)
-        flt = _FitFilter(lambda a, _: ((image[a], relation.class_id(a)),))
+        flt = _FitFilter()
         for j, b in enumerate(approxs):
-            if not flt.try_push((), b):
+            if not flt.try_push((), b, [(image[b], relation.class_id(b))]):
                 # b breaks the bijection, so an earlier member disagrees with it
                 a = next(a for a in approxs[:j]
                          if relation.related(a, b) != (image[a] == image[b]))
-                return DisagreeWitness(
-                    a=a,
-                    b=b,
-                    detail="the %s map does not canonize the relation on %s, %s"
-                    % (tag, _approx_str(a), _approx_str(b)),
-                )
+                detail = "the %s map does not canonize the relation on %s, %s" % (
+                    tag, _approx_str(a), _approx_str(b))
+                return DisagreeWitness(a=a, b=b, detail=detail)
     first, second = images
-    by_node = {}  # node -> (other nodes, pair) of each member holding it
-    for a in approxs:
-        pair = ((), first[a] == second[a])
-        for w in set(a.nodes):
-            by_node.setdefault(w, []).append((set(a.nodes) - {w}, pair))
-
-    def completed(w, nodes):
-        # the members w completes, each paired with whether the maps agree
-        return (pair for others, pair in by_node.get(w, ()) if all(v in nodes for v in others))
-
     budget = budget or Budget()
-    # agreement is pinned, so a disagreeing member vetoes the push, and
-    # accept's "at least one pair" asks for at least one member inside
-    flt = _FitFilter(completed, pinned=[((), True)])
+    # the relation search with the empty vector and agreement pinned; no
+    # slot admits a node of another length than k, so only these complete
+    agree = {a.nodes: first[a] == second[a] for a in approxs
+             if set(map(len, a.nodes)) == {X.k}}
+    flt = _VectorFits(agree, [()], pinned=[((), True)])
     try:
-        got = _search_member(X.k, (), _Pool(X.nodes), target_len, budget, flt)
+        _search_member(X.k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
+    got = flt.found.get(flt.filters[0])
     if got is None:
         return Exhausted("supply", "no sub-member carries an agreeing family member")
     return Member(X.k, got), True
@@ -1132,6 +1122,15 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
 
 def _approx_str(a):
     return "[" + ",".join(seq_str(w) for w in a.nodes) + "]"
+
+
+def _checked_family(family, X):
+    """The family's distinct members, each of X's dimension; else ValueError."""
+    approxs = list(dict.fromkeys(family))
+    for a in approxs:
+        if a.k != X.k:
+            raise ValueError("family and member dimensions differ")
+    return approxs
 
 
 def _checked_approx(a, k):

@@ -10,7 +10,6 @@ import contextlib
 import itertools
 import sys
 from bisect import insort
-from functools import partial
 from math import comb
 from operator import getitem, itemgetter
 
@@ -503,19 +502,17 @@ class ReferenceFitFilter:
     map key <-> class stays a bijection on the pairs formed so far, an
     O(1) check per pair with both directions kept as dicts.
 
-    pairs gives the (key, class) pairs that placing w after nodes forms:
-    a dict by w, when they depend on w alone, or else a function
-    pairs(w, nodes); None when the caller hands each push its pairs as
-    try_push's formed.  Each is checked before the next is drawn, so a
-    veto comes before any later class lookup.  Pinned pairs hold from the
-    start.  accept keeps a member with at least one pair and, for each
+    pairs gives the (key, class) pairs that placing w forms, as a dict by
+    w; None when the caller hands each push its pairs as try_push's
+    formed.  Each is checked before the next is drawn, so a veto comes
+    before any later class lookup.  Pinned pairs hold from the start.
+    accept keeps a member with at least one pair and, for each
     floor pair (c1, c2) of levels, two placed nodes that agree up to c1
     but not up to c2, so no other candidate level can fit the same data.
     """
 
     def __init__(self, pairs=None, pinned=(), floor_pairs=(), supply=None):
         self.pairs = pairs
-        self.by_node = isinstance(pairs, dict)
         self.floor_pairs = floor_pairs
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
@@ -531,8 +528,7 @@ class ReferenceFitFilter:
     def try_push(self, nodes, w, formed=None):
         key_class, class_key = self.key_class, self.class_key
         if formed is None:
-            pairs = self.pairs
-            formed = pairs.get(w, ()) if self.by_node else pairs(w, nodes)
+            formed = self.pairs.get(w, ())
         # a list once a pair passes; most pushes are vetoed at their first
         inserted = None
         for key, c in formed:
@@ -592,8 +588,9 @@ class ReferenceFitFilter:
         """What the rest of a search reads of the filter: whether a pair was
         formed, the floor pairs' states and, last and so the only part of
         varying length, the key <-> class pairs, sorted.  None when the
-        pairs read the placed nodes, which then are the signature."""
-        if not self.by_node:
+        pairs are handed in: they read the placed nodes, which then are the
+        signature."""
+        if self.pairs is None:
             return None
         if self.sigs[-1] is None:
             self.sigs[-1] = (bool(self.placed), *self._floor_states(),
@@ -807,14 +804,10 @@ class ReferenceVectorFits:
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
         self.trail, self.rows = [], {}
-        self.completed = []  # the rows of what the current push completes
-        self.filters = [_FitFilter(partial(self._pairs, itemgetter(i)))
-                        for i in range(len(vectors))]
+        self.filters = [_FitFilter() for _ in vectors]
+        self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
         self.live = [self.filters]
         self.found = {}  # filter -> its witness nodes
-
-    def _pairs(self, item, w, nodes):
-        return map(item, self.completed)
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
@@ -831,8 +824,8 @@ class ReferenceVectorFits:
         completed = self._extended(-1, w)
         if completed:
             rows = self.rows
-            self.completed = [rows[b] if b in rows else self._row(b) for b in completed]
-            live = [f for f in live if f.try_push(nodes, w)]
+            formed = [rows[b] if b in rows else self._row(b) for b in completed]
+            live = [f for f in live if f.try_push(nodes, w, map(self.item[f], formed))]
         if not live:
             return False
         self.live.append(live)
@@ -934,11 +927,29 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
     return Exhausted("supply", "no projection level fits a sub-member")
 
 
+def reference_approximations(X, n):
+    """ramsey._approximations before it read _walk, kept as the reference:
+    the n-approximations of X depth first, which is one-step-extension
+    layer order, each layer below an approximation built by
+    one_extensions, a scan of all of X, when the one before it has been
+    taken."""
+    stack = [iter((Approx(X.k),))]
+    while stack:
+        a = next(stack[-1], None)
+        if a is None:
+            stack.pop()
+        elif len(a.nodes) < n:
+            stack.append(iter(one_extensions(a, X)))
+        else:
+            yield a
+
+
 def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
     """canonize_relation before the template refuted vectors, kept as the
     reference: after the same argument checks and the same up-front
-    lookup of every n-approximation of X, every admissible vector is
-    searched in the one joint search."""
+    lookup of every n-approximation of X (reference_approximations),
+    every admissible vector is searched in the one joint search."""
+    ramsey._check_length(n, "approximation length")
     if X.k != k:
         raise ValueError("member dimension does not match k")
     if n < 1:
@@ -946,7 +957,7 @@ def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
     ramsey._check_length(target_len, "target length")
     if target_len < n:
         raise ValueError("target length cannot be below the approximation length")
-    classes = {a.nodes: relation.class_id(a) for a in ramsey._approximations(X, n)}
+    classes = {a.nodes: relation.class_id(a) for a in reference_approximations(X, n)}
     budget = budget or Budget()
     vectors = ramsey.admissible_vectors(k, n)
     flt = ramsey._VectorFits(classes, vectors)

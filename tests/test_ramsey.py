@@ -8,13 +8,14 @@ enumerator from helpers.
 
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellentuck import ramsey, space
+from ellentuck import ramsey
 from ellentuck.constructions import (
     NodeOracle,
     construct_in_basic_set,
@@ -72,6 +73,7 @@ from helpers import (
     oracle_irreducible,
     oracle_nash_williams,
     oracle_relation_fits,
+    reference_approximations,
     reference_canonize_one_extensions,
     reference_canonize_relation,
     reference_pigeonhole,
@@ -365,9 +367,12 @@ def test_relation_search_asks_only_the_search_core_for_slots():
     """The relation case of test_state_counts_are_pinned, counted in items,
     not seconds. The vector filter reads what a push completes off the
     2-approximations looked up before the first state, so it makes no
-    _Slot: every slot made during the call is the search core's, one per
-    position it opens, the first and one below each kept push short of
-    the target: 632."""
+    _Slot. The search core makes one per position it opens, the first and
+    one below each kept push short of the target: 632, each handed its one
+    list of placed nodes. The prologue's walks (ramsey._walk), of X and
+    then of the template, make one per open approximation they visit,
+    each handed its tuple of nodes: the empty one and every
+    1-approximation."""
     X40 = build_w(2, 40)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -393,10 +398,11 @@ def test_relation_search_asks_only_the_search_core_for_slots():
             mock.patch.object(ramsey._VectorFits, "try_push", kept_push):
         got = canonize_relation(relation, 2, 2, X40, 8, budget)
     assert (got.vector, budget.used) == ((0, 2), 1534)
-    # the search core hands every slot its one list of placed nodes
-    assert len({id(nodes) for nodes in slots}) == 1
-    assert isinstance(slots[0], list)
-    assert len(slots) == opened[0] == 632
+    core = [nodes for nodes in slots if isinstance(nodes, list)]
+    assert len({id(nodes) for nodes in core}) == 1
+    assert len(core) == opened[0] == 632
+    walked = [nodes for nodes in slots if not isinstance(nodes, list)]
+    assert walked == [a.nodes for Y in (X40, build_w(2, 8)) for a in sub_approxs_up_to(Y, 1)]
 
 
 def _memo_case(data):
@@ -865,6 +871,21 @@ def test_coloring_rejects_non_approx_keys(table, value):
         table({((0, 1),): value})
 
 
+@pytest.mark.parametrize(
+    "table,value",
+    [(Coloring, 1.5), (Coloring, "3"), (Coloring, True), (Coloring, None),
+     (InnerMap, (1.9,)), (InnerMap, ("1",)), (InnerMap, (1, False))],
+    ids=["color-float", "color-str", "color-bool", "color-none",
+         "level-float", "level-str", "level-bool"],
+)
+def test_tables_reject_values_that_are_not_integers(table, value):
+    """A color and a projection level are ints, and a bool is none: such a
+    value is rejected, not rounded or parsed into one."""
+    a = Approx(2, ((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="must be an integer"):
+        table({a: value})
+
+
 # -------------------------------------------------------------- relation
 
 
@@ -1288,6 +1309,19 @@ def test_canonize_relation_argument_checks():
         canonize_relation(rel, 2, 2, X, 1)
 
 
+@pytest.mark.parametrize("n", [True, 2.5, "1", None, -1])
+def test_bad_approximation_lengths_raise_before_any_state_is_spent(n):
+    X = build_w(2, 20)
+    singles = [Approx(2, (w,)) for w in X.nodes]
+    rel = Relation.from_key_function(lambda b: 0, singles)
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError, match="approximation length must be a nonnegative integer"):
+        canonize_relation(rel, 2, n, X, 5, budget)
+    assert budget.used == 0
+    with pytest.raises(ValueError, match="approximation length must be a nonnegative integer"):
+        admissible_vectors(2, n)
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_canonize_relation_matches_the_oracle(data):
@@ -1348,26 +1382,59 @@ def test_relation_missing_an_approximation_raises_before_the_first_state(
 
 
 def test_relation_lookup_stops_at_the_first_missing_approximation():
-    """The n-approximations of X are built depth first, which is layer
-    order, and each is looked up as it is built, so an empty relation on
-    40 nodes at n = 8 raises after 128 approximations: the first one's
-    ancestors and their siblings. Building every layer before the first
+    """The n-approximations of X are walked depth first, which is layer
+    order, each child built when the walk reaches it, and each is looked
+    up as it is built, so an empty relation on 40 nodes at n = 8 raises
+    after building 8 approximations: the first one and its ancestors past
+    the empty one. Building every child of each ancestor at once
+    (one_extensions) made 128, and building every layer before the first
     lookup made 11,095."""
     X = build_w(2, 40)
     built = []
-    extend = space._extend
+    extend = ramsey._extend
 
     def counted(a, w):
         built.append(w)
         return extend(a, w)
 
     budget = Budget(DEFAULT_BUDGET)
-    with mock.patch.object(space, "_extend", counted), pytest.raises(ValueError) as err:
+    with mock.patch.object(ramsey, "_extend", counted), pytest.raises(ValueError) as err:
         canonize_relation(Relation({}), 2, 8, X, 8, budget)
     first = ((0, 1), (0, 2), (3, 4), (0, 5), (3, 6), (7, 8), (0, 9), (3, 10))
     assert str(err.value) == "relation is not defined on %s" % (first,)
-    assert len(built) == 128
+    assert built == list(first)
     assert budget.used == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_walk_lists_the_approximations_of_the_scanning_walk(data):
+    """ramsey._walk, closed off at length n, visits every approximation of
+    up to n nodes, flags exactly the open ones with no one-step extension
+    in X, and lists the n-approximations that rescanning X at every
+    approximation lists (helpers.reference_approximations), in the same
+    order: on valid members and on corrupted, reversed and duplicated
+    ones."""
+    k = data.draw(st.sampled_from((2, 3)), label="k")
+    n = data.draw(st.integers(1, 3), label="n")
+    X = build_w(k, data.draw(st.integers(3, 16 if n < 3 else 10), label="nodes"))
+    how = data.draw(st.sampled_from(("valid", "corrupted", "reversed", "duplicated")))
+    if how == "corrupted":
+        X = _corrupted(data, X)
+    elif how == "reversed":
+        X = Member(k, X.nodes[::-1])
+    elif how == "duplicated":
+        nodes = list(X.nodes)
+        for w in data.draw(st.lists(st.sampled_from(X.nodes), min_size=1, max_size=4)):
+            nodes.insert(data.draw(st.integers(0, len(nodes)), label="at"), w)
+        X = Member(k, tuple(nodes))
+    want = list(reference_approximations(X, n))
+    visited = list(ramsey._walk(X, lambda a: len(a.nodes) == n))
+    assert [a for a, _ in visited if len(a.nodes) == n] == want
+    assert list(ramsey._approximations(X, n)) == want
+    assert Counter(a for a, _ in visited) == Counter(sub_approxs_up_to(X, n))
+    for a, dead_end in visited:
+        assert dead_end == (len(a.nodes) < n and not one_extensions(a, X))
 
 
 def _draw_relation(data, X, n):
@@ -1621,6 +1688,23 @@ def test_front_walk_matches_the_scanning_walk(data):
     assert budget.used == visits
 
 
+def test_family_members_of_another_dimension_raise_wherever_they_are():
+    """A k = 3 member beside a k = 2 member raises in both family checks,
+    also where its nodes are not in X and irreducible_agreement would
+    drop it when it restricts the family to X."""
+    X = build_w(2, 10)
+    family = [r_approx(X, 1), Approx(3, build_w(3, 1).nodes)]
+    assert not set(family[1].nodes) <= set(X.nodes)
+    phi = InnerMap.uniform((1,), family)
+    relation = Relation.from_key_function(phi.image, family)
+    with pytest.raises(ValueError, match="family and member dimensions differ"):
+        front_cover_check(family, X)
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError, match="family and member dimensions differ"):
+        irreducible_agreement(phi, phi, relation, family, X, 4, budget)
+    assert budget.used == 0
+
+
 def test_front_cover_requires_nash_williams():
     X = build_w(2, 10)
     with pytest.raises(ValueError):
@@ -1740,6 +1824,14 @@ _FAMILY_X = build_w(2, 10)
 _FAMILY = sub_approxs_up_to(_FAMILY_X, 2)[1:]
 
 
+@st.composite
+def _scrambled_member(draw):
+    """A member of _FAMILY with its nodes permuted, some of them repeated."""
+    a = draw(st.sampled_from(_FAMILY))
+    repeated = draw(st.lists(st.sampled_from(a.nodes), max_size=2))
+    return Approx(2, tuple(draw(st.permutations(a.nodes + tuple(repeated)))))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_irreducible_agreement_disagrees_exactly_when_a_pair_fails(data):
@@ -1776,11 +1868,14 @@ def test_irreducible_agreement_disagrees_exactly_when_a_pair_fails(data):
 def test_irreducible_agreement_matches_the_scanning_filter(data):
     """irreducible_agreement gives the outcome and spends the states of the
     search core driven by a filter that rescans the whole family on every
-    push. The full vectors give distinct images, so phi1 canonizes the
-    identity relation, and phi2 keeps or redraws each member's vector;
-    when phi2 does not canonize it, no search runs and there is nothing
-    to compare."""
-    family = data.draw(st.lists(st.sampled_from(_FAMILY), min_size=1, max_size=8))
+    push, also on members whose nodes are permuted or repeated, which it
+    indexes by their node of largest maximum. phi1 projects every node
+    fully and canonizes the relation its images induce (the identity on
+    the members of _FAMILY), and phi2 keeps or redraws each member's
+    vector; when phi2 does not canonize it, no search runs and there is
+    nothing to compare."""
+    member = st.one_of(st.sampled_from(_FAMILY), _scrambled_member())
+    family = data.draw(st.lists(member, min_size=1, max_size=8))
     approxs = list(dict.fromkeys(family))
     phi1 = InnerMap({a: (2,) * len(a.nodes) for a in approxs})
     phi2 = InnerMap(
@@ -1791,11 +1886,11 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
             for a in approxs
         }
     )
-    identity = Relation({a: i for i, a in enumerate(approxs)})
+    induced = Relation.from_key_function(phi1.image, approxs)
     tlen = data.draw(st.integers(2, 5))
     limit = data.draw(st.integers(1, 2000))
     budget = Budget(limit)
-    got = irreducible_agreement(phi1, phi2, identity, family, _FAMILY_X, tlen, budget)
+    got = irreducible_agreement(phi1, phi2, induced, family, _FAMILY_X, tlen, budget)
     if isinstance(got, DisagreeWitness):
         assert budget.used == 0
         return
@@ -1810,6 +1905,26 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
             assert isinstance(got, Exhausted) and got.reason == "supply"
         else:
             assert got == (Member(2, nodes), True)
+    assert budget.used == scan.used
+
+
+def test_agreement_search_passes_over_members_it_cannot_complete():
+    """A member with no nodes, or with a node of another length than k, is
+    inside X when X holds that node, but no slot admits it, so no search
+    completes the member: the outcome and states are the scanning
+    filter's."""
+    W = build_w(2, 8)
+    X = Member(2, W.nodes + ((),))
+    family = [Approx(2, ((),)), Approx(2), Approx(2, (W.nodes[2], ())),
+              Approx(2, W.nodes[:1]), Approx(2, W.nodes[1:3])]
+    phi = InnerMap({a: (1,) * len(a.nodes) for a in family})
+    relation = Relation.from_key_function(phi.image, family)
+    budget = Budget(DEFAULT_BUDGET)
+    got = irreducible_agreement(phi, phi, relation, family, X, 4, budget)
+    scan = Budget(DEFAULT_BUDGET)
+    flt = ScanAgreementFilter(phi, phi, family)
+    nodes = ramsey._search_member(2, (), _Pool(X.nodes), 4, scan, flt)
+    assert got == (Member(2, nodes), True)
     assert budget.used == scan.used
 
 
