@@ -14,6 +14,7 @@ from .space import (
     Approx,
     Member,
     _as_node,
+    _check_dim,
     _check_length,
     _full_seq,
     _require_valid,
@@ -145,8 +146,7 @@ def dense_embed(k: int, oracle: NodeOracle, target_len: int):
     Candidates that fail to decode raise MalformedNodeError up front;
     a step with no admissible available node returns Exhausted.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _check_dim(k)
     _check_length(target_len, "target length")
     candidates = tuple(map(_as_node, oracle.candidates()))
     for w in candidates:
@@ -170,8 +170,7 @@ def subcopy_check(U, k: int, level: int):
     target sequence; on failure returns NotIsomorphic. At level >= 1
     the check forces all of U into a single level-`level` block.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    _check_dim(k)
     if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level < k:
         raise LevelOutOfRangeError(f"level {level!r} not in 0..{k - 1}")
     # each node checked in full, in input order

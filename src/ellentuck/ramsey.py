@@ -14,15 +14,15 @@ of approximations, draw each position's candidates from a space._Pool,
 the supply indexed by forced prefix, which only narrows what the slot
 is shown.  A canonical relation is agreement of coordinatewise
 projections, which on finite data is one check: the map from projection
-key to class stays a bijection.  _FitFilter alone holds that map, and
-its (key, class) pairs have one of two sources: a dict by new node,
-built once per level fit over the one-step extensions (any other node
-forms no pair), or the pairs _VectorFits hands each push, read off the
-approximations the push completes.  pigeonhole is level 0 with the
-color pinned, since a coloring is constant on the one-step extensions
-exactly when "same color" is E_0.  irreducible_agreement is the
-relation search with the empty vector, which keys every family member
-(), and agreement pinned, so a disagreeing member vetoes the push.
+key to class stays a bijection.  _FitFilter alone holds that map.  A
+level fit reads a pair as a vector does, a projection key with the class
+looked up: (w[:level], its color) for the new node w of a one-step
+extension, off the call's _Extensions; _VectorFits hands each push the
+pairs of the approximations it completes.  pigeonhole is level 0 with
+the color pinned, since a coloring is constant on the one-step
+extensions exactly when "same color" is E_0.  irreducible_agreement is
+the relation search with the empty vector, which keys every family
+member (), and agreement pinned, so a disagreeing member vetoes the push.
 A witness of t nodes copies the depth prefix of a in X and places every
 later node by the slot rule, so once that prefix validates it has the
 shape of the template space.build_w(k, t) on any member: which positions
@@ -55,10 +55,11 @@ the lower but not up to the higher, or the data cannot tell those
 levels apart.  That is the floor rule, and the template alone decides
 it: when the template has no such pair for some two consecutive
 candidates, no level is searched, and no leaf checks it again.  A
-target longer than X has no sub-member and builds no template.  Then
-canonize_relation runs one search for every surviving vector: a state
-is one placement tried, however many vectors it serves, and what a push
-completes is read once for all of them (_VectorFits).
+level-fit call scans the template for a's extension positions once
+(_Extensions).  A target longer than X has no sub-member and builds no
+template.  Then canonize_relation runs one search for every surviving
+vector: a state is one placement tried, however many vectors it serves,
+and what a push completes is read once for all of them (_VectorFits).
 Coloring, Relation and InnerMap are one extensional table, _Table.
 
 A failed sub-search is never searched twice, nor from a higher running
@@ -71,14 +72,15 @@ the search as it was, so a failure rules out every higher floor too.
 The search core keeps, for one call, the signature of each position
 whose candidates ran out with the least floor it failed from, and skips
 a position whose signature is kept at or below its floor without
-spending a state.  Only a filter whose pairs come from a dict gives a
-signature, so pigeonhole and the level fits are memoized, while the
-agreement and relation searches, whose pairs read the placed nodes,
-search in full.  The look-ahead reads no more than the memo key holds:
-the floor, the map, and the prefixes of positions the budget can fill.
+spending a state.  Only a level fit's filter gives a signature, so
+pigeonhole and the level fits are memoized, while the agreement and
+relation searches, whose pairs read the placed nodes, search in full.
+The look-ahead reads no more than the memo key holds: the floor, the
+map, and the prefixes of positions the budget can fill.
 """
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -95,6 +97,7 @@ from .space import (
     Approx,
     Member,
     _Pool,
+    _check_dim,
     _check_length,
     _extend,
     _extension_positions,
@@ -141,10 +144,6 @@ class _Table:
     they hold (_what) and how a value is checked and stored (_value).
     """
 
-    @staticmethod
-    def _value(v):
-        return v
-
     def __init__(self, table):
         self._table = {}
         for a, v in dict(table).items():
@@ -182,10 +181,7 @@ class Coloring(_Table):
 
     _what = "coloring"
     of = _Table._lookup
-
-    @staticmethod
-    def _value(c):
-        return _check_int(c, "color")
+    _value = staticmethod(partial(_check_int, what="color"))
 
     @classmethod
     def from_function(cls, fn, domain):
@@ -201,6 +197,7 @@ class Relation(_Table):
 
     _what = "relation"
     class_id = _Table._lookup
+    _value = staticmethod(partial(_check_int, what="class id"))
 
     @classmethod
     def from_classes(cls, classes):
@@ -424,25 +421,22 @@ class _FitFilter:
     map key <-> class stays a bijection on the pairs formed so far, an
     O(1) check per pair with both directions kept as dicts.
 
-    pairs gives the (key, class) pairs that placing w forms, as a dict by
-    w, when they depend on w alone (the level fits); None when the caller
-    hands each push its pairs as try_push's formed (_VectorFits).  Each
-    is checked before the next is drawn, so a veto comes before any later
-    class lookup.  Pinned pairs hold from the start.  accept keeps a
-    member on which at least one pair was formed.
-    A level fit is handed the call's _Extensions as supply, and then looks
-    ahead from every push it takes (_LookAhead).
+    A level fit, _FitFilter(supply, level, pinned), reads the call's
+    _Extensions: placing w forms (w[:level], supply.color_of[w]) when w
+    is there, else no pair, and it looks ahead (_LookAhead).  Without a
+    supply, each push is handed its pairs as formed (_VectorFits), each
+    checked before the next is drawn.  Pinned pairs hold from the start.
+    accept keeps a member on which at least one pair was formed.
     """
 
-    def __init__(self, pairs=None, pinned=(), supply=None):
-        self.pairs = pairs
-        self.supply = supply
+    def __init__(self, supply=None, level=0, pinned=()):
+        self.supply, self.level = supply, level
         self.ahead = None  # the search's _LookAhead, once start is told its window
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
         self.trail = []  # per push, the keys it inserted; None if no pair
         # one, and one more per push on the path that formed a pair, each the
-        # signature once built: with pairs by node the placed nodes fix it
+        # signature once built: the placed nodes fix it
         self.sigs = [None]
 
     def start(self, stop):
@@ -452,7 +446,8 @@ class _FitFilter:
     def try_push(self, nodes, w, formed=None):
         key_class, class_key = self.key_class, self.class_key
         if formed is None:
-            formed = self.pairs.get(w, ())
+            c = self.supply.color_of.get(w)
+            formed = () if c is None else ((w[:self.level], c),)
         # a list once a pair passes; most pushes are vetoed at their first
         inserted = None
         for key, c in formed:
@@ -496,28 +491,28 @@ class _FitFilter:
         return len(nodes) if len(self.sigs) > 1 else len(nodes) - 1
 
     def signature(self):
-        """What the rest of a search reads of the filter: whether a pair was
-        formed and, last and so the only part of varying length, the key
-        <-> class pairs, sorted.  None when the pairs are handed in: they
-        read the placed nodes, which then are the signature."""
-        if self.pairs is None:
-            return None
+        """What the rest of a level fit's search reads of the filter:
+        whether a pair was formed and, last and so the only part of varying
+        length, the key <-> class pairs, sorted."""
         if self.sigs[-1] is None:
             self.sigs[-1] = (len(self.sigs) > 1, *sorted(self.key_class.items()))
         return self.sigs[-1]
 
 
 class _Extensions:
-    """The one-step extensions of a in X, for the look-ahead of one call's
-    level fits, every color and level: the positions of a's nodes in X's
-    depth prefix and, per level l and forced prefix (None for any), the
-    extensions' nodes with that prefix, largest index at l first."""
+    """The one-step extensions of a in X as every color and level of one
+    call reads them: color_of, {new node: color}; positions, those of a's
+    nodes in X; slots, the template's extension positions below the
+    target (space._extension_positions, scanned once); and per level l
+    and forced prefix (None for any), the nodes with that prefix, largest
+    index at l first."""
 
-    def __init__(self, k, positions, nodes):
-        self.k, self.positions = k, positions
+    def __init__(self, k, positions, color_of, target_len):
+        self.k, self.positions, self.color_of = k, positions, color_of
+        self.slots = _extension_positions(k, positions, target_len)
         self.groups = groups = {}
         for l in range(k):
-            ordered = groups[l, None] = sorted(nodes, key=itemgetter(l), reverse=True)
+            ordered = groups[l, None] = sorted(color_of, key=itemgetter(l), reverse=True)
             if l:
                 for u in ordered:
                     groups.setdefault((l, u[:l]), []).append(u)
@@ -528,19 +523,18 @@ class _LookAhead:
     1980): a push the filter takes is vetoed when some extension position
     still to come can no longer be filled.
 
-    The positions below stop that hold a one-step extension of a come from
-    the template, space._extension_positions.  A pending one, q, needs a
-    node u of the supply with u[l] above the running maximum (l is q's
-    level, and every later floor is at least that maximum), with q's
-    forced prefix once q's anchor is placed, and whose pair the filter's
-    key <-> class map would take.  So a constraint is (l, q's anchor) with
-    the last q it serves, and it looks in the group (l, prefix), None
-    while the anchor is unplaced.  Along a path the maximum only rises and
-    the maps only grow, so a constraint without such a node has none in
-    the whole subtree, and since every witness holds a's extensions at the
-    template's positions (its depth prefix validates), no witness is lost.
-    The check reads only placed nodes' prefixes of positions below stop,
-    as the search core's memo key does.
+    The positions are the supply's slots below stop.  A pending one, q,
+    needs a node u of the supply with u[l] above the running maximum (l
+    is q's level, and every later floor is at least that maximum), with
+    q's forced prefix once q's anchor is placed, and whose pair the
+    filter's key <-> class map would take.  So a constraint is (l, q's
+    anchor) with the last q it serves, and it looks in the group (l,
+    prefix), None while the anchor is unplaced.  Along a path the maximum
+    only rises and the maps only grow, so a constraint without such a
+    node has none in the whole subtree, and since every witness holds a's
+    extensions at the template's positions (its depth prefix validates),
+    no witness is lost.  The check reads nothing at or past stop, only
+    placed nodes' prefixes of positions below it, as the memo key does.
 
     A group keeps its last support (a residual support, Lecoutre and
     Hemery 2007) and re-tests it before it scans.  Per push kept, a stack
@@ -554,10 +548,10 @@ class _LookAhead:
 
     def __init__(self, flt, stop):
         supply = flt.supply
-        self.groups, self.pairs = supply.groups, flt.pairs
+        self.groups, self.color_of, self.level = supply.groups, supply.color_of, flt.level
         self.key_class, self.class_key = flt.key_class, flt.class_key
         self.constraints = {}  # (l, anchor) -> the last position it serves
-        for q in _extension_positions(supply.k, supply.positions, stop):
+        for q in supply.slots[:bisect_left(supply.slots, stop)]:
             self.constraints[position_info.trusted(supply.k, q)] = q
         self.anchored = {}  # per anchor, its constraints, as (l, anchor), last
         for c in self.constraints.items():
@@ -567,7 +561,7 @@ class _LookAhead:
 
     def _takes(self, u):
         """Whether the filter's key <-> class map would take u's pair."""
-        (key, c), = self.pairs[u]
+        key, c = u[:self.level], self.color_of[u]
         return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
 
     def _top(self, l, prefix, m):
@@ -613,20 +607,14 @@ def _candidate_levels(k, n):
     return [0, *range(classify_n(k, n) + 1, k + 1)]
 
 
-def _level_pairs(color_of, level):
-    """pairs of a level fit, by node: the (level prefix, color) pair of a
-    one-step extension's new node; any other node forms none."""
-    return {w: ((w[:level], c),) for w, c in color_of.items()}
-
-
 def _colored_extensions(a, X, coloring, target_len):
     """The prologue of the searches over one-step extensions of a in X.
 
     Checks target_len, a and the depth prefix of a in X, which every
-    witness keeps, and returns that prefix with the {new node: color} map
-    over the one-step extensions of a in X and their _Extensions; raises
-    ValueError when the prefix does not validate or the coloring misses
-    one of the extensions.
+    witness keeps, and returns that prefix, the {new node: color} map over
+    the one-step extensions of a in X and the positions of a's nodes;
+    raises ValueError when the prefix does not validate or the coloring
+    misses one of the extensions.
     """
     _check_length(target_len, "target length")
     a = _checked_approx(a, X.k)
@@ -636,8 +624,7 @@ def _colored_extensions(a, X, coloring, target_len):
     _require_valid(r_approx(X, d), "depth prefix")
     color_of = {b.nodes[-1]: coloring.of(b) for b in one_extensions(a, X)}
     position = _first_positions(X.nodes[:d])
-    supply = _Extensions(X.k, tuple(position[w] for w in a.nodes), color_of)
-    return X.nodes[:d], color_of, supply
+    return X.nodes[:d], color_of, tuple(position[w] for w in a.nodes)
 
 
 def _refuted(blocks, classes):
@@ -652,6 +639,7 @@ def _refuted(blocks, classes):
 _NO_COMPLETION = Exhausted("supply", "no completion from the depth prefix")
 _NO_COLOR = Exhausted("supply", "no color admits a homogeneous sub-member")
 _NO_LEVEL = Exhausted("supply", "no projection level fits a sub-member")
+_NO_AGREEMENT = Exhausted("supply", "no sub-member carries an agreeing family member")
 
 
 def pigeonhole(a, X, coloring, target_len, budget=None):
@@ -668,7 +656,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
     the first state, a color with fewer one-step extensions in X than the
     template has extension positions is dropped (_refuted).
     """
-    base, color_of, supply = _colored_extensions(a, X, coloring, target_len)
+    base, color_of, at = _colored_extensions(a, X, coloring, target_len)
     if target_len > len(X.nodes):  # a sub-member places a new node of X per position
         return _NO_COLOR if color_of else _NO_COMPLETION
     budget = budget or Budget()
@@ -679,12 +667,12 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             if got is None:
                 return _NO_COMPLETION
             return Member(X.k, got), None
-        block = [len(_extension_positions(X.k, supply.positions, target_len))]
+        supply = _Extensions(X.k, at, color_of, target_len)
+        block = [len(supply.slots)]
         sizes = Counter(color_of.values())
         colors = sorted(c for c in sizes if not _refuted(block, [sizes[c]]))
-        pairs = _level_pairs(color_of, 0) if colors else None
         for color in colors:
-            flt = _FitFilter(pairs, pinned=[((), color)], supply=supply)
+            flt = _FitFilter(supply, 0, [((), color)])
             got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -718,15 +706,15 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
     by level prefix, cannot go one-to-one to colors with at least as many
     extensions in X is not searched.
     """
-    base, color_of, supply = _colored_extensions(s, X, coloring, target_len)
+    base, color_of, at = _colored_extensions(s, X, coloring, target_len)
     if target_len > len(X.nodes):
         return _NO_LEVEL  # a sub-member places a new node of X per position
+    supply = _Extensions(X.k, at, color_of, target_len)
     candidates = _candidate_levels(X.k, len(s.nodes))
     template = build_w.trusted(X.k, target_len).nodes
-    exts = [template[q] for q in _extension_positions(X.k, supply.positions, target_len)]
+    exts = [template[q] for q in supply.slots]
     blocks = {level: Counter(u[:level] for u in exts) for level in candidates}
-    floor_pairs = list(zip(candidates, candidates[1:]))
-    if any(len(blocks[c1]) == len(blocks[c2]) for c1, c2 in floor_pairs):
+    if any(len(blocks[c1]) == len(blocks[c2]) for c1, c2 in zip(candidates, candidates[1:])):
         # no two extensions agree up to c1 but not up to c2
         return _NO_LEVEL
     colors = Counter(color_of.values()).values()
@@ -735,13 +723,10 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
         return _NO_LEVEL
     budget = budget or Budget()
     pool = _Pool(X.nodes)
-    fits = []
-    blown = False
+    fits, blown = [], False
     for level in levels:
-        pairs = _level_pairs(color_of, level)
-        flt = _FitFilter(pairs, supply=supply)
         try:
-            got = _search_member(X.k, base, pool, target_len, budget, flt)
+            got = _search_member(X.k, base, pool, target_len, budget, _FitFilter(supply, level))
         except _Blown:
             blown = True
             break
@@ -771,6 +756,7 @@ def admissible_vectors(k, n):
     induce literally equal relations and no round trip could tell
     them apart.
     """
+    _check_dim(k)
     _check_length(n, "approximation length")
     choices = [_candidate_levels(k, i) for i in range(n)]
     domains = [domain_at(i, k) for i in range(n)]
@@ -802,7 +788,8 @@ class _VectorFits:
     its row]: the row, its (key, class) pair under every vector, is
     projected at its first completion and kept for the call.
     Vector i's pairs are item i of the rows a push completes; pinned pairs
-    hold for every vector from the start.  A push that completes none forms no pair for any vector, so no filter is pushed.
+    hold for every vector from the start.  A push that completes none
+    forms no pair for any vector, so no filter is pushed.
     live[m] lists the unresolved filters that took the first m placed
     nodes.  A vector is resolved at its first leaf; accept then backtracks
     to the deepest level still live.  So each vector gets its solo
@@ -1028,7 +1015,10 @@ class InnerMap(_Table):
 
     @staticmethod
     def _value(v):
-        return tuple(_check_int(c, "projection level") for c in v)
+        try:
+            return tuple(_check_int(c, "projection level") for c in v)
+        except TypeError:  # v is not iterable
+            raise ValueError("a vector must be an integer sequence, got %r" % (v,)) from None
 
     @classmethod
     def uniform(cls, vector, family):
@@ -1039,16 +1029,13 @@ class InnerMap(_Table):
 
 
 def inner_check(phi, family):
-    """True when phi assigns every family member a well-formed vector."""
-    for a in family:
-        try:
-            v = phi.vector_for(a)
-        except ValueError:
-            return False
-        if len(v) != len(a.nodes):
-            return False
-        if any(not 0 <= c <= a.k for c in v):
-            return False
+    """True when phi assigns every family member a well-formed vector: one
+    whose image proj_image takes."""
+    try:
+        for a in family:
+            phi.image(a)
+    except ValueError:
+        return False
     return True
 
 
@@ -1060,9 +1047,10 @@ def irreducible_check(phi, family):
     images must already agree; otherwise phi could be reduced on b.
     """
     approxs = list(dict.fromkeys(family))
-    if not inner_check(phi, approxs):
+    try:
+        images = {a: phi.image(a) for a in approxs}
+    except ValueError:  # phi is not inner
         return False
-    images = {a: phi.image(a) for a in approxs}
     seen = set(images.values())
     for b in approxs:
         full = images[b]
@@ -1085,7 +1073,9 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
     DisagreeWitness names the first member b that breaks the bijection
     and the first earlier member that disagrees with it.  Then searches for
     a sub-member A of X such that phi1 and phi2 give the same image to
-    every family member inside A, with at least one such member.
+    every family member inside A, with at least one such member, which is
+    Exhausted before the first state when the target passes X or no member
+    the search could complete gets the same image from both maps.
     """
     _check_length(target_len, "target length")
     supply = set(X.nodes)
@@ -1104,11 +1094,15 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
                     tag, _approx_str(a), _approx_str(b))
                 return DisagreeWitness(a=a, b=b, detail=detail)
     first, second = images
-    budget = budget or Budget()
     # the relation search with the empty vector and agreement pinned; no
     # slot admits a node of another length than k, so only these complete
     agree = {a.nodes: first[a] == second[a] for a in approxs
              if set(map(len, a.nodes)) == {X.k}}
+    if target_len > len(X.nodes) or not any(agree.values()):
+        # a sub-member places a new node of X per position, and the pinned
+        # agreement vetoes every push that completes a disagreeing member
+        return _NO_AGREEMENT
+    budget = budget or Budget()
     flt = _VectorFits(agree, [()], pinned=[((), True)])
     try:
         _search_member(X.k, (), _Pool(X.nodes), target_len, budget, flt)
@@ -1116,7 +1110,7 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
         return _out_of_budget(budget)
     got = flt.found.get(flt.filters[0])
     if got is None:
-        return Exhausted("supply", "no sub-member carries an agreeing family member")
+        return _NO_AGREEMENT
     return Member(X.k, got), True
 
 

@@ -67,6 +67,13 @@ def _as_nodes(nodes):
     return tuple(_as_node(w) for w in nodes)
 
 
+def _check_dim(k):
+    """k, when it is an integer >= 2, a member's dimension; else ValueError."""
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class Approx:
     """A finite approximation: the first len(nodes) values of a member."""
@@ -75,8 +82,7 @@ class Approx:
     nodes: tuple[Node, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {self.k!r}")
+        _check_dim(self.k)
         object.__setattr__(self, "nodes", _as_nodes(self.nodes))
 
     def __len__(self):

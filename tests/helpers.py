@@ -494,7 +494,7 @@ class ReferenceFitFilter:
     reference: a push is vetoed only by its own pairs, so a subtree that
     cannot be completed is searched until its pushes run out, and the
     floor pairs it is given are decided at every leaf, not on the
-    template.  It takes and ignores the call's supply.  Install it as
+    template.  It reads the call's supply only for its pairs.  Install it as
     ramsey._FitFilter to run pigeonhole or canonize_one_extensions without
     the look-ahead.
 
@@ -503,16 +503,19 @@ class ReferenceFitFilter:
     O(1) check per pair with both directions kept as dicts.
 
     pairs gives the (key, class) pairs that placing w forms, as a dict by
-    w; None when the caller hands each push its pairs as try_push's
-    formed.  Each is checked before the next is drawn, so a veto comes
+    w, built from a level fit's supply and level: (w[:level], its color)
+    for the new node w of a one-step extension.  With no supply it is
+    None, and the caller hands each push its pairs as try_push's formed.
+    Each is checked before the next is drawn, so a veto comes
     before any later class lookup.  Pinned pairs hold from the start.
     accept keeps a member with at least one pair and, for each
     floor pair (c1, c2) of levels, two placed nodes that agree up to c1
     but not up to c2, so no other candidate level can fit the same data.
     """
 
-    def __init__(self, pairs=None, pinned=(), floor_pairs=(), supply=None):
-        self.pairs = pairs
+    def __init__(self, supply=None, level=0, pinned=(), floor_pairs=()):
+        self.pairs = None if supply is None else {
+            w: ((w[:level], c),) for w, c in supply.color_of.items()}
         self.floor_pairs = floor_pairs
         self.key_class = dict(pinned)
         self.class_key = {c: key for key, c in pinned}
@@ -671,7 +674,7 @@ class ReferenceLookAhead:
 
     def __init__(self, flt, stop):
         supply = flt.supply
-        self.groups, self.pairs = supply.groups, flt.pairs
+        self.groups, self.color_of, self.level = supply.groups, supply.color_of, flt.level
         self.key_class, self.class_key = flt.key_class, flt.class_key
         self.first = max(supply.positions, default=-1) + 1
         # per constraint (l, anchor): the last position q it serves; per
@@ -696,7 +699,7 @@ class ReferenceLookAhead:
 
     def _takes(self, u):
         """Whether the filter's key <-> class map would take u's pair."""
-        (key, c), = self.pairs[u]
+        key, c = u[:self.level], self.color_of[u]
         return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
 
     def _find(self, l, a, prefix, m):
@@ -869,7 +872,8 @@ def reference_pigeonhole(a, X, coloring, target_len, budget=None):
     longer than X is searched until the supply runs out. Reads ramsey's
     filter, look-ahead and search core at call time, so one installed
     there is used here too."""
-    base, color_of, supply = ramsey._colored_extensions(a, X, coloring, target_len)
+    base, color_of, at = ramsey._colored_extensions(a, X, coloring, target_len)
+    supply = ramsey._Extensions(X.k, at, color_of, target_len)
     budget = budget or Budget()
     pool = _Pool(X.nodes)
     try:
@@ -878,9 +882,8 @@ def reference_pigeonhole(a, X, coloring, target_len, budget=None):
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
             return Member(X.k, got), None
-        pairs = ramsey._level_pairs(color_of, 0)
         for color in sorted(set(color_of.values())):
-            flt = ramsey._FitFilter(pairs, pinned=[((), color)], supply=supply)
+            flt = ramsey._FitFilter(supply, 0, [((), color)])
             got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
                 Y = Member(X.k, got)
@@ -900,7 +903,8 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
     no floor pair is decided before the first state: ReferenceFitFilter
     decides them at every leaf. Reads ramsey's search core at call
     time."""
-    base, color_of, supply = ramsey._colored_extensions(s, X, coloring, target_len)
+    base, color_of, at = ramsey._colored_extensions(s, X, coloring, target_len)
+    supply = ramsey._Extensions(X.k, at, color_of, target_len)
     budget = budget or Budget()
     candidates = ramsey._candidate_levels(X.k, len(s.nodes))
     floor_pairs = list(zip(candidates, candidates[1:]))
@@ -908,8 +912,7 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
     fits = []
     blown = False
     for level in candidates:
-        pairs = ramsey._level_pairs(color_of, level)
-        flt = ReferenceFitFilter(pairs, floor_pairs=floor_pairs, supply=supply)
+        flt = ReferenceFitFilter(supply, level, floor_pairs=floor_pairs)
         try:
             got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
         except ramsey._Blown:

@@ -477,6 +477,52 @@ def test_check_irreducible_rejects_nested_family(tmp_path):
     assert (code, out) == (1, "NOT A FRONT: some member end-extends another\n")
 
 
+def _exhausting_runs():
+    """A run of each of canonize-ext, canonize-arn and check-front that
+    exhausts, as (argv, budget, the exhaustion named): a target longer
+    than the member, or a one-state budget."""
+    X = build_w(2, 30)
+    member = dump_approx(X)
+    exts = one_extensions(Approx(2), X)
+    coloring = dump_coloring(Coloring({b: i for i, b in enumerate(exts)}))
+    singles = [Approx(2, (w,)) for w in X.nodes]
+    relation = dump_relation(Relation.from_key_function(lambda b: b.nodes[0][:1], singles))
+    ext = ("canonize-ext", "--s", '{"k":2,"nodes":[]}', "--member", member,
+           "--coloring", coloring, "--len")
+    return {
+        "canonize-ext past X": ((*ext, "31"), None, "no projection level fits a sub-member"),
+        "canonize-ext budget": ((*ext, "6"), "1", "state budget ran out at 2"),
+        "canonize-arn budget": (
+            ("canonize-arn", "--k", "2", "--n", "1", "--relation", relation,
+             "--member", member, "--len", "6"), "1", "state budget ran out at 2"),
+        "check-front budget": (
+            ("check-front", "--family", dump_family(singles), "--member", member),
+            "1", "state budget ran out at 2"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_exhausting_runs()))
+def test_exhausted_searches_exit_3(case, monkeypatch):
+    argv, budget, why = _exhausting_runs()[case]
+    if budget is None:
+        monkeypatch.delenv("ELLENTUCK_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ELLENTUCK_BUDGET", budget)
+    assert run(*argv) == (3, "exhausted: %s\n" % why, "")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(("validate", "--file"), "--file"),
+     (("check-front", "--family", "[]", "--member"), "--member"),
+     (("check-irreducible", "--family", "[]", "--map"), "--map")],
+)
+def test_a_structured_flag_naming_a_directory_is_a_usage_error(tmp_path, argv, flag):
+    code, out, err = run(*argv, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: %s: " % flag) and str(tmp_path) in err
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as stop:
         run("enum", "--k", "2")

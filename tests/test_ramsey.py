@@ -835,6 +835,39 @@ def test_memo_look_ahead_stops_at_the_budget_headroom(monkeypatch):
     assert spans and max(spans) <= 11
 
 
+def test_a_level_fit_call_scans_the_template_once(monkeypatch):
+    """The template's positions of a's one-step extensions are scanned once
+    per call (_Extensions), however many colors or levels it searches:
+    the floor rule, _refuted and every look-ahead read that one scan. The
+    calls here search two colors, or three and four levels, and scanned
+    once more per search before. A target longer than X builds no
+    template and scans nothing."""
+    x30, x40 = build_w(2, 30), build_w(2, 40)
+    calls = [0]
+    real = ramsey._extension_positions
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ramsey, "_extension_positions", spy)
+    for search, X, coloring, tlen in [
+        (pigeonhole, x40, _parity(x40), 6),
+        (canonize_one_extensions, x30, _max_mod(x30, 3), 6),
+        (canonize_one_extensions, x40, _max_mod(x40, 6), 5),
+        (pigeonhole, build_w(3, 40), _max_mod(build_w(3, 40), 3), 6),
+    ]:
+        calls[0] = 0
+        got, used = _unbounded(lambda bud: search(Approx(X.k), X, coloring, tlen, bud))
+        assert used > 0, search.__name__  # the call reaches its search
+        assert calls[0] == 1, (search.__name__, got)
+        calls[0] = 0
+        for long in (search(Approx(X.k), X, coloring, len(X.nodes) + 1),
+                     search(Approx(X.k), X, coloring, 2 * len(X.nodes))):
+            assert isinstance(long, Exhausted) and long.reason == "supply"
+        assert calls[0] == 0
+
+
 def test_a_spent_budget_stays_exhausted():
     """A budget passed in already spent, or spent to its limit, gives
     Exhausted("budget") again, whichever search it is handed to."""
@@ -874,13 +907,18 @@ def test_coloring_rejects_non_approx_keys(table, value):
 @pytest.mark.parametrize(
     "table,value",
     [(Coloring, 1.5), (Coloring, "3"), (Coloring, True), (Coloring, None),
-     (InnerMap, (1.9,)), (InnerMap, ("1",)), (InnerMap, (1, False))],
+     (Relation, [1]), (Relation, 1.0), (Relation, False),
+     (InnerMap, (1.9,)), (InnerMap, ("1",)), (InnerMap, (1, False)),
+     (InnerMap, 5), (InnerMap, None)],
     ids=["color-float", "color-str", "color-bool", "color-none",
-         "level-float", "level-str", "level-bool"],
+         "class-list", "class-float", "class-bool",
+         "level-float", "level-str", "level-bool", "vector-int", "vector-none"],
 )
 def test_tables_reject_values_that_are_not_integers(table, value):
-    """A color and a projection level are ints, and a bool is none: such a
-    value is rejected, not rounded or parsed into one."""
+    """A color, a class id and a projection level are ints, and a bool is
+    none: such a value is rejected, not rounded or parsed into one.  A
+    class id [1] used to build a relation that irreducible_agreement then
+    failed on with a TypeError, and a vector 5 or None raised TypeError."""
     a = Approx(2, ((0, 1), (0, 2)))
     with pytest.raises(ValueError, match="must be an integer"):
         table({a: value})
@@ -1020,6 +1058,24 @@ def test_level_fits_reject_a_depth_prefix_that_does_not_validate():
     for search in (pigeonhole, canonize_one_extensions):
         with pytest.raises(ValueError, match="depth prefix does not validate"):
             search(a, X, coloring, 4)
+
+
+@pytest.mark.parametrize("search", [pigeonhole, canonize_one_extensions])
+@pytest.mark.parametrize(
+    "a,tlen,message",
+    [
+        (Approx(3), 4, "approximation dimension does not match the member"),
+        (r_approx(build_w(2, 10), 3), 2, "target length is below the depth of the approximation"),
+    ],
+    ids=["dimension", "below-depth"],
+)
+def test_level_fits_reject_bad_arguments_before_the_first_state(search, a, tlen, message):
+    X = build_w(2, 10)
+    budget = Budget(DEFAULT_BUDGET)
+    with pytest.raises(ValueError) as err:
+        search(a, X, Coloring({}), tlen, budget)
+    assert str(err.value) == message
+    assert budget.used == 0
 
 
 def test_pigeonhole_budget_blowout():
@@ -1307,6 +1363,9 @@ def test_canonize_relation_argument_checks():
         canonize_relation(rel, 2, 0, X, 5)
     with pytest.raises(ValueError):
         canonize_relation(rel, 2, 2, X, 1)
+    # it used to list [(0, 0), (0, 1), (1, 0)]
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 2, got 1$"):
+        admissible_vectors(1, 2)
 
 
 @pytest.mark.parametrize("n", [True, 2.5, "1", None, -1])
@@ -1752,6 +1811,17 @@ def test_inner_check_rejects_bad_vectors():
     assert not inner_check(partial, family)
 
 
+@pytest.mark.parametrize(
+    "vector", [(2,), (2, 5), (2, -1), None], ids=["short", "high", "negative", "missing"])
+def test_irreducible_check_rejects_a_map_that_is_not_inner(vector):
+    """A vector of the wrong length, a level past k or a member without one
+    makes the map not inner, so not irreducible."""
+    family = approxs_of_length(build_w(2, 10), 2)
+    phi = InnerMap({a: vector or (2, 2) for a in family[vector is None:]})
+    assert not inner_check(phi, family)
+    assert not irreducible_check(phi, family)
+
+
 def test_irreducible_fails_on_prefix_pattern():
     u, w = (0, 1), (0, 2)
     a = Approx(2, (u,))
@@ -1820,6 +1890,39 @@ def test_irreducible_agreement_exhausts_without_supply():
     assert isinstance(got, Exhausted)
 
 
+def _no_agreement_cases():
+    """Agreement calls no sub-member can answer, as (maps, relation,
+    family, X, target): a family whose one member lies outside X (671,627
+    states before the answer on build_w(2, 100) at target 8, and the
+    budget ran out at target 12), a target past X (2,044 states on
+    build_w(2, 24)), and two injective maps that disagree on every member."""
+    x20, x24 = build_w(2, 20), build_w(2, 24)
+    outside = [Approx(2, (build_w(2, 30).nodes[25],))]
+    pairs = approxs_of_length(x24, 2)
+    full, part, identity = _agreement_maps(pairs, 7)
+    roots = [Approx(2, (w,)) for w in {w[:1]: w for w in reversed(x20.nodes)}.values()]
+    by_root = Relation({a: i for i, a in enumerate(roots)})
+    return {
+        "outside X": (InnerMap.uniform((1,), outside), InnerMap.uniform((2,), outside),
+                      Relation({outside[0]: 0}), outside, x20, 8),
+        "past X": (full, part, identity, pairs, x24, 25),
+        "disagreeing": (InnerMap.uniform((1,), roots), InnerMap.uniform((2,), roots),
+                        by_root, roots, x20, 6),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_no_agreement_cases()))
+def test_irreducible_agreement_without_an_agreeing_member_answers_before_the_first_state(case):
+    """The maps canonize the relation, so no DisagreeWitness, but no member
+    the search could complete gets the same image from both, or no
+    sub-member fits in X: the answer comes before the first state."""
+    phi1, phi2, relation, family, X, tlen = _no_agreement_cases()[case]
+    budget = Budget(DEFAULT_BUDGET)
+    got = irreducible_agreement(phi1, phi2, relation, family, X, tlen, budget)
+    assert got == Exhausted("supply", "no sub-member carries an agreeing family member")
+    assert budget.used == 0
+
+
 _FAMILY_X = build_w(2, 10)
 _FAMILY = sub_approxs_up_to(_FAMILY_X, 2)[1:]
 
@@ -1873,7 +1976,9 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
     fully and canonizes the relation its images induce (the identity on
     the members of _FAMILY), and phi2 keeps or redraws each member's
     vector; when phi2 does not canonize it, no search runs and there is
-    nothing to compare."""
+    nothing to compare.  When phi2 agrees with phi1 on no member, the
+    answer comes before the first state, where the scanning search spent
+    states until it failed or its budget ran out."""
     member = st.one_of(st.sampled_from(_FAMILY), _scrambled_member())
     family = data.draw(st.lists(member, min_size=1, max_size=8))
     approxs = list(dict.fromkeys(family))
@@ -1892,6 +1997,10 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
     budget = Budget(limit)
     got = irreducible_agreement(phi1, phi2, induced, family, _FAMILY_X, tlen, budget)
     if isinstance(got, DisagreeWitness):
+        assert budget.used == 0
+        return
+    if not any(phi1.image(a) == phi2.image(a) for a in approxs):
+        assert got == Exhausted("supply", "no sub-member carries an agreeing family member")
         assert budget.used == 0
         return
     scan = Budget(limit)

@@ -113,6 +113,27 @@ def test_decode_inverts_wk_node():
             assert decode_node(wk_node(s, k), k) == s
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Approx(1), "k must be an integer >= 2, got 1"),
+        (lambda: Approx(2.0), "k must be an integer >= 2, got 2.0"),
+        (lambda: depth_of(build_w(2, 5), Approx(3)), "dimension mismatch"),
+        (lambda: one_extensions(Approx(3), build_w(2, 5)), "dimension mismatch"),
+        (lambda: basic_set_contains(Approx(2), build_w(3, 5), build_w(2, 5)),
+         "dimension mismatch"),
+        (lambda: basic_set_contains(Approx(2), build_w(2, 5), build_w(3, 5)),
+         "dimension mismatch"),
+    ],
+    ids=["approx-k1", "approx-k-float", "depth-dim", "extensions-dim",
+         "basic-set-dim", "basic-member-dim"],
+)
+def test_space_rejects_mismatched_arguments(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_decode_rejects_garbage():
     with pytest.raises(MalformedNodeError):
         decode_node((1, 2), 2)  # 1 already has length 2
@@ -122,6 +143,8 @@ def test_decode_rejects_garbage():
         decode_node((0, 4, 9), 3)  # (0,1) then (0,0,2): chain breaks
     with pytest.raises(MalformedNodeError):
         decode_node((), 2)
+    with pytest.raises(MalformedNodeError, match=r"^node \(0, 4, 9\): longer than k=2$"):
+        decode_node((0, 4, 9), 2)
 
 
 def test_project_examples():

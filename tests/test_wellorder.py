@@ -149,6 +149,22 @@ def test_a_bad_sequence_is_named_for_its_entries_before_its_order(seq, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: wo.enumerate_k(2, -1), "count must be nonnegative"),
+        (lambda: wo.enumerate_le_k(3, -2), "count must be nonnegative"),
+        (lambda: wo.domain_rank((0,), 2), "expected a length-2 sequence, got (0,)"),
+        (lambda: wo.domain_rank((0, 1, 1), 2), "sequence longer than k=2: (0, 1, 1)"),
+    ],
+    ids=["enumerate-k", "enumerate-le-k", "domain-short", "domain-long"],
+)
+def test_bad_counts_and_lengths_are_value_errors(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_seq_at_rank_examples():
     assert wo.seq_at_rank(0, 2) == (0,)
     assert wo.seq_at_rank(6, 2) == (1, 2)
