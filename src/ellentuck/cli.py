@@ -87,23 +87,24 @@ def _budget():
 # load(text, args) reads its file or inline text once argparse is done.
 
 
-def _at_least(lo):
-    """argparse type of an integer no smaller than lo, so a smaller one
-    is a usage error."""
+def _at_least(lo, hi=None):
+    """argparse type of an integer no smaller than lo and, given hi, no
+    larger than hi, so any other is a usage error."""
+    bounds = ">= %d" % lo if hi is None else ">= %d and <= %d" % (lo, hi)
 
     def parse(text):
         try:
-            if int(text) >= lo:
+            if int(text) >= lo and (hi is None or int(text) <= hi):
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError("must be an integer >= %d, got %r" % (lo, text))
+        raise argparse.ArgumentTypeError("must be an integer %s, got %r" % (bounds, text))
 
     return parse
 
 
-def _int(name, lo):
-    return (name, {"type": _at_least(lo), "required": True}, None)
+def _int(name, lo, hi=None):
+    return (name, {"type": _at_least(lo, hi), "required": True}, None)
 
 
 def _input(name, loader):
@@ -129,7 +130,8 @@ def _node_oracle(text):
     return NodeOracle(nodes=nodes)
 
 
-_K = _int("--k", 2)
+# a k or a count is a tuple length or an islice stop, so at most sys.maxsize
+_K = _int("--k", 2, sys.maxsize)
 _LEN = _int("--len", 0)
 _A = _input("--a", load_approx)
 _MEMBER = _input("--member", load_approx)
@@ -169,7 +171,7 @@ def _load(args, flags):
 
 
 @_command("enum", "list the well-order from its minimum",
-          _int("--k", 1), _int("--count", 0),
+          _int("--k", 1, sys.maxsize), _int("--count", 0, sys.maxsize),
           ("--full-length-only", {"action": "store_true"}, None))
 def _cmd_enum(args, out):
     seqs = (
@@ -199,7 +201,8 @@ def _cmd_validate(args, out):
     return 1
 
 
-@_command("classify-n", "level of the n-th position", _int("--k", 1), _int("--n", 0))
+@_command("classify-n", "level of the n-th position", _int("--k", 1, sys.maxsize),
+          _int("--n", 0))
 def _cmd_classify_n(args, out):
     out.write("%d\n" % classify_n(args.k, args.n))
     return 0

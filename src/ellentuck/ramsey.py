@@ -34,12 +34,13 @@ on every member a search accepts.  X's later nodes are taken as given.
 The level fits, pigeonhole's included, also look ahead (forward
 checking, _LookAhead).  After every push it takes, each position of
 the template that holds a one-step extension of a and is still to come
-must have an extension in the supply that can fill it: above the
-running maximum at its level, with its forced prefix once that is
-placed, and with a pair the key <-> class map takes.  When one has none
-the push is vetoed, since no push below it can give it one.  That loses
-no witness, so the outcome is that of the search without it, in fewer
-states.
+needs an extension in the supply that can fill it: above the running
+maximum at its level, with its forced prefix, and with a pair the key
+<-> class map takes.  It is tested once its anchor is placed, since
+until then the anchor is such a position at a lower level, and a
+node's indices rise along it.  When one has none the push is vetoed,
+since no push below it can give it one.  That loses no witness, so the
+outcome is that of the search without it, in fewer states.
 canonize_relation first looks up the class of every n-approximation of
 X (_walk), so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
@@ -503,19 +504,17 @@ class _Extensions:
     """The one-step extensions of a in X as every color and level of one
     call reads them: color_of, {new node: color}; positions, those of a's
     nodes in X; slots, the template's extension positions below the
-    target (space._extension_positions, scanned once); and per level l
-    and forced prefix (None for any), the nodes with that prefix, largest
-    index at l first."""
+    target (space._extension_positions, scanned once); and groups, per
+    forced prefix (() at level 0), the nodes with it, largest index at
+    its level, its length, first."""
 
     def __init__(self, k, positions, color_of, target_len):
         self.k, self.positions, self.color_of = k, positions, color_of
         self.slots = _extension_positions(k, positions, target_len)
         self.groups = groups = {}
         for l in range(k):
-            ordered = groups[l, None] = sorted(color_of, key=itemgetter(l), reverse=True)
-            if l:
-                for u in ordered:
-                    groups.setdefault((l, u[:l]), []).append(u)
+            for u in sorted(color_of, key=itemgetter(l), reverse=True):
+                groups.setdefault(u[:l], []).append(u)
 
 
 class _LookAhead:
@@ -524,26 +523,26 @@ class _LookAhead:
     still to come can no longer be filled.
 
     The positions are the supply's slots below stop.  A pending one, q,
-    needs a node u of the supply with u[l] above the running maximum (l
-    is q's level, and every later floor is at least that maximum), with
-    q's forced prefix once q's anchor is placed, and whose pair the
-    filter's key <-> class map would take.  So a constraint is (l, q's
-    anchor) with the last q it serves, and it looks in the group (l,
-    prefix), None while the anchor is unplaced.  Along a path the maximum
-    only rises and the maps only grow, so a constraint without such a
-    node has none in the whole subtree, and since every witness holds a's
-    extensions at the template's positions (its depth prefix validates),
-    no witness is lost.  The check reads nothing at or past stop, only
-    placed nodes' prefixes of positions below it, as the memo key does.
+    needs a node u of the supply with q's forced prefix (() at level 0),
+    u[l] above the running maximum (l is q's level, and every later floor
+    is at least that maximum), and whose pair the filter's key <-> class
+    map would take.  So a constraint is (l, q's anchor) with the last q it
+    serves, tested in its prefix's group once the anchor is placed: before,
+    the anchor is a pending position at a lower level, and a node's
+    indices rise along it.  Along a path the maximum only rises and the
+    maps only grow, so a constraint without such a node has none in the
+    whole subtree, and since every witness holds a's extensions at the
+    template's positions (its depth prefix validates), no witness is
+    lost.  The check reads nothing at or past stop, only placed nodes'
+    prefixes of positions below it, as the memo key does.
 
     A group keeps its last support (a residual support, Lecoutre and
     Hemery 2007) and re-tests it before it scans.  Per push kept, a stack
-    holds a bound and the constraint that sets it: every constraint
-    pending after the push has a support, at or above the bound at its
-    level, that the maps then take.  A push that inserts no key and whose
-    maximum stays below the bound leaves those supports valid, so only the
-    constraints of the anchor it places, whose prefix is new, are tested.
-    Any other push tests the bound's constraint first, then all pending.
+    holds a bound: every pending constraint whose anchor is placed has a
+    support, at or above the bound at its level, that the maps take.  A
+    push that inserts no key and whose maximum stays below the bound
+    leaves those supports valid, so it tests only the constraints of the
+    anchor it places, whose prefix is new; any other push tests all.
     """
 
     def __init__(self, flt, stop):
@@ -556,46 +555,43 @@ class _LookAhead:
         self.anchored = {}  # per anchor, its constraints, as (l, anchor), last
         for c in self.constraints.items():
             self.anchored.setdefault(c[0][1], []).append(c)
-        self.support = {}  # (l, prefix) -> its residual support
-        self.stack = [(-1, None)]  # below every maximum: the first push tests all
+        self.support = {}  # prefix -> its group's residual support
+        self.stack = [-1]  # below every maximum: the first push tests all
 
     def _takes(self, u):
         """Whether the filter's key <-> class map would take u's pair."""
         key, c = u[:self.level], self.color_of[u]
         return self.key_class.get(key, c) == c and self.class_key.get(c, key) == key
 
-    def _top(self, l, prefix, m):
-        """The index at l of a support of (l, prefix) above m, or -1."""
-        u = self.support.get((l, prefix))
+    def _top(self, prefix, m):
+        """The index at len(prefix) of a support of prefix above m, or -1."""
+        l, u = len(prefix), self.support.get(prefix)
         if u is not None and u[l] > m and self._takes(u):
             return u[l]
-        for u in self.groups.get((l, prefix), ()):
+        for u in self.groups.get(prefix, ()):
             if u[l] <= m:
                 break
             if self._takes(u):
-                self.support[l, prefix] = u
+                self.support[prefix] = u
                 return u[l]
         return -1
 
     def push(self, nodes, w, inserted):
         p, m = len(nodes), max(w)
-        bound, worst = self.stack[-1]
+        bound = self.stack[-1]
         if not inserted and m < bound:
             pending = self.anchored.get(p, ())
         else:
-            pending = itertools.chain((worst,) if worst else (), self.constraints.items())
-            bound, worst = inf, None
-        for c in pending:
-            (l, a), last = c
-            if p >= last:
+            pending, bound = self.constraints.items(), inf
+        for (l, a), last in pending:
+            if p >= last or a is not None and a > p:
                 continue
-            prefix = None if a is None or a > p else (w if a == p else nodes[a])[:l]
-            top = self._top(l, prefix, m)
+            top = self._top(() if a is None else (w if a == p else nodes[a])[:l], m)
             if top <= m:
                 return False
             if top < bound:
-                bound, worst = top, c
-        self.stack.append((bound, worst))
+                bound = top
+        self.stack.append(bound)
         return True
 
     def pop(self):

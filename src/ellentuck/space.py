@@ -24,6 +24,7 @@ without re-checking.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -68,9 +69,12 @@ def _as_nodes(nodes):
 
 
 def _check_dim(k):
-    """k, when it is an integer >= 2, a member's dimension; else ValueError."""
+    """k, when it is an integer >= 2 and at most sys.maxsize, a member's
+    dimension; else ValueError."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    if k > sys.maxsize:
+        raise ValueError(f"k must be an integer >= 2 and <= {sys.maxsize}, got {k!r}")
     return k
 
 

@@ -28,6 +28,7 @@ comes next. Both cost O(log e) binomials per distinct entry.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, wraps
 from itertools import combinations_with_replacement, islice
@@ -70,9 +71,12 @@ def _check_length(n, what="length"):
 
 
 def _check_k(k):
-    """k, when it is a positive int (a bool is not); else ValueError."""
+    """k, when it is a positive int (a bool is not) that a tuple's length
+    can be, at most sys.maxsize; else ValueError."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    if k > sys.maxsize:
+        raise ValueError(f"k must be a positive integer <= {sys.maxsize}, got {k!r}")
     return k
 
 

@@ -674,7 +674,14 @@ class ReferenceLookAhead:
 
     def __init__(self, flt, stop):
         supply = flt.supply
-        self.groups, self.color_of, self.level = supply.groups, supply.color_of, flt.level
+        self.color_of, self.level = supply.color_of, flt.level
+        # per level l, all nodes as (l, None) and, above level 0, those with
+        # each prefix as (l, prefix), largest index at l first
+        self.groups = {}
+        for l in range(supply.k):
+            ordered = self.groups[l, None] = sorted(self.color_of, key=itemgetter(l), reverse=True)
+            for u in ordered if l else ():
+                self.groups.setdefault((l, u[:l]), []).append(u)
         self.key_class, self.class_key = flt.key_class, flt.class_key
         self.first = max(supply.positions, default=-1) + 1
         # per constraint (l, anchor): the last position q it serves; per

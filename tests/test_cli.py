@@ -20,7 +20,7 @@ from ellentuck.formats import (
 )
 from ellentuck.ramsey import Coloring, InnerMap, Relation
 from ellentuck.space import Approx, build_w, one_extensions
-from ellentuck.wellorder import domain_at, seq_at_rank, seq_str
+from ellentuck.wellorder import classify_n, domain_at, seq_at_rank, seq_str
 
 from figures import R10_E2, R6_E2
 from helpers import (
@@ -157,6 +157,9 @@ def test_classify_n():
     assert run("classify-n", "--k", "2", "--n", "1") == (0, "1\n", "")
     assert run("classify-n", "--k", "3", "--n", "1") == (0, "2\n", "")
     assert run("classify-n", "--k", "2", "--n", "2") == (0, "0\n", "")
+    # only a k is capped at sys.maxsize, not a position
+    n = 10 ** 30
+    assert run("classify-n", "--k", "2", "--n", str(n)) == (0, "%d\n" % classify_n(2, n), "")
 
 
 def test_project():
@@ -539,6 +542,11 @@ def test_usage_errors():
     text = '{"k":2,"nodes":[[0,1]],"nodes":[[5,9]]}'
     assert run("validate", "--file", text) == (
         2, "", "error: --file: key nodes appears twice\n")
+    # a k that no tuple length can be, in an approximation's JSON
+    huge = 10 ** 30
+    assert run("extensions", "--approx", '{"k":%d,"nodes":[]}' % huge,
+               "--member", '{"k":%d,"nodes":[[0,1]]}' % huge) == (
+        2, "", "error: --approx: k must be an integer >= 2 and <= %d, got %d\n" % (sys.maxsize, huge))
     for oracle in ("{}", "[1,2]", "[null]", '[[0,1],"x"]'):
         code, out, err = run("embed", "--k", "2", "--oracle", oracle, "--len", "3")
         assert (code, out) == (2, "")
@@ -611,12 +619,17 @@ _SIX_SINGLES = [Approx(2, (w,)) for w in _SIX.nodes]
             ),
             id="canonize-arn",
         ),
+        pytest.param(("enum", "--k", str(10 ** 22), "--count", "2"), id="enum-huge-k"),
+        pytest.param(("enum", "--k", "2", "--count", str(10 ** 30)), id="enum-huge-count"),
+        pytest.param(("classify-n", "--k", str(10 ** 30), "--n", "1"), id="classify-n-huge-k"),
+        pytest.param(("build-w", "--k", str(10 ** 30), "--nodes", "1"), id="build-w-huge-k"),
     ],
 )
 def test_out_of_range_integers_are_usage_errors(argv, capsys):
     """Integers argparse accepts but the command cannot use: --k below 2
-    where a member is built, below 1 otherwise, a negative --level and
-    an approximation length of 0."""
+    where a member is built, below 1 otherwise, a negative --level, an
+    approximation length of 0, and a k or an enum count above
+    sys.maxsize, which no tuple length or islice stop can be."""
     with pytest.raises(SystemExit) as stop:
         run(*argv)
     assert stop.value.code == 2

@@ -1683,10 +1683,15 @@ def test_front_cover_matches_member_entries():
 
 
 def test_front_cover_empty_family():
+    """The empty family covers nothing; on the empty member, where the walk
+    finds no node at all, the empty approximation is the uncovered one,
+    and the family of it alone covers."""
     X = build_w(2, 8)
     report = front_cover_check([], X)
     assert not report
     assert len(report.counterexample.nodes) > 0
+    assert front_cover_check([], Approx(2)) == ramsey.CoverReport(False, Approx(2))
+    assert front_cover_check([Approx(2)], Approx(2))
 
 
 def test_front_cover_long_chain_does_not_recurse():
@@ -2015,6 +2020,24 @@ def test_irreducible_agreement_matches_the_scanning_filter(data):
         else:
             assert got == (Member(2, nodes), True)
     assert budget.used == scan.used
+
+
+def test_irreducible_agreement_can_find_no_agreeing_member_by_searching():
+    """The maps agree on ((3,6),) alone, a member the search can complete,
+    so it runs, but no 4-node sub-member of build_w(2,5) carries it: the
+    answer is the one given before the first state, after the 7 states
+    the scanning filter spends too."""
+    X = build_w(2, 5)
+    family = [Approx(2, ((0, 1),)), Approx(2, ((3, 6),))]
+    phi1 = InnerMap({a: (2,) for a in family})
+    phi2 = InnerMap({family[0]: (1,), family[1]: (2,)})
+    relation = Relation.from_key_function(phi1.image, family)
+    budget, scan = Budget(), Budget()
+    got = irreducible_agreement(phi1, phi2, relation, family, X, 4, budget)
+    assert got == Exhausted("supply", "no sub-member carries an agreeing family member")
+    flt = ScanAgreementFilter(phi1, phi2, family)
+    assert ramsey._search_member(2, (), _Pool(X.nodes), 4, scan, flt) is None
+    assert budget.used == scan.used == 7
 
 
 def test_agreement_search_passes_over_members_it_cannot_complete():

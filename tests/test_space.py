@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from ellentuck.space import (
     depth_of,
     le_fin,
     one_extensions,
+    position_info,
     project,
     r_approx,
     validate_approx,
@@ -118,6 +120,8 @@ def test_decode_inverts_wk_node():
     [
         (lambda: Approx(1), "k must be an integer >= 2, got 1"),
         (lambda: Approx(2.0), "k must be an integer >= 2, got 2.0"),
+        (lambda: Approx(10 ** 30),
+         "k must be an integer >= 2 and <= %d, got %d" % (sys.maxsize, 10 ** 30)),
         (lambda: depth_of(build_w(2, 5), Approx(3)), "dimension mismatch"),
         (lambda: one_extensions(Approx(3), build_w(2, 5)), "dimension mismatch"),
         (lambda: basic_set_contains(Approx(2), build_w(3, 5), build_w(2, 5)),
@@ -125,7 +129,7 @@ def test_decode_inverts_wk_node():
         (lambda: basic_set_contains(Approx(2), build_w(2, 5), build_w(3, 5)),
          "dimension mismatch"),
     ],
-    ids=["approx-k1", "approx-k-float", "depth-dim", "extensions-dim",
+    ids=["approx-k1", "approx-k-float", "approx-k-huge", "depth-dim", "extensions-dim",
          "basic-set-dim", "basic-member-dim"],
 )
 def test_space_rejects_mismatched_arguments(call, message):
@@ -494,6 +498,29 @@ def test_the_template_places_the_extensions_of_every_sub_member(X):
                 assert got == want, (Y, a)
                 checks += 1
     assert (members, checks) == {2: (111, 666), 3: (24, 144)}[X.k]
+
+
+@pytest.mark.parametrize("k,t", [(2, 60), (3, 60), (4, 50), (5, 40)])
+def test_an_unplaced_anchor_of_an_extension_position_is_one_at_a_lower_level(k, t):
+    """The look-ahead tests a template extension position q of a only once
+    q's anchor is placed. That loses no veto because an anchor past a's
+    depth is itself an extension position of a, at a lower level than q,
+    so a node that can fill it has a larger index at q's level too.
+    Checked for every approximation a of at most 3 nodes of W_k, on
+    1,658 such pairs (q, anchor) in all."""
+    X = build_w(k, t)
+    position = {w: p for p, w in enumerate(X.nodes)}
+    pairs = 0
+    for a in sub_approxs_up_to(X, 3):
+        at = tuple(position[w] for w in a.nodes)
+        slots = _extension_positions(k, at, t)
+        for q in slots:
+            level, anchor = position_info(k, q)
+            if anchor is not None and anchor > max(at, default=-1):
+                assert anchor in slots, (a, q)
+                assert position_info(k, anchor)[0] < level, (a, q)
+                pairs += 1
+    assert pairs == {2: 877, 3: 538, 4: 177, 5: 66}[k]
 
 
 def _blocks(Y, units, key):

@@ -4,6 +4,7 @@ inside the implementation."""
 
 import io
 import itertools
+import sys
 from math import comb, isqrt
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from ellentuck import cli
 from ellentuck import wellorder as wo
 from ellentuck.errors import EmptySequenceError
+from ellentuck.space import build_w
 
 from helpers import oracle_block, oracle_domain_at, oracle_seq_at_rank
 
@@ -149,6 +151,10 @@ def test_a_bad_sequence_is_named_for_its_entries_before_its_order(seq, message):
         assert str(err.value) == message
 
 
+# a k that no tuple length can be
+_HUGE_K = "k must be a positive integer <= %d, got %d" % (sys.maxsize, 10 ** 22)
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -156,8 +162,12 @@ def test_a_bad_sequence_is_named_for_its_entries_before_its_order(seq, message):
         (lambda: wo.enumerate_le_k(3, -2), "count must be nonnegative"),
         (lambda: wo.domain_rank((0,), 2), "expected a length-2 sequence, got (0,)"),
         (lambda: wo.domain_rank((0, 1, 1), 2), "sequence longer than k=2: (0, 1, 1)"),
+        (lambda: wo.enumerate_k(10 ** 22, 2), _HUGE_K),
+        (lambda: wo.classify_n(10 ** 22, 1), _HUGE_K),
+        (lambda: build_w(10 ** 22, 1), _HUGE_K),
     ],
-    ids=["enumerate-k", "enumerate-le-k", "domain-short", "domain-long"],
+    ids=["enumerate-k", "enumerate-le-k", "domain-short", "domain-long",
+         "enumerate-huge-k", "classify-huge-k", "build-w-huge-k"],
 )
 def test_bad_counts_and_lengths_are_value_errors(call, message):
     with pytest.raises(ValueError) as err:
