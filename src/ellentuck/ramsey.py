@@ -31,16 +31,19 @@ agree up to which level, are the template's.  The level fits validate
 the depth prefix before the first state (_colored_extensions), and
 canonize_relation's is empty, so the template arguments below are exact
 on every member a search accepts.  X's later nodes are taken as given.
-The level fits, pigeonhole's included, also look ahead (forward
-checking, _LookAhead).  After every push it takes, each position of
-the template that holds a one-step extension of a and is still to come
-needs an extension in the supply that can fill it: above the running
-maximum at its level, with its forced prefix, and with a pair the key
-<-> class map takes.  It is tested once its anchor is placed, since
-until then the anchor is such a position at a lower level, and a
-node's indices rise along it.  When one has none the push is vetoed,
-since no push below it can give it one.  That loses no witness, so the
-outcome is that of the search without it, in fewer states.
+The level fits, pigeonhole's included, and the relation search look
+ahead (forward checking).  After every push a fit takes, each position
+of the template still to come that holds a one-step extension of a
+(_LookAhead), or at which template n-approximations close whose other
+positions are all placed (_VectorLookAhead), needs a node of X that can
+fill it: above the running maximum at its level, with its forced
+prefix, and with pairs the key <-> class map takes, for a vector all
+the closing approximations' pairs at once.  A position is tested once
+its anchor is placed, since until then the anchor is such a position
+at a lower level, and a node's indices rise along it.  When one has
+none the push is vetoed, or the vector dropped below it, since no push
+below it can give it one.  That loses no witness, so the outcome is
+that of the search without it, in fewer states.
 canonize_relation first looks up the class of every n-approximation of
 X (_walk), so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
@@ -60,7 +63,8 @@ level-fit call scans the template for a's extension positions once
 (_Extensions).  A target longer than X has no sub-member and builds no
 template.  Then canonize_relation runs one search for every surviving
 vector: a state is one placement tried, however many vectors it serves,
-and what a push completes is read once for all of them (_VectorFits).
+what a push completes is read once for all of them (_VectorFits), and
+the look-ahead scans a position's candidates once for every vector.
 Coloring, Relation and InnerMap are one extensional table, _Table.
 
 A failed sub-search is never searched twice, nor from a higher running
@@ -75,13 +79,13 @@ whose candidates ran out with the least floor it failed from, and skips
 a position whose signature is kept at or below its floor without
 spending a state.  Only a level fit's filter gives a signature, so
 pigeonhole and the level fits are memoized, while the agreement and
-relation searches, whose pairs read the placed nodes, search in full.
-The look-ahead reads no more than the memo key holds: the floor, the
-map, and the prefixes of positions the budget can fill.
+relation searches, whose pairs read the placed nodes, keep no memo.
+The level fits' look-ahead reads no more than the memo key holds: the
+floor, the map, and the prefixes of positions the budget can fill.
 """
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -98,6 +102,7 @@ from .space import (
     Approx,
     Member,
     _Pool,
+    _approximation_positions,
     _check_dim,
     _check_length,
     _extend,
@@ -480,6 +485,17 @@ class _FitFilter:
         for key in inserted:
             del self.class_key[self.key_class.pop(key)]
 
+    def takes(self, pairs):
+        """Whether the key <-> class map would take all of pairs at once:
+        each agrees with the map and with the others."""
+        key_class, class_key = self.key_class, self.class_key
+        new_kc, new_ck = {}, {}
+        for key, c in pairs:
+            if (key_class.get(key, c) != c or class_key.get(c, key) != key
+                    or new_kc.setdefault(key, c) != c or new_ck.setdefault(c, key) != key):
+                return False
+        return True
+
     def pop(self):
         inserted = self.trail.pop()
         if self.ahead is not None:
@@ -782,23 +798,34 @@ class _VectorFits:
     nodes are all placed, in whatever order their nodes are listed.
     ending lists them by that node, each as [its other nodes, its nodes,
     its row]: the row, its (key, class) pair under every vector, is
-    projected at its first completion and kept for the call.
+    projected at its first use and kept for the call.
     Vector i's pairs are item i of the rows a push completes; pinned pairs
     hold for every vector from the start.  A push that completes none
     forms no pair for any vector, so no filter is pushed.
+    Given template, (k, the template's n-approximations as position
+    tuples), the search also looks ahead (_VectorLookAhead), which reads
+    X's n-approximations by their first n - 1 nodes and last node: index,
+    holding the same entries.
     live[m] lists the unresolved filters that took the first m placed
-    nodes.  A vector is resolved at its first leaf; accept then backtracks
-    to the deepest level still live.  So each vector gets its solo
-    witness, and the states are the union of the solo searches' states.
+    nodes and that the look-ahead kept.  A vector is resolved at its first
+    leaf; accept then backtracks to the deepest level still live.  So each
+    vector gets its solo witness, and the states are the union of the solo
+    searches' states.
     """
 
-    def __init__(self, class_of, vectors, pinned=()):
-        self.class_of = class_of
+    def __init__(self, class_of, vectors, pinned=(), template=None):
+        self.class_of, self.template = class_of, template
         self.slices = [[slice(l) for l in v] for v in vectors]
         self.ending = {}
         for b in class_of:
             top = max(b, key=max)
             self.ending.setdefault(top, []).append([frozenset(b) - {top}, b, None])
+        self.index = {}  # first n - 1 nodes -> {last node: entry}
+        if template is not None:
+            for group in self.ending.values():
+                for e in group:
+                    self.index.setdefault(e[1][:-1], {})[e[1][-1]] = e
+        self.ahead = None  # the search's _VectorLookAhead, once start is told its window
         self.placed = set()
         self.trail = []  # per kept push, whether it pushed the filters, and its node
         self.filters = [_FitFilter(pinned=pinned) for _ in vectors]
@@ -811,25 +838,37 @@ class _VectorFits:
         c = self.class_of[b]
         return tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
 
+    def row(self, entry):
+        """The row of an entry of ending, projected at its first use."""
+        if entry[2] is None:
+            entry[2] = self._row(entry[1])
+        return entry[2]
+
+    def _completed(self, w):
+        """The rows of the listed approximations that a push of w completes."""
+        placed = self.placed
+        return [self.row(e) for e in self.ending.get(w, ()) if e[0] <= placed]
+
     def try_push(self, nodes, w):
-        placed, live = self.placed, self.live[-1]
-        rows = []
-        for entry in self.ending.get(w, ()):
-            if entry[0] <= placed:
-                row = entry[2]
-                if row is None:
-                    row = entry[2] = self._row(entry[1])
-                rows.append(row)
+        live = self.live[-1]
+        rows = self._completed(w)
         if rows:
             item, kept = self.item, []
             for f in live:
                 if f.try_push(nodes, w, map(item[f], rows)):
                     kept.append(f)
             live = kept
+        if live and self.ahead is not None:
+            ahead = self.ahead.push(nodes, w, live, bool(rows))
+            if rows:
+                for f in live:
+                    if f not in ahead:
+                        f.pop()
+            live = ahead
         if not live:
             return False
         self.live.append(live)
-        placed.add(w)
+        self.placed.add(w)
         self.trail.append((bool(rows), w))
         return True
 
@@ -839,10 +878,13 @@ class _VectorFits:
         if pushed:
             for f in live:
                 f.pop()
+        if self.ahead is not None:
+            self.ahead.pop()
         self.placed.remove(w)
 
     def start(self, stop):
-        pass
+        if self.template is not None:
+            self.ahead = _VectorLookAhead(self, stop)
 
     def signature(self):
         # a vector's future pairs read every placed node
@@ -855,6 +897,177 @@ class _VectorFits:
                 self.live = [[g for g in level if g is not f] for level in self.live]
         # live lists only shrink with depth, so the nonempty ones lead
         return sum(map(bool, self.live[:-1])) - 1
+
+
+class _VectorLookAhead:
+    """Joint forward checking for the relation search (Haralick and
+    Elliott 1980, in the non-binary form of Bessiere, Meseguer, Freuder
+    and Larrosa 2002): after a push, a live vector is dropped when some
+    template position still to come can no longer be filled for it.
+
+    A position q below stop is tested once some template n-approximations
+    close at q with all their other positions placed (its ready
+    closings), and once q's anchor is placed (at level 0 it has none).
+    It needs a node u of X with u[l] above the running maximum (l is q's
+    level), q's forced prefix, every ready closing (placed nodes..., u)
+    listed in class_of, and whose pairs under the vector the key <->
+    class map takes all at once.  Positions with the same level, anchor
+    and closings pose the same test, so a constraint is that triple with
+    the last position it serves.  Its candidates are read off the fits'
+    index by the placed nodes of one ready closing, largest index at l
+    first, once for every vector that tests it.  Along a path the maps
+    only grow, the ready closings only gain members and the maximum only
+    rises, so a vector without such a node has none in the whole
+    subtree; every witness is a copy of the template (the relation
+    search's depth prefix is empty), so no witness is lost.  An unplaced
+    anchor is itself a pending position at a lower level, whose node's
+    indices rise along it.
+
+    Per push kept, a stack holds each live vector's bound: every
+    constraint it tested has a support, at or above the bound at its
+    level, that its map takes.  A push that inserts no key into the
+    vector's map and whose maximum stays below its bound leaves those
+    supports valid, so it tests only the constraints whose test the push
+    changes (changed: a closing whose last other position it fills, or
+    the anchor it places); any other push tests every pending one.
+    """
+
+    def __init__(self, fits, stop):
+        k, template = fits.template
+        self.index, self.row, self.item = fits.index, fits.row, fits.item
+        closings = {}  # q -> the other positions of each template approximation ending at q
+        for ps in template:
+            if ps[-1] < stop:
+                closings.setdefault(ps[-1], []).append(ps[:-1])
+        last = {}  # constraint (l, anchor, closings) -> the last position it serves
+        for q, cs in closings.items():
+            c = (*position_info.trusted(k, q), tuple(cs))
+            last[c] = max(last.get(c, q), q)
+        self.order = sorted(last, key=last.get)
+        self.lasts = [last[c] for c in self.order]
+        self.ready = {}  # constraint -> the placed nodes of each ready closing
+        self.newly = {}  # p -> the (constraint, closing) pairs a push at p makes ready
+        changed = {}
+        for c in self.order:
+            _, a, cs = c
+            self.ready[c] = [o for o in cs if not o]  # n = 1: () is ready at once
+            for o in cs:
+                if o:
+                    self.newly.setdefault(o[-1], []).append((c, o))
+                    changed.setdefault(o[-1], {})[c] = None
+            if a is not None:
+                changed.setdefault(a, {})[c] = None
+        self.changed = changed  # p -> the constraints whose test a push at p changes
+        self.sorted = {}  # (placed nodes, level) -> _by_level's list
+        self.bounds = [(None, {})]  # per push kept, its position and each live vector's bound
+
+    def _prefix(self, l, a, nodes, w, p):
+        """The forced prefix of a position at (l, a) once its anchor is
+        placed, () at level 0; None while the anchor is not placed, so the
+        position is not tested."""
+        if a is None:
+            return ()
+        if a > p:
+            return None
+        return (w if a == p else nodes[a])[:l]
+
+    def _by_level(self, placed, l):
+        """The group of placed as (u, entry) pairs, largest u[l] first,
+        sorted once for the call."""
+        got = self.sorted.get((placed, l))
+        if got is None:
+            got = self.sorted[placed, l] = sorted(
+                self.index[placed].items(), key=lambda ue: ue[0][l], reverse=True)
+        return got
+
+    def _rows(self, entry, rest, u):
+        """The rows of the ready closings (placed nodes..., u): entry's,
+        then those of the other closings' groups; None when one is not
+        listed."""
+        row = self.row
+        rows = [row(entry)]
+        for group in rest:
+            e = group.get(u)
+            if e is None:
+                return None
+            rows.append(row(e))
+        return rows
+
+    def _tops(self, c, prefix, testers, m):
+        """Per tester, the index at c's level of a node that fills c's
+        positions for it; a vector with none is left out.  The candidates
+        are those of the ready closing with the fewest."""
+        groups = []
+        for placed in self.ready[c]:
+            group = self.index.get(placed)
+            if group is None:
+                return {}
+            groups.append((len(group), placed, group))
+        groups.sort()
+        l, lp, item = c[0], len(prefix), self.item
+        rest = [group for _, _, group in groups[1:]]
+        tops, need = {}, testers
+        for u, entry in self._by_level(groups[0][1], l):
+            if u[l] <= m:
+                break
+            if u[:lp] != prefix:
+                continue
+            rows = self._rows(entry, rest, u)
+            if rows is None:
+                continue
+            for f in need:
+                if f.takes(map(item[f], rows)):
+                    tops[f] = u[l]
+            need = [f for f in need if f not in tops]
+            if not need:
+                break
+        return tops
+
+    def push(self, nodes, w, live, pushed):
+        """The vectors of live that every constraint tested after w is
+        placed can still take; pushed says whether their filters were."""
+        p, m = len(nodes), max(w)
+        for c, o in self.newly.get(p, ()):
+            self.ready[c].append(tuple(w if i == p else nodes[i] for i in o))
+        prev, bound, full, cheap = self.bounds[-1][1], {}, [], []
+        for f in live:
+            b = prev.get(f, -1)
+            if m >= b or pushed and f.trail[-1]:
+                full.append(f)
+                bound[f] = inf
+            else:
+                cheap.append(f)
+                bound[f] = b
+        changed = self.changed.get(p, {})
+        for c in self.order[bisect_right(self.lasts, p):] if full else changed:
+            testers = full + cheap if c in changed else full
+            if not testers or not self.ready[c]:
+                continue
+            prefix = self._prefix(c[0], c[1], nodes, w, p)
+            if prefix is None:
+                continue
+            tops = self._tops(c, prefix, testers, m)
+            for f in testers:
+                top = tops.get(f)
+                if top is None:
+                    del bound[f]
+                elif top < bound[f]:
+                    bound[f] = top
+            if len(tops) < len(testers):
+                if not bound:
+                    break
+                full = [f for f in full if f in bound]
+                cheap = [f for f in cheap if f in bound]
+        self.bounds.append((p, bound))
+        if not bound:
+            self.pop()
+            return []
+        return [f for f in live if f in bound]
+
+    def pop(self):
+        p, _ = self.bounds.pop()
+        for c, _ in self.newly.get(p, ()):
+            self.ready[c].pop()
 
 
 def _walk(X, closed):
@@ -930,17 +1143,19 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
     if target_len > len(X.nodes):
         # a sub-member places a new node of X per position
         return NotCanonicalAtScale(vectors_checked=len(vectors))
-    template = [a.nodes for a in _approximations(build_w.trusted(k, target_len), n)]
+    positions = _approximation_positions(k, n, target_len)
+    template = build_w.trusted(k, target_len).nodes
 
     def blocks(v):
         # the template's n-approximations grouped by their key under v
-        return Counter(tuple(w[:l] for w, l in zip(b, v)) for b in template).values()
+        return Counter(tuple(template[p][:l] for p, l in zip(ps, v))
+                       for ps in positions).values()
 
     survivors = [v for v in vectors if not _refuted(blocks(v), sizes)]
     if not survivors:
         return NotCanonicalAtScale(vectors_checked=len(vectors))
     budget = budget or Budget()
-    flt = _VectorFits(classes, survivors)
+    flt = _VectorFits(classes, survivors, template=(k, positions))
     try:
         _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .errors import (
@@ -375,6 +376,26 @@ def _extension_positions(k: int, positions, stop: int) -> list[int]:
     slot = _Slot(k, a, max((max(w) for w in a), default=-1))
     return [q for q in range(max(positions, default=-1) + 1, stop)
             if slot.admits(template[q])]
+
+
+@lru_cache(maxsize=_MEMBER_CACHE_SIZE)
+def _approximation_positions(k: int, n: int, stop: int) -> tuple:
+    """The template of the n-approximations: the positions in W_k, each
+    tuple ascending, of the n-approximations of W_k's first stop nodes,
+    in the order of a depth-first walk. A member built by the slot rule
+    from no prefix is a copy of W_k, so its n-approximations sit at
+    exactly these positions. Trusted: k, n and stop must be checked."""
+    template = build_w.trusted(k, stop).nodes
+    layer = [()]
+    for _ in range(n):
+        grown = []
+        for ps in layer:
+            a = tuple(template[p] for p in ps)
+            slot = _Slot(k, a, max((max(w) for w in a), default=-1))
+            grown.extend(ps + (q,) for q in range(ps[-1] + 1 if ps else 0, stop)
+                         if slot.admits(template[q]))
+        layer = grown
+    return tuple(layer)
 
 
 def admits(a: Approx, w: Node) -> bool:

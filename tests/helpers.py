@@ -11,7 +11,7 @@ import itertools
 import sys
 from bisect import insort
 from math import comb
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from ellentuck import ramsey
 from ellentuck.cli import _COMMANDS
@@ -777,19 +777,17 @@ class ReferenceLookAhead:
             insort(self.watch, entry)
 
 
-class ReferenceVectorFits:
+class ReferenceVectorFits(ramsey._VectorFits):
     """ramsey._VectorFits as it was before it read completions off the
     approximations of X, kept as the reference: it asks the slots again
     at every push, building c + (w,) for every stored approximation a
     push extends, a _Slot and a table-group lookup for each approximation
     it grows, and looks each completed approximation's row up in a dict.
-    Install it as ramsey._VectorFits to run canonize_relation on it.
-    It reads k and n off a key of class_of, which is never empty there:
-    with no n-approximation of X every vector is refuted before the
-    search.
-
-    Every vector's fit in one search: a _FitFilter per vector, all fed
-    the n-approximations a push completes, found once with their classes.
+    Install it as ramsey._VectorFits to run canonize_relation on it; it
+    keeps ramsey's filters and look-ahead, so only how a push finds what
+    it completes differs.  It reads k and n off a key of class_of, which
+    is never empty there: with no n-approximation of X every vector is
+    refuted before the search.
 
     tables[j] (j < n) groups the j-approximations of the placed nodes, with
     the slot of their next node, by its forced prefix (of length levels[j]),
@@ -797,79 +795,66 @@ class ReferenceVectorFits:
     rows holds, for one call, the row of each n-approximation completed so
     far: its (key, class) pair under every vector, projected once, so it
     grows with the distinct approximations completed, not with the states.
-    Vector i's pairs are item i of the rows a push completes.  A push that
-    completes none forms no pair for any vector, so no filter is pushed.
-    live[m] lists the unresolved filters that took the first m placed
-    nodes.  A vector is resolved at its first leaf; accept then backtracks
-    to the deepest level still live.  So each vector gets its solo
-    witness, and the states are the union of the solo searches' states.
     """
 
-    def __init__(self, class_of, vectors):
+    def __init__(self, class_of, vectors, pinned=(), template=None):
+        super().__init__(class_of, vectors, pinned, template)
         b = next(iter(class_of))
         k, n = len(b[0]), len(b)
         self.k = k
-        self.class_of = class_of
-        self.slices = [[slice(l) for l in v] for v in vectors]
         self.levels = [position_info(k, j)[0] for j in range(n)]
         self.tables = [{(): [((), _Slot(k, (), -1))]}] + [{} for _ in range(1, n)]
-        self.trail, self.rows = [], {}
-        self.filters = [_FitFilter() for _ in vectors]
-        self.item = {f: itemgetter(i) for i, f in enumerate(self.filters)}
-        self.live = [self.filters]
-        self.found = {}  # filter -> its witness nodes
+        self.rows = {}
+        self.grown = []  # per kept push, the table groups it grew
 
     def _row(self, b):
         """b's (key, class) pair under every vector, kept for the call."""
-        c = self.class_of[b]
-        row = self.rows[b] = tuple((tuple(map(getitem, b, s)), c) for s in self.slices)
+        row = self.rows[b] = super()._row(b)
         return row
 
     def _extended(self, j, w):
         group = self.tables[j].get(w[:self.levels[j]], ())
         return [c + (w,) for c, slot in group if slot.admits(w)]
 
+    def _completed(self, w):
+        rows = self.rows
+        return [rows[b] if b in rows else self._row(b) for b in self._extended(-1, w)]
+
     def try_push(self, nodes, w):
-        live = self.live[-1]
-        completed = self._extended(-1, w)
-        if completed:
-            rows = self.rows
-            formed = [rows[b] if b in rows else self._row(b) for b in completed]
-            live = [f for f in live if f.try_push(nodes, w, map(self.item[f], formed))]
-        if not live:
+        if not super().try_push(nodes, w):
             return False
-        self.live.append(live)
         grown = [(b, _Slot(self.k, b, max(w)))
                  for j in range(len(self.tables) - 1) for b in self._extended(j, w)]
         groups = [self.tables[len(b)].setdefault(slot.prefix, []) for b, slot in grown]
         for group, entry in zip(groups, grown):
             group.append(entry)
-        self.trail.append((bool(completed), groups))
+        self.grown.append(groups)
         return True
 
     def pop(self):
-        pushed, groups = self.trail.pop()
-        live = self.live.pop()
-        if pushed:
-            for f in live:
-                f.pop()
-        for group in groups:
+        super().pop()
+        for group in self.grown.pop():
             group.pop()
 
-    def start(self, stop):
-        pass
 
-    def signature(self):
-        # a vector's future pairs read every placed node
-        return None
+class LookAheadFreeVectorFits(ramsey._VectorFits):
+    """ramsey._VectorFits as canonize_relation ran it before the relation
+    search looked ahead, kept as the reference: it is handed the template
+    and drops it, so a vector is vetoed only by the pairs a push
+    completes.  Install it as ramsey._VectorFits to run canonize_relation
+    without the look-ahead."""
 
-    def accept(self, nodes):
-        for f in self.live[-1]:
-            if f.accept(nodes) == len(nodes):
-                self.found[f] = tuple(nodes)
-                self.live = [[g for g in level if g is not f] for level in self.live]
-        # live lists only shrink with depth, so the nonempty ones lead
-        return sum(map(bool, self.live[:-1])) - 1
+    def __init__(self, class_of, vectors, pinned=(), template=None):
+        super().__init__(class_of, vectors, pinned)
+
+
+class UnanchoredVectorLookAhead(ramsey._VectorLookAhead):
+    """ramsey._VectorLookAhead that also tests a position whose anchor is
+    not yet placed, with no prefix constraint.  Install it as
+    ramsey._VectorLookAhead to run canonize_relation on it."""
+
+    def _prefix(self, l, a, nodes, w, p):
+        return () if a is None or a > p else (w if a == p else nodes[a])[:l]
 
 
 def reference_pigeonhole(a, X, coloring, target_len, budget=None):

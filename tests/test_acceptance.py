@@ -17,6 +17,8 @@ import pytest
 
 from ellentuck.errors import AmbiguousAtScale, Exhausted
 from ellentuck.ramsey import (
+    DEFAULT_BUDGET,
+    Budget,
     CanonicalRelation,
     Coloring,
     InnerMap,
@@ -233,7 +235,7 @@ def test_criterion_08_one_extension_canonization():
 
 @pytest.fixture(scope="module")
 def canonization_runs():
-    results = {}
+    results, states = {}, 0
     t0 = time.perf_counter()
     for k in (2, 3):
         X = build_w(k, 200)
@@ -245,12 +247,17 @@ def canonization_runs():
                     lambda b, v=v: tuple(b.nodes[i][: v[i]] for i in range(n)),
                     domain,
                 )
-                results[(k, n, v)] = (induced, canonize_relation(induced, k, n, X, tlen))
-    return results, time.perf_counter() - t0
+                budget = Budget(DEFAULT_BUDGET)
+                results[(k, n, v)] = (induced, canonize_relation(induced, k, n, X, tlen, budget))
+                states += budget.used
+    return results, time.perf_counter() - t0, states
 
 
 def test_criterion_09_relation_canonization_round_trip(canonization_runs):
-    results, shared = canonization_runs
+    """The 18 calls spend 51,808 states in all, counted so that a slow host
+    cannot hide a change in the search behind the wall bound; they spent
+    1,063,996 before the relation search looked ahead."""
+    results, shared, states = canonization_runs
     t0 = time.perf_counter()
     count = 0
     for (k, n, v), (_, got) in results.items():
@@ -264,12 +271,13 @@ def test_criterion_09_relation_canonization_round_trip(canonization_runs):
     assert count == sum(
         len(admissible_vectors(k, n)) for k in (2, 3) for n in (1, 2)
     )
+    assert states == 51808
     assert elapsed < 120.0
     _passed(9, elapsed, "%d round-trips exact, vector bounds hold" % count)
 
 
 def test_criterion_10_canonizing_vectors_agree(canonization_runs):
-    results, _ = canonization_runs
+    results, _, _ = canonization_runs
     t0 = time.perf_counter()
     relations = 0
     for (k, n, v), (induced, got) in results.items():

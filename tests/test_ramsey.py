@@ -52,6 +52,7 @@ from ellentuck.space import (
     Approx,
     Member,
     _Pool,
+    _approximation_positions,
     build_w,
     depth_of,
     one_extensions,
@@ -62,11 +63,13 @@ from ellentuck.wellorder import classify_n
 
 from helpers import (
     ExactFloorFitFilter,
+    LookAheadFreeVectorFits,
     MemoFreeFitFilter,
     ReferenceFitFilter,
     ReferenceLookAhead,
     ReferenceVectorFits,
     ScanAgreementFilter,
+    UnanchoredVectorLookAhead,
     all_sub_members,
     oracle_disagreement,
     oracle_front_walk,
@@ -280,9 +283,15 @@ def test_state_counts_are_pinned():
     than one extension, so only level 2 is searched. The relation search
     refutes the vector (0, 0) the same way (one block of more
     2-approximations than the largest class holds), but the other
-    vectors' searches visit its states too, so its count stays. The
-    agreement filter gives no signature and does not look ahead, and the
-    parity search is vetoed nowhere, so theirs stay. An index or a
+    vectors' searches visit its states too, so its count stayed. Since
+    the relation search looks ahead, it spends 156: a vector is dropped
+    after a push once some template position still to come has no node
+    of X above the running maximum, with its forced prefix, whose
+    closing 2-approximations are listed and whose pairs the vector's map
+    takes together, where the vector's subtree used to be searched until
+    the push that completes a clashing approximation. The agreement
+    filter gives no signature and does not look ahead, and the parity
+    search is vetoed nowhere, so theirs stay. An index or a
     filter that only saves time leaves them exactly as they are; a
     change that moves the search must say why and update them."""
     X40, X100, X300 = build_w(2, 40), build_w(2, 100), build_w(2, 300)
@@ -309,7 +318,7 @@ def test_state_counts_are_pinned():
     pairs30 = approxs_of_length(X30, 2)
     full, part, identity = _agreement_maps(pairs30, 7)
     cases = {
-        "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 1534),
+        "relation": (lambda bud: canonize_relation(relation, 2, 2, X40, 8, bud), 156),
         "fresh": (lambda bud: canonize_one_extensions(fresh, X100, by_branch, 9, bud), 179),
         "continuing": (
             lambda bud: canonize_one_extensions(continuing, X100, injective, 10, bud),
@@ -331,13 +340,14 @@ def test_state_counts_are_pinned():
 
 def test_relation_filters_run_only_on_pushes_that_complete_something():
     """The relation case of test_state_counts_are_pinned, counted in items,
-    not seconds. The vector filters take 3,044 pushes; they took 6,128 when
+    not seconds. The vector filters take 335 pushes; they took 6,128 when
     every state pushed every live filter, also where the new node completes
-    no 2-approximation and so forms no pair, and 4,057 before the template
-    refuted the vector (0, 0), whose filter no longer runs. The 110
-    distinct 2-approximations the search completes are each projected
+    no 2-approximation and so forms no pair, 4,057 before the template
+    refuted the vector (0, 0), whose filter no longer runs, and 3,044
+    before the search looked ahead. The 110 distinct 2-approximations
+    that the search completes or the look-ahead reads are each projected
     once for the call, under the 4 vectors searched at once, however
-    often a push completes them again."""
+    often a push completes or reads them again."""
     X40 = build_w(2, 40)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -357,8 +367,8 @@ def test_relation_filters_run_only_on_pushes_that_complete_something():
     with mock.patch.object(ramsey._FitFilter, "try_push", counted_push), \
             mock.patch.object(ramsey._VectorFits, "_row", counted_row):
         got = canonize_relation(relation, 2, 2, X40, 8, budget)
-    assert (got.vector, budget.used) == ((0, 2), 1534)
-    assert pushes == [3044]
+    assert (got.vector, budget.used) == ((0, 2), 156)
+    assert pushes == [335]
     assert len(rows) == len(set(rows)) == 110
     assert len(admissible_vectors(2, 2)) == 5
 
@@ -368,11 +378,13 @@ def test_relation_search_asks_only_the_search_core_for_slots():
     not seconds. The vector filter reads what a push completes off the
     2-approximations looked up before the first state, so it makes no
     _Slot. The search core makes one per position it opens, the first and
-    one below each kept push short of the target: 632, each handed its one
-    list of placed nodes. The prologue's walks (ramsey._walk), of X and
-    then of the template, make one per open approximation they visit,
-    each handed its tuple of nodes: the empty one and every
-    1-approximation."""
+    one below each kept push short of the target: 39 (632 before the
+    search looked ahead), each handed its one list of placed nodes. The
+    prologue's walk of X (ramsey._walk) makes one per open approximation
+    it visits, each handed its tuple of nodes: the empty one and every
+    1-approximation. The template's approximations come from
+    space._approximation_positions, once per (k, n, target) for the
+    process, not from a walk of the template per call."""
     X40 = build_w(2, 40)
     relation = Relation.from_key_function(
         lambda b: b.nodes[1][:2], approxs_of_length(X40, 2)
@@ -397,12 +409,12 @@ def test_relation_search_asks_only_the_search_core_for_slots():
     with mock.patch.object(ramsey, "_Slot", CountedSlot), \
             mock.patch.object(ramsey._VectorFits, "try_push", kept_push):
         got = canonize_relation(relation, 2, 2, X40, 8, budget)
-    assert (got.vector, budget.used) == ((0, 2), 1534)
+    assert (got.vector, budget.used) == ((0, 2), 156)
     core = [nodes for nodes in slots if isinstance(nodes, list)]
     assert len({id(nodes) for nodes in core}) == 1
-    assert len(core) == opened[0] == 632
+    assert len(core) == opened[0] == 39
     walked = [nodes for nodes in slots if not isinstance(nodes, list)]
-    assert walked == [a.nodes for Y in (X40, build_w(2, 8)) for a in sub_approxs_up_to(Y, 1)]
+    assert walked == [a.nodes for a in sub_approxs_up_to(X40, 1)]
 
 
 def _memo_case(data):
@@ -1525,20 +1537,23 @@ def test_joint_relation_search_spends_the_union_of_the_solo_searches(data):
     one vector at a time visit, and gives each vector its solo witness.
     The template refutes some vectors before the first state, so the
     states are the union over the vectors searched; a refuted vector's
-    solo search finds no witness."""
+    solo search finds no witness. The solo searches look ahead on the
+    same template, and a vector's look-ahead reads only its own map, so
+    the union holds with it."""
     relation, k, n, X, tlen = _draw_relation_case(data)
     budget = Budget(DEFAULT_BUDGET)
     searched, joint = [], ramsey._VectorFits
 
-    def recording_fits(class_of, vectors):
+    def recording_fits(class_of, vectors, template):
         searched.extend(vectors)
-        return joint(class_of, vectors)
+        return joint(class_of, vectors, template=template)
 
     with mock.patch.object(ramsey, "_VectorFits", recording_fits):
         got = canonize_relation(relation, k, n, X, tlen, budget)
     states, solo = set(), []
+    template = (k, _approximation_positions(k, n, tlen))
     for v in admissible_vectors(k, n):
-        flt = ramsey._VectorFits({a.nodes: c for a, c in relation.items()}, [v])
+        flt = ramsey._VectorFits({a.nodes: c for a, c in relation.items()}, [v], template=template)
         (one,) = flt.filters
 
         def recording(nodes, w, push=flt.try_push, v=v):
@@ -1617,6 +1632,78 @@ def test_relation_search_matches_the_reference_vector_filter(data):
     got = _relation_outcome(relation, k, n, X, tlen, limit)
     with mock.patch.object(ramsey, "_VectorFits", ReferenceVectorFits):
         assert got == _relation_outcome(relation, k, n, X, tlen, limit)
+
+
+def _complete_relation_case(data):
+    """A complete relation on the n-approximations of X (k 2-3, n 1-3),
+    induced by a vector or of random classes, on W_k of 3 to 14 nodes (10
+    at n = 3) or a corrupted copy, with a target n..n+4: the arguments of
+    canonize_relation."""
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    n = data.draw(st.sampled_from([1, 2, 3]), label="n")
+    X = build_w(k, data.draw(st.integers(3, 14 if n < 3 else 10), label="nodes"))
+    if data.draw(st.booleans(), label="corrupted"):
+        X = _corrupted(data, X)
+    tlen = data.draw(st.integers(n, n + 4), label="target")
+    return _draw_relation(data, X, n), k, n, X, tlen
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relation_look_ahead_keeps_every_outcome_of_the_look_ahead_free_search(data):
+    """The look-ahead drops a vector only where no witness of it is left
+    below the push, and every witness is a copy of the template, on valid
+    and corrupted members alike. So canonize_relation gives the outcome,
+    fits and witnesses alike, of the search without it, and spends no more
+    states, at any budget; where the budget cuts the search without the
+    look-ahead short, the look-ahead's outcome is Exhausted too, or the
+    one it gives at the default budget."""
+    args = _complete_relation_case(data)
+    limit = data.draw(st.one_of(st.integers(1, 3000), st.just(DEFAULT_BUDGET)), label="limit")
+    got, used = _outcome(canonize_relation, args, Budget(limit))
+    with mock.patch.object(ramsey, "_VectorFits", LookAheadFreeVectorFits):
+        want, spent = _outcome(canonize_relation, args, Budget(limit))
+    assert used <= spent
+    if want == _ran_out_at(spent) and got != want:
+        want, _ = _outcome(canonize_relation, args)
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relation_look_ahead_loses_nothing_by_waiting_for_the_anchor(data):
+    """The look-ahead tests a position only once its anchor is placed.
+    Testing it before, without a prefix, vetoes nothing more: the unplaced
+    anchor is itself a pending position at a lower level, whose node's
+    indices rise along it. Both give the same outcome and spend the same
+    states, on valid and corrupted members alike."""
+    args = _complete_relation_case(data)
+    got = _outcome(canonize_relation, args)
+    with mock.patch.object(ramsey, "_VectorLookAhead", UnanchoredVectorLookAhead):
+        assert _outcome(canonize_relation, args) == got
+
+
+def test_relation_look_ahead_work_on_a_long_target_is_bounded(monkeypatch):
+    """The relation look-ahead's candidate tests (_rows calls) on a
+    1,500-node target, counted in items, not seconds: the parity classes
+    of the 3,000 nodes of X leave only the vector (0,), whose search is
+    parity pigeonhole at n = 1, and it runs out of its 20,000 states.
+    With one bound per vector and per push the look-ahead makes 32,875
+    candidate tests; it made 251,345 when every push re-tested every
+    pending constraint. A constraint serves every position of its level,
+    anchor and closings, 54 of them here for 1,500 positions."""
+    X = build_w(2, 3000)
+    relation = Relation({Approx(2, (w,)): max(w) % 2 for w in X.nodes})
+    calls = [0]
+    real = ramsey._VectorLookAhead._rows
+
+    def spy(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(ramsey._VectorLookAhead, "_rows", spy)
+    assert canonize_relation(relation, 2, 1, X, 1500, Budget(20000)) == _ran_out_at(20001)
+    assert calls[0] <= 40000
 
 
 # ----------------------------------------------------------------- fronts

@@ -16,6 +16,7 @@ from ellentuck.errors import (
 from ellentuck.space import (
     Approx,
     Member,
+    _approximation_positions,
     _extension_positions,
     _Pool,
     _Slot,
@@ -40,6 +41,7 @@ from helpers import (
     oracle_level,
     oracle_position_info,
     random_sub_member,
+    reference_approximations,
     repeated_node_case,
     sub_approxs_up_to,
 )
@@ -521,6 +523,19 @@ def test_an_unplaced_anchor_of_an_extension_position_is_one_at_a_lower_level(k, 
                 assert position_info(k, anchor)[0] < level, (a, q)
                 pairs += 1
     assert pairs == {2: 877, 3: 538, 4: 177, 5: 66}[k]
+
+
+@pytest.mark.parametrize("k,n,t", [(2, 1, 12), (2, 2, 16), (2, 3, 14), (3, 2, 14), (3, 3, 12)])
+def test_the_template_lists_its_approximations_by_position(k, n, t):
+    """space._approximation_positions gives the n-approximations of
+    build_w(k, t) as position tuples, in the order of the scanning walk
+    (helpers.reference_approximations), and keeps at most as many calls
+    as build_w does."""
+    W = build_w(k, t)
+    position = {w: p for p, w in enumerate(W.nodes)}
+    want = [tuple(position[w] for w in a.nodes) for a in reference_approximations(W, n)]
+    assert list(_approximation_positions(k, n, t)) == want
+    assert _approximation_positions.cache_info().maxsize == build_w.cache_info().maxsize
 
 
 def _blocks(Y, units, key):
