@@ -30,7 +30,9 @@ hold a's one-step extensions or its n-approximations, and which of those
 agree up to which level, are the template's.  The level fits validate
 the depth prefix before the first state (_colored_extensions), and
 canonize_relation's is empty, so the template arguments below are exact
-on every member a search accepts.  X's later nodes are taken as given.
+on every member a search accepts.  X's later nodes are taken as given,
+and no slot sees a broken prefix chain among them, so every search
+validates its witness before it returns it (_witness): ValueError.
 The level fits, pigeonhole's included, and the relation search look
 ahead (forward checking).  After every push a fit takes, each position
 of the template still to come that holds a one-step extension of a
@@ -40,10 +42,15 @@ fill it: above the running maximum at its level, with its forced
 prefix, and with pairs the key <-> class map takes, for a vector all
 the closing approximations' pairs at once.  A position is tested once
 its anchor is placed, since until then the anchor is such a position
-at a lower level, and a node's indices rise along it.  When one has
-none the push is vetoed, or the vector dropped below it, since no push
-below it can give it one.  That loses no witness, so the outcome is
-that of the search without it, in fewer states.
+at a lower level, and a node's indices rise along it.  After a push
+that inserts a key into a vector's map, a position with closings still
+partly placed is tested too, anchor placed or not: each such closing
+needs a completion in X, its unplaced nodes above the running maximum
+at their levels and with the prefixes known so far, whose pair the map
+takes with those of the ready closings.  When one has none the push is
+vetoed, or the vector dropped below it, since no push below it can give
+it one.  That loses no witness, so the outcome is that of the search
+without it, in fewer states.
 canonize_relation first looks up the class of every n-approximation of
 X (_walk), so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
@@ -96,6 +103,7 @@ from .errors import (
     AmbiguousAtScale,
     DisagreeWitness,
     Exhausted,
+    MalformedNodeError,
     NotCanonicalAtScale,
 )
 from .space import (
@@ -401,6 +409,18 @@ def _search_member(k, base, pool, target_len, budget, flt):
     return None
 
 
+def _witness(k, nodes):
+    """A search's witness as a Member once it validates, else ValueError.
+    The slot rule cannot see a broken prefix chain among X's nodes after
+    the depth prefix, so a search over an invalid member may place one."""
+    Y = Member(k, nodes)
+    try:
+        _require_valid(Y, "witness")
+    except MalformedNodeError as err:
+        raise ValueError("witness does not validate: %s" % err) from None
+    return Y
+
+
 def _out_of_budget(budget):
     return Exhausted("budget", "state budget ran out at %d" % budget.used)
 
@@ -678,7 +698,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             got = _search_member(X.k, base, pool, target_len, budget, _NoFilter())
             if got is None:
                 return _NO_COMPLETION
-            return Member(X.k, got), None
+            return _witness(X.k, got), None
         supply = _Extensions(X.k, at, color_of, target_len)
         block = [len(supply.slots)]
         sizes = Counter(color_of.values())
@@ -687,7 +707,7 @@ def pigeonhole(a, X, coloring, target_len, budget=None):
             flt = _FitFilter(supply, 0, [((), color)])
             got = _search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
-                Y = Member(X.k, got)
+                Y = _witness(X.k, got)
                 seen = {coloring.of(b) for b in one_extensions(a, Y)}
                 if seen != {color}:
                     raise AssertionError("homogeneity certificate failed")
@@ -743,14 +763,14 @@ def canonize_one_extensions(s, X, coloring, target_len, budget=None):
             blown = True
             break
         if got is not None:
-            fits.append((level, Member(X.k, got)))
+            fits.append((level, got))
     if len(fits) > 1:
         return AmbiguousAtScale(candidates=tuple(level for level, _ in fits))
     if blown:
         return _out_of_budget(budget)
     if fits:
-        level, Y = fits[0]
-        return Y, CanonicalRelation(level)
+        level, got = fits[0]
+        return _witness(X.k, got), CanonicalRelation(level)
     return _NO_LEVEL
 
 
@@ -804,8 +824,9 @@ class _VectorFits:
     forms no pair for any vector, so no filter is pushed.
     Given template, (k, the template's n-approximations as position
     tuples), the search also looks ahead (_VectorLookAhead), which reads
-    X's n-approximations by their first n - 1 nodes and last node: index,
-    holding the same entries.
+    X's n-approximations by their first j < n nodes and last node: index,
+    lists of the same entries (index[()] is ending, whose node of largest
+    maximum is the last).
     live[m] lists the unresolved filters that took the first m placed
     nodes and that the look-ahead kept.  A vector is resolved at its first
     leaf; accept then backtracks to the deepest level still live.  So each
@@ -820,11 +841,13 @@ class _VectorFits:
         for b in class_of:
             top = max(b, key=max)
             self.ending.setdefault(top, []).append([frozenset(b) - {top}, b, None])
-        self.index = {}  # first n - 1 nodes -> {last node: entry}
+        self.index = {}  # first j < n nodes -> {last node: the entries with them}
         if template is not None:
+            self.index[()] = self.ending
             for group in self.ending.values():
                 for e in group:
-                    self.index.setdefault(e[1][:-1], {})[e[1][-1]] = e
+                    for j in range(1, len(e[1])):
+                        self.index.setdefault(e[1][:j], {}).setdefault(e[1][-1], []).append(e)
         self.ahead = None  # the search's _VectorLookAhead, once start is told its window
         self.placed = set()
         self.trail = []  # per kept push, whether it pushed the filters, and its node
@@ -914,14 +937,30 @@ class _VectorLookAhead:
     class map takes all at once.  Positions with the same level, anchor
     and closings pose the same test, so a constraint is that triple with
     the last position it serves.  Its candidates are read off the fits'
-    index by the placed nodes of one ready closing, largest index at l
-    first, once for every vector that tests it.  Along a path the maps
-    only grow, the ready closings only gain members and the maximum only
-    rises, so a vector without such a node has none in the whole
-    subtree; every witness is a copy of the template (the relation
-    search's depth prefix is empty), so no witness is lost.  An unplaced
-    anchor is itself a pending position at a lower level, whose node's
-    indices rise along it.
+    index by the placed nodes of one closing, largest index at l first,
+    once for every vector that tests it.  Along a path the maps only
+    grow, the ready closings only gain members and the maximum only
+    rises, so a vector without such a node has none in the whole subtree;
+    every witness is a copy of the template (the relation search's depth
+    prefix is empty), so no witness is lost.  An unplaced anchor is
+    itself a pending position at a lower level, whose node's indices rise
+    along it.
+
+    After a push that inserts a key into a vector's map, the vector also
+    tests the positions with partly placed closings, template
+    n-approximations ending there with some other position not yet
+    placed, anchor placed or not (no prefix is asked of u before).  Each
+    such closing needs a completion (placed nodes..., unplaced nodes...,
+    u) listed in class_of whose pair the map takes with the ready pairs,
+    every unplaced node above the running maximum at its position's level
+    and with its forced prefix where that is known: the anchor placed, or
+    in the same closing.  Testing each closing apart is a relaxation of
+    their joint support, and the unplaced nodes' slots only narrow along
+    a path, so this too loses no witness.  A vector keeps its last such u
+    per constraint (a residual support) and re-tests it first.  The key
+    insert gates the test: run after every push it prunes little more
+    (the benchmark's relation calls: 1,032 states, not 1,116) and costs
+    far more (on a 200-node target, 506,855 candidate tests, not 213).
 
     Per push kept, a stack holds each live vector's bound: every
     constraint it tested has a support, at or above the bound at its
@@ -935,13 +974,14 @@ class _VectorLookAhead:
     def __init__(self, fits, stop):
         k, template = fits.template
         self.index, self.row, self.item = fits.index, fits.row, fits.item
+        self.info = [position_info.trusted(k, q) for q in range(stop)]
         closings = {}  # q -> the other positions of each template approximation ending at q
         for ps in template:
             if ps[-1] < stop:
                 closings.setdefault(ps[-1], []).append(ps[:-1])
         last = {}  # constraint (l, anchor, closings) -> the last position it serves
         for q, cs in closings.items():
-            c = (*position_info.trusted(k, q), tuple(cs))
+            c = (*self.info[q], tuple(cs))
             last[c] = max(last.get(c, q), q)
         self.order = sorted(last, key=last.get)
         self.lasts = [last[c] for c in self.order]
@@ -959,6 +999,9 @@ class _VectorLookAhead:
                 changed.setdefault(a, {})[c] = None
         self.changed = changed  # p -> the constraints whose test a push at p changes
         self.sorted = {}  # (placed nodes, level) -> _by_level's list
+        self.support = {}  # (filter, constraint) -> its residual support
+        self.shapes = {}  # p -> _shapes' map
+        self.closing = {}  # (placed nodes, u, l) -> its completions, largest index at l of node j first
         self.bounds = [(None, {})]  # per push kept, its position and each live vector's bound
 
     def _prefix(self, l, a, nodes, w, p):
@@ -971,8 +1014,44 @@ class _VectorLookAhead:
             return None
         return (w if a == p else nodes[a])[:l]
 
+    def _shapes(self, p):
+        """Per pending constraint with partly placed closings after a push
+        at p, each such closing's shape, repeats dropped: its placed
+        positions and, per unplaced position, (its place in the closing,
+        its level, its anchor if placed, else the place of its anchor in
+        the closing if there).  Worked out once per p for the call."""
+        got = self.shapes.get(p)
+        if got is None:
+            got = self.shapes[p] = {}
+            for c in self.order[bisect_right(self.lasts, p):]:
+                found = {}
+                for o in c[2]:
+                    if o and o[-1] > p:
+                        j, checks = bisect_right(o, p), []
+                        for i in range(j, len(o)):
+                            l, a = self.info[o[i]]
+                            known = a is not None and a <= p
+                            checks.append((i, l, a if known else None,
+                                           o.index(a) if not known and a in o else None))
+                        found[o[:j], tuple(checks)] = None
+                if found:
+                    got[c] = list(found)
+        return got
+
+    def _partly(self, shapes, nodes, w, p):
+        """The partly placed closings of the given shapes after a push of w
+        at p: per closing, its placed nodes and, per unplaced position,
+        (its place, its level, its forced prefix or None, its anchor's
+        place or None)."""
+        def node(i):
+            return w if i == p else nodes[i]
+
+        return [(tuple(map(node, positions)),
+                 tuple((i, l, None if a is None else node(a)[:l], at) for i, l, a, at in checks))
+                for positions, checks in shapes]
+
     def _by_level(self, placed, l):
-        """The group of placed as (u, entry) pairs, largest u[l] first,
+        """The group of placed as (u, entries) pairs, largest u[l] first,
         sorted once for the call."""
         got = self.sorted.get((placed, l))
         if got is None:
@@ -980,47 +1059,107 @@ class _VectorLookAhead:
                 self.index[placed].items(), key=lambda ue: ue[0][l], reverse=True)
         return got
 
-    def _rows(self, entry, rest, u):
-        """The rows of the ready closings (placed nodes..., u): entry's,
-        then those of the other closings' groups; None when one is not
-        listed."""
-        row = self.row
-        rows = [row(entry)]
-        for group in rest:
-            e = group.get(u)
-            if e is None:
+    def _rows(self, ready, u):
+        """The rows of the ready closings (placed nodes..., u), given their
+        groups; None when one is not listed."""
+        rows = []
+        for group in ready:
+            es = group.get(u)
+            if es is None:
                 return None
-            rows.append(row(e))
+            rows.append(self.row(es[0]))
         return rows
 
-    def _tops(self, c, prefix, testers, m):
+    def _completions(self, part, u, m):
+        """Per partly placed closing, the rows of its completions ending at
+        u whose unplaced nodes pass their checks above m; None when one
+        closing has none.  A closing's completions are read largest index
+        of the first unplaced node at its level first, down to m."""
+        out = []
+        for placed, checks in part:
+            j, l = len(placed), checks[0][1]
+            group = self.closing.get((placed, u, l))
+            if group is None:
+                group = self.closing[placed, u, l] = sorted(
+                    ((e[1][j][l], e) for e in self.index[placed].get(u, ())),
+                    key=itemgetter(0), reverse=True)
+            rows = []
+            for top, e in group:
+                if top <= m:
+                    break
+                b = e[1]
+                for i, l, prefix, at in checks:
+                    x = b[i]
+                    if x[l] <= m or prefix is not None and x[:l] != prefix \
+                            or at is not None and x[:l] != b[at][:l]:
+                        break
+                else:
+                    rows.append(self.row(e))
+            if not rows:
+                return None
+            out.append(rows)
+        return out
+
+    def _fills(self, f, rows, completions):
+        """Whether f's map takes the ready rows' pairs together, and with
+        them one completion's pair of each partly placed closing."""
+        get = self.item[f]
+        ready = [get(row) for row in rows]
+        return f.takes(ready) and all(
+            any(f.takes([*ready, get(row)]) for row in group) for group in completions)
+
+    def _tops(self, c, prefix, testers, m, part=(), grown=()):
         """Per tester, the index at c's level of a node that fills c's
-        positions for it; a vector with none is left out.  The candidates
-        are those of the ready closing with the fewest."""
-        groups = []
+        positions for it; a vector with none is left out.  Every tester
+        reads the ready closings, and one in grown the partly placed
+        closings part too.  The candidates are those of the closing with
+        the fewest, a ready one while a tester not in grown reads them."""
+        pools, ready = [], []
         for placed in self.ready[c]:
             group = self.index.get(placed)
             if group is None:
                 return {}
-            groups.append((len(group), placed, group))
-        groups.sort()
+            pools.append((len(group), placed))
+            ready.append(group)
         l, lp, item = c[0], len(prefix), self.item
-        rest = [group for _, _, group in groups[1:]]
-        tops, need = {}, testers
-        for u, entry in self._by_level(groups[0][1], l):
-            if u[l] <= m:
+        tops = {}
+        if part:
+            if any(placed not in self.index for placed, _ in part):
+                testers, part = [f for f in testers if f not in grown], ()
+            elif all(f in grown for f in testers):
+                pools += [(len(self.index[placed]), placed) for placed, _ in part]
+            for f in grown if part else ():
+                u = self.support.get((f, c))
+                if u is None or u[l] <= m or u[:lp] != prefix:
+                    continue
+                rows = self._rows(ready, u)
+                completions = rows is not None and self._completions(part, u, m)
+                if completions and self._fills(f, rows, completions):
+                    tops[f] = u[l]
+        if not pools:
+            return tops
+        need = [f for f in testers if f not in tops] if tops else testers
+        for u, _ in self._by_level(min(pools)[1], l):
+            if not need or u[l] <= m:
                 break
             if u[:lp] != prefix:
                 continue
-            rows = self._rows(entry, rest, u)
+            rows = self._rows(ready, u) if ready else []
             if rows is None:
                 continue
+            completions = None
             for f in need:
-                if f.takes(map(item[f], rows)):
+                if not part or f not in grown:
+                    if f.takes(map(item[f], rows)):
+                        tops[f] = u[l]
+                    continue
+                if completions is None:
+                    completions = self._completions(part, u, m) or ()
+                if completions and self._fills(f, rows, completions):
                     tops[f] = u[l]
-            need = [f for f in need if f not in tops]
-            if not need:
-                break
+                    self.support[f, c] = u
+            if len(tops) > len(testers) - len(need):
+                need = [f for f in need if f not in tops]
         return tops
 
     def push(self, nodes, w, live, pushed):
@@ -1029,24 +1168,33 @@ class _VectorLookAhead:
         p, m = len(nodes), max(w)
         for c, o in self.newly.get(p, ()):
             self.ready[c].append(tuple(w if i == p else nodes[i] for i in o))
-        prev, bound, full, cheap = self.bounds[-1][1], {}, [], []
+        prev, bound, full, cheap, grown = self.bounds[-1][1], {}, [], [], []
         for f in live:
             b = prev.get(f, -1)
-            if m >= b or pushed and f.trail[-1]:
-                full.append(f)
-                bound[f] = inf
-            else:
+            if pushed and f.trail[-1]:
+                grown.append(f)
+            elif m < b:
                 cheap.append(f)
                 bound[f] = b
+                continue
+            full.append(f)
+            bound[f] = inf
+        shapes = self._shapes(p) if grown else {}
         changed = self.changed.get(p, {})
         for c in self.order[bisect_right(self.lasts, p):] if full else changed:
             testers = full + cheap if c in changed else full
-            if not testers or not self.ready[c]:
+            if not testers:
                 continue
             prefix = self._prefix(c[0], c[1], nodes, w, p)
-            if prefix is None:
+            part = self._partly(shapes[c], nodes, w, p) if grown and c in shapes else ()
+            if part:
+                if prefix is None or not self.ready[c]:
+                    testers = grown
+                tops = self._tops(c, prefix or (), testers, m, part, grown)
+            elif prefix is None or not self.ready[c]:
                 continue
-            tops = self._tops(c, prefix, testers, m)
+            else:
+                tops = self._tops(c, prefix, testers, m)
             for f in testers:
                 top = tops.get(f)
                 if top is None:
@@ -1058,6 +1206,7 @@ class _VectorLookAhead:
                     break
                 full = [f for f in full if f in bound]
                 cheap = [f for f in cheap if f in bound]
+                grown = [f for f in grown if f in bound]
         self.bounds.append((p, bound))
         if not bound:
             self.pop()
@@ -1160,7 +1309,7 @@ def canonize_relation(relation, k, n, X, target_len, budget=None):
         _search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except _Blown:
         return _out_of_budget(budget)
-    fits = [(v, Member(k, flt.found[f])) for v, f in zip(survivors, flt.filters)
+    fits = [(v, _witness(k, flt.found[f])) for v, f in zip(survivors, flt.filters)
             if f in flt.found]
     if fits:
         vector, member = fits[0]
@@ -1322,7 +1471,7 @@ def irreducible_agreement(phi1, phi2, relation, family, X, target_len, budget=No
     got = flt.found.get(flt.filters[0])
     if got is None:
         return _NO_AGREEMENT
-    return Member(X.k, got), True
+    return _witness(X.k, got), True
 
 
 def _approx_str(a):

@@ -228,6 +228,15 @@ def swapped_prefix_case():
     return a, X, coloring
 
 
+def bumped(X, p):
+    """X with the last entry of node p raised by one. At p = 3 of W_2 that
+    is (0, 5) -> (0, 6), whose prefix chain breaks: no slot rule sees it,
+    so a search over build_w(2, 14) bumped there can place it."""
+    nodes = list(X.nodes)
+    nodes[p] = nodes[p][:-1] + (nodes[p][-1] + 1,)
+    return Member(X.k, tuple(nodes))
+
+
 def extension_closure_nodes(a, Y):
     """Every node Y can contribute to any chain of extensions of a.
     Each reachable approximation has a unique chain, so plain BFS."""
@@ -861,9 +870,10 @@ def reference_pigeonhole(a, X, coloring, target_len, budget=None):
     """pigeonhole before it refuted colors on the template, kept as the
     reference: every color is searched, in ascending order, also one with
     fewer one-step extensions in X than a witness holds, and a target
-    longer than X is searched until the supply runs out. Reads ramsey's
-    filter, look-ahead and search core at call time, so one installed
-    there is used here too."""
+    longer than X is searched until the supply runs out. Its witness is
+    checked by ramsey._witness, as pigeonhole's is. Reads ramsey's filter,
+    look-ahead and search core at call time, so one installed there is
+    used here too."""
     base, color_of, at = ramsey._colored_extensions(a, X, coloring, target_len)
     supply = ramsey._Extensions(X.k, at, color_of, target_len)
     budget = budget or Budget()
@@ -873,12 +883,12 @@ def reference_pigeonhole(a, X, coloring, target_len, budget=None):
             got = ramsey._search_member(X.k, base, pool, target_len, budget, ramsey._NoFilter())
             if got is None:
                 return Exhausted("supply", "no completion from the depth prefix")
-            return Member(X.k, got), None
+            return ramsey._witness(X.k, got), None
         for color in sorted(set(color_of.values())):
             flt = ramsey._FitFilter(supply, 0, [((), color)])
             got = ramsey._search_member(X.k, base, pool, target_len, budget, flt)
             if got is not None:
-                Y = Member(X.k, got)
+                Y = ramsey._witness(X.k, got)
                 seen = {coloring.of(b) for b in one_extensions(a, Y)}
                 if seen != {color}:
                     raise AssertionError("homogeneity certificate failed")
@@ -893,8 +903,9 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
     look-ahead, kept as the reference: every candidate level is searched,
     in ascending order, until its search finds a witness or runs out, and
     no floor pair is decided before the first state: ReferenceFitFilter
-    decides them at every leaf. Reads ramsey's search core at call
-    time."""
+    decides them at every leaf. The witness it returns is checked by
+    ramsey._witness, as canonize_one_extensions' is. Reads ramsey's search
+    core at call time."""
     base, color_of, at = ramsey._colored_extensions(s, X, coloring, target_len)
     supply = ramsey._Extensions(X.k, at, color_of, target_len)
     budget = budget or Budget()
@@ -911,14 +922,14 @@ def reference_canonize_one_extensions(s, X, coloring, target_len, budget=None):
             blown = True
             break
         if got is not None:
-            fits.append((level, Member(X.k, got)))
+            fits.append((level, got))
     if len(fits) > 1:
         return AmbiguousAtScale(candidates=tuple(level for level, _ in fits))
     if blown:
         return ramsey._out_of_budget(budget)
     if fits:
-        level, Y = fits[0]
-        return Y, CanonicalRelation(level)
+        level, got = fits[0]
+        return ramsey._witness(X.k, got), CanonicalRelation(level)
     return Exhausted("supply", "no projection level fits a sub-member")
 
 
@@ -943,7 +954,9 @@ def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
     """canonize_relation before the template refuted vectors, kept as the
     reference: after the same argument checks and the same up-front
     lookup of every n-approximation of X (reference_approximations),
-    every admissible vector is searched in the one joint search."""
+    every admissible vector is searched in the one joint search. Every
+    fit's witness is checked by ramsey._witness, as canonize_relation's
+    are."""
     ramsey._check_length(n, "approximation length")
     if X.k != k:
         raise ValueError("member dimension does not match k")
@@ -960,7 +973,7 @@ def reference_canonize_relation(relation, k, n, X, target_len, budget=None):
         ramsey._search_member(k, (), _Pool(X.nodes), target_len, budget, flt)
     except ramsey._Blown:
         return ramsey._out_of_budget(budget)
-    fits = [(v, Member(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
+    fits = [(v, ramsey._witness(k, flt.found[f])) for v, f in zip(vectors, flt.filters)
             if f in flt.found]
     if fits:
         vector, member = fits[0]

@@ -24,6 +24,7 @@ from ellentuck.wellorder import classify_n, domain_at, seq_at_rank, seq_str
 
 from figures import R10_E2, R6_E2
 from helpers import (
+    bumped,
     oracle_build_parser,
     repeated_node_case,
     shallow_stack,
@@ -272,6 +273,29 @@ def test_level_fits_on_a_depth_prefix_that_does_not_validate_exit_1(tmp_path, co
     )
     assert (code, out) == (1, "")
     assert err == "error: depth prefix does not validate: condition (ii) at (0,1)\n"
+
+
+@pytest.mark.parametrize("command", ["pigeonhole", "canonize-arn"])
+def test_a_witness_that_does_not_validate_exits_1(tmp_path, command):
+    """A member whose nodes after the depth prefix break a prefix chain is
+    an input error too: pigeonhole returned a witness that does not
+    validate with exit 0, and canonize-arn likewise; both now print one
+    error line and exit 1."""
+    X = bumped(build_w(2, 14), 3)
+    member = write(tmp_path, "x.json", dump_approx(X))
+    if command == "pigeonhole":
+        coloring = Coloring.from_function(
+            lambda b: max(b.nodes[-1]) % 2, one_extensions(Approx(2), X))
+        flags = ("--a", '{"k":2,"nodes":[]}', "--coloring",
+                 write(tmp_path, "c.json", dump_coloring(coloring)))
+    else:
+        singles = Relation({Approx(2, (w,)): max(w) % 2 for w in X.nodes})
+        flags = ("--k", "2", "--n", "1", "--relation",
+                 write(tmp_path, "rel.json", dump_relation(singles)))
+    code, out, err = run(command, *flags, "--member", member, "--len", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: witness does not validate: "
+                   "node (0, 6): prefix chain breaks at index 6\n")
 
 
 def test_pigeonhole_budget_env(tmp_path, monkeypatch):

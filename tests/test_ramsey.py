@@ -8,6 +8,7 @@ enumerator from helpers.
 
 import itertools
 import random
+import re
 from collections import Counter
 from unittest import mock
 
@@ -71,6 +72,7 @@ from helpers import (
     ScanAgreementFilter,
     UnanchoredVectorLookAhead,
     all_sub_members,
+    bumped,
     oracle_disagreement,
     oracle_front_walk,
     oracle_irreducible,
@@ -289,7 +291,10 @@ def test_state_counts_are_pinned():
     of X above the running maximum, with its forced prefix, whose
     closing 2-approximations are listed and whose pairs the vector's map
     takes together, where the vector's subtree used to be searched until
-    the push that completes a clashing approximation. The agreement
+    the push that completes a clashing approximation. Since it also reads
+    partly placed closings, it still spends 156: the solo search of each
+    refuted vector here already places no node past node 1 (8 pushes of
+    node 0 and 110 of node 1 are vetoed). The agreement
     filter gives no signature and does not look ahead, and the parity
     search is vetoed nowhere, so theirs stay. An index or a
     filter that only saves time leaves them exactly as they are; a
@@ -598,10 +603,11 @@ def _prefix_validates(X, a):
 def test_level_fits_on_a_corrupted_member_raise_exactly_on_a_bad_depth_prefix(data):
     """a is drawn by a walk of one-step extensions inside a corrupted
     member, so its depth prefix can hold a bad node outside a. pigeonhole
-    and canonize_one_extensions raise ValueError exactly when that prefix
-    does not validate, and otherwise return the outcome of the reference,
-    which searches every candidate without the look-ahead and decides
-    floor pairs at every leaf."""
+    and canonize_one_extensions raise ValueError before the first state
+    when that prefix does not validate, and otherwise give the outcome of
+    the reference, which searches every candidate without the look-ahead
+    and decides floor pairs at every leaf: a witness that does not
+    validate is the same ValueError from both."""
     k = data.draw(st.sampled_from((2, 3)), label="k")
     X = _corrupted(data, build_w(k, data.draw(st.integers(8, 30), label="nodes")))
     a = Approx(k)
@@ -1070,6 +1076,33 @@ def test_level_fits_reject_a_depth_prefix_that_does_not_validate():
     for search in (pigeonhole, canonize_one_extensions):
         with pytest.raises(ValueError, match="depth prefix does not validate"):
             search(a, X, coloring, 4)
+
+
+def test_searches_raise_rather_than_return_a_witness_that_does_not_validate():
+    """No slot rule sees a broken prefix chain among X's nodes after the
+    depth prefix. On W_2 of 14 nodes with (0, 5) bumped to (0, 6), pigeonhole
+    with the parity coloring returned ((0,2),(0,6),(7,8),(0,14),(7,16)) with
+    color 0, and canonize_relation on the parity classes of the
+    1-approximations a witness that validate_approx rejects too. Both check
+    each witness before returning it and raise ValueError; so do
+    canonize_one_extensions and irreducible_agreement."""
+    X = bumped(build_w(2, 14), 3)
+    with pytest.raises(MalformedNodeError):
+        validate_approx(Approx(2, ((0, 2), (0, 6), (7, 8), (0, 14), (7, 16))))
+    relation = Relation({b: max(b.nodes[-1]) % 2 for b in approxs_of_length(X, 1)})
+    message = "witness does not validate: node (0, 6): prefix chain breaks at index 6"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pigeonhole(Approx(2), X, _parity(X), 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        canonize_relation(relation, 2, 1, X, 5)
+    singles = Coloring({b: i for i, b in enumerate(one_extensions(Approx(2), X))})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        canonize_one_extensions(Approx(2), X, singles, 5)
+    family = approxs_of_length(X, 1)
+    phi = InnerMap.uniform((2,), family)
+    same = Relation({b: i for i, b in enumerate(family)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        irreducible_agreement(phi, phi, same, family, X, 5)
 
 
 @pytest.mark.parametrize("search", [pigeonhole, canonize_one_extensions])
@@ -1683,6 +1716,40 @@ def test_relation_look_ahead_loses_nothing_by_waiting_for_the_anchor(data):
         assert _outcome(canonize_relation, args) == got
 
 
+def test_relation_look_ahead_keeps_every_outcome_of_the_look_ahead_free_search_on_a_grid():
+    """The hypothesis draws at n = 3 stop at 10 nodes and a target of n + 4,
+    so they seldom reach position 6, where the k = 3 closings partly
+    placed at depths 1 and 2 sit. On this fixed grid, 154 of the 200 calls
+    at the default budget spend fewer states than they did before the
+    look-ahead read partly placed closings: every admissible vector's
+    induced relation and two seeded random ones, on
+    W_3 of 12 nodes and W_2 of 14 and a copy of each with node 3 bumped,
+    at n = 2 and 3 and targets 7 and 8. At budgets from 1 to 3,000 and
+    the default, canonize_relation gives the outcome of the search without
+    the look-ahead (or, where the budget cuts that one short, Exhausted or
+    its own outcome at the default budget), and spends no more states."""
+    for X in (build_w(3, 12), build_w(2, 14)):
+        for member, n in itertools.product((X, bumped(X, 3)), (2, 3)):
+            dom = approxs_of_length(member, n)
+            relations = [Relation.from_key_function(
+                lambda b, v=v: tuple(w[:l] for w, l in zip(b.nodes, v)), dom)
+                for v in admissible_vectors(X.k, n)]
+            for seed in (0, 1):
+                rng = random.Random(seed)
+                relations.append(Relation({b: rng.randrange(3) for b in dom}))
+            for relation, tlen, limit in itertools.product(
+                    relations, (7, 8), (1, 30, 300, 3000, DEFAULT_BUDGET)):
+                args = (relation, X.k, n, member, tlen)
+                got, used = _outcome(canonize_relation, args, Budget(limit))
+                with mock.patch.object(ramsey, "_VectorFits", LookAheadFreeVectorFits):
+                    want, spent = _outcome(canonize_relation, args, Budget(limit))
+                case = (member.nodes[3], n, tlen, limit)
+                assert used <= spent, case
+                if want == _ran_out_at(spent) and got != want:
+                    want, _ = _outcome(canonize_relation, args)
+                assert got == want, case
+
+
 def test_relation_look_ahead_work_on_a_long_target_is_bounded(monkeypatch):
     """The relation look-ahead's candidate tests (_rows calls) on a
     1,500-node target, counted in items, not seconds: the parity classes
@@ -1704,6 +1771,28 @@ def test_relation_look_ahead_work_on_a_long_target_is_bounded(monkeypatch):
     monkeypatch.setattr(ramsey._VectorLookAhead, "_rows", spy)
     assert canonize_relation(relation, 2, 1, X, 1500, Budget(20000)) == _ran_out_at(20001)
     assert calls[0] <= 40000
+
+
+def test_partly_placed_closing_work_on_a_long_target_is_bounded(monkeypatch):
+    """The partly placed closings' candidate tests (_completions calls) on a
+    200-node target, counted in items, not seconds: the parity classes of
+    the 2-approximations of 400 nodes of W_2 leave a search that runs out
+    of its 20,000 states. A push tests the partly placed closings only
+    for the vectors it inserts a key for: 213 candidate tests. Run on every
+    push, the same test made 506,855 and took about nine times as long. At
+    n = 1 no closing is partly placed, so the test above keeps its count."""
+    X = build_w(2, 400)
+    relation = Relation({a: max(a.nodes[-1]) % 2 for a in approxs_of_length(X, 2)})
+    calls = [0]
+    real = ramsey._VectorLookAhead._completions
+
+    def spy(self, *args):
+        calls[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(ramsey._VectorLookAhead, "_completions", spy)
+    assert canonize_relation(relation, 2, 2, X, 200, Budget(20000)) == _ran_out_at(20001)
+    assert calls[0] <= 1000
 
 
 # ----------------------------------------------------------------- fronts
