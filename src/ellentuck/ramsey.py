@@ -36,21 +36,20 @@ validates its witness before it returns it (_witness): ValueError.
 The level fits, pigeonhole's included, and the relation search look
 ahead (forward checking).  After every push a fit takes, each position
 of the template still to come that holds a one-step extension of a
-(_LookAhead), or at which template n-approximations close whose other
-positions are all placed (_VectorLookAhead), needs a node of X that can
-fill it: above the running maximum at its level, with its forced
-prefix, and with pairs the key <-> class map takes, for a vector all
-the closing approximations' pairs at once.  A position is tested once
-its anchor is placed, since until then the anchor is such a position
-at a lower level, and a node's indices rise along it.  After a push
-that inserts a key into a vector's map, a position with closings still
-partly placed is tested too, anchor placed or not: each such closing
-needs a completion in X, its unplaced nodes above the running maximum
-at their levels and with the prefixes known so far, whose pair the map
-takes with those of the ready closings.  When one has none the push is
-vetoed, or the vector dropped below it, since no push below it can give
-it one.  That loses no witness, so the outcome is that of the search
-without it, in fewer states.
+(_LookAhead), or at which template n-approximations close
+(_VectorLookAhead), needs a node of X that can fill it: above the
+running maximum at its level, with its forced prefix, and with pairs the
+key <-> class map takes, for a vector one per closing approximation, all
+at once.  A closing whose other nodes are all placed reads its pair off
+the node; one partly placed needs a completion in X, its unplaced nodes
+above the running maximum at their levels and with the prefixes known
+so far.  Partly placed closings are read after a push that inserts a key
+into the vector's map, anchor placed or not; otherwise a position is
+tested once its anchor is placed, since until then the anchor is such a
+position at a lower level, and a node's indices rise along it.  When
+one has no such node the push is vetoed, or the vector dropped below it,
+since no push below it can give it one.  That loses no witness, so the
+outcome is that of the search without it, in fewer states.
 canonize_relation first looks up the class of every n-approximation of
 X (_walk), so a relation that misses one raises before the first state.
 pigeonhole and both canonizers then drop, before the first state, every
@@ -928,39 +927,33 @@ class _VectorLookAhead:
     and Larrosa 2002): after a push, a live vector is dropped when some
     template position still to come can no longer be filled for it.
 
-    A position q below stop is tested once some template n-approximations
-    close at q with all their other positions placed (its ready
-    closings), and once q's anchor is placed (at level 0 it has none).
-    It needs a node u of X with u[l] above the running maximum (l is q's
-    level), q's forced prefix, every ready closing (placed nodes..., u)
-    listed in class_of, and whose pairs under the vector the key <->
-    class map takes all at once.  Positions with the same level, anchor
-    and closings pose the same test, so a constraint is that triple with
-    the last position it serves.  Its candidates are read off the fits'
-    index by the placed nodes of one closing, largest index at l first,
-    once for every vector that tests it.  Along a path the maps only
-    grow, the ready closings only gain members and the maximum only
-    rises, so a vector without such a node has none in the whole subtree;
-    every witness is a copy of the template (the relation search's depth
-    prefix is empty), so no witness is lost.  An unplaced anchor is
-    itself a pending position at a lower level, whose node's indices rise
-    along it.
+    The closings of a position q below stop are the other positions of
+    the template n-approximations ending at q.  Positions with the same
+    level, anchor and closings pose the same test, so a constraint is
+    that triple with the last position it serves.  The test asks for a
+    node u of X with u[l] above the running maximum (l is q's level) and
+    q's forced prefix, and per closing a row at u listed in class_of,
+    (placed nodes..., unplaced nodes..., u), whose pairs under the vector
+    the key <-> class map takes together.  An unplaced node must be above
+    the running maximum at its position's level and carry its forced
+    prefix where that is known: its anchor placed, or in the same closing.
+    A placed closing has no unplaced node, so u alone fixes its row; each
+    partly placed one needs a completion of its own, a relaxation of
+    their joint support.  Along a path the maps only grow, the closings
+    only fill and the maximum only rises, so a vector without such a node
+    has none in the whole subtree; every witness is a copy of the template
+    (the relation search's depth prefix is empty), so no witness is lost.
 
-    After a push that inserts a key into a vector's map, the vector also
-    tests the positions with partly placed closings, template
-    n-approximations ending there with some other position not yet
-    placed, anchor placed or not (no prefix is asked of u before).  Each
-    such closing needs a completion (placed nodes..., unplaced nodes...,
-    u) listed in class_of whose pair the map takes with the ready pairs,
-    every unplaced node above the running maximum at its position's level
-    and with its forced prefix where that is known: the anchor placed, or
-    in the same closing.  Testing each closing apart is a relaxation of
-    their joint support, and the unplaced nodes' slots only narrow along
-    a path, so this too loses no witness.  A vector keeps its last such u
-    per constraint (a residual support) and re-tests it first.  The key
-    insert gates the test: run after every push it prunes little more
-    (the benchmark's relation calls: 1,032 states, not 1,116) and costs
-    far more (on a 200-node target, 506,855 candidate tests, not 213).
+    After a push that inserts a key into its map, a vector tests every
+    closing of a constraint with some closing partly placed, anchor placed
+    or not (no prefix is asked of u before), and keeps its last such u (a
+    residual support) to re-test first.  Otherwise it tests the placed
+    closings, once there are some and the anchor is placed (at level 0 it
+    has none): an unplaced anchor is itself a pending position at a lower
+    level, whose node's indices rise along it.  The key insert gates the
+    partly placed test: run after every push it prunes little more (the
+    benchmark's relation calls: 1,032 states, not 1,116) and costs far
+    more (on a 200-node target, over 2,000 times the candidate tests).
 
     Per push kept, a stack holds each live vector's bound: every
     constraint it tested has a support, at or above the bound at its
@@ -985,29 +978,20 @@ class _VectorLookAhead:
             last[c] = max(last.get(c, q), q)
         self.order = sorted(last, key=last.get)
         self.lasts = [last[c] for c in self.order]
-        self.ready = {}  # constraint -> the placed nodes of each ready closing
-        self.newly = {}  # p -> the (constraint, closing) pairs a push at p makes ready
-        changed = {}
+        self.changed = {}  # p -> the constraints whose test a push at p changes
         for c in self.order:
-            _, a, cs = c
-            self.ready[c] = [o for o in cs if not o]  # n = 1: () is ready at once
-            for o in cs:
-                if o:
-                    self.newly.setdefault(o[-1], []).append((c, o))
-                    changed.setdefault(o[-1], {})[c] = None
-            if a is not None:
-                changed.setdefault(a, {})[c] = None
-        self.changed = changed  # p -> the constraints whose test a push at p changes
+            for p in {c[1], *(o[-1] for o in c[2] if o)} - {None}:
+                self.changed.setdefault(p, {})[c] = None
         self.sorted = {}  # (placed nodes, level) -> _by_level's list
         self.support = {}  # (filter, constraint) -> its residual support
         self.shapes = {}  # p -> _shapes' map
         self.closing = {}  # (placed nodes, u, l) -> its completions, largest index at l of node j first
-        self.bounds = [(None, {})]  # per push kept, its position and each live vector's bound
+        self.bounds = [{}]  # per push kept, each live vector's bound
 
     def _prefix(self, l, a, nodes, w, p):
         """The forced prefix of a position at (l, a) once its anchor is
-        placed, () at level 0; None while the anchor is not placed, so the
-        position is not tested."""
+        placed, () at level 0; None while the anchor is not placed, so no
+        vector tests the position's placed closings alone."""
         if a is None:
             return ()
         if a > p:
@@ -1015,40 +999,27 @@ class _VectorLookAhead:
         return (w if a == p else nodes[a])[:l]
 
     def _shapes(self, p):
-        """Per pending constraint with partly placed closings after a push
-        at p, each such closing's shape, repeats dropped: its placed
-        positions and, per unplaced position, (its place in the closing,
-        its level, its anchor if placed, else the place of its anchor in
-        the closing if there).  Worked out once per p for the call."""
+        """Per pending constraint after a push at p, the shapes of its
+        closings, repeats dropped and placed ones first, and of its placed
+        ones: a closing's placed positions and, per unplaced position, (its
+        place in the closing, its level, its anchor if placed, else the
+        place of its anchor in the closing if there); worked out once per p."""
         got = self.shapes.get(p)
         if got is None:
             got = self.shapes[p] = {}
             for c in self.order[bisect_right(self.lasts, p):]:
                 found = {}
                 for o in c[2]:
-                    if o and o[-1] > p:
-                        j, checks = bisect_right(o, p), []
-                        for i in range(j, len(o)):
-                            l, a = self.info[o[i]]
-                            known = a is not None and a <= p
-                            checks.append((i, l, a if known else None,
-                                           o.index(a) if not known and a in o else None))
-                        found[o[:j], tuple(checks)] = None
-                if found:
-                    got[c] = list(found)
+                    j, checks = bisect_right(o, p), []
+                    for i in range(j, len(o)):
+                        l, a = self.info[o[i]]
+                        known = a is not None and a <= p
+                        checks.append((i, l, a if known else None,
+                                       o.index(a) if not known and a in o else None))
+                    found[o[:j], tuple(checks)] = None
+                every = sorted(found, key=lambda shape: bool(shape[1]))
+                got[c] = every, [shape for shape in every if not shape[1]]
         return got
-
-    def _partly(self, shapes, nodes, w, p):
-        """The partly placed closings of the given shapes after a push of w
-        at p: per closing, its placed nodes and, per unplaced position,
-        (its place, its level, its forced prefix or None, its anchor's
-        place or None)."""
-        def node(i):
-            return w if i == p else nodes[i]
-
-        return [(tuple(map(node, positions)),
-                 tuple((i, l, None if a is None else node(a)[:l], at) for i, l, a, at in checks))
-                for positions, checks in shapes]
 
     def _by_level(self, placed, l):
         """The group of placed as (u, entries) pairs, largest u[l] first,
@@ -1059,106 +1030,100 @@ class _VectorLookAhead:
                 self.index[placed].items(), key=lambda ue: ue[0][l], reverse=True)
         return got
 
-    def _rows(self, ready, u):
-        """The rows of the ready closings (placed nodes..., u), given their
-        groups; None when one is not listed."""
-        rows = []
-        for group in ready:
-            es = group.get(u)
-            if es is None:
+    def _rows(self, closings, u, m):
+        """The rows at u of the placed closings, each given with its group
+        of the fits' index, and the completions' rows at u of each partly
+        placed one; None when one closing has none."""
+        rows, completions = [], []
+        for group, placed, checks in closings:
+            if not checks:
+                es = group.get(u)
+                if es is None:
+                    return None
+                rows.append(self.row(es[0]))
+                continue
+            got = self._completions(placed, checks, u, m)
+            if got is None:
                 return None
-            rows.append(self.row(es[0]))
-        return rows
+            completions.append(got)
+        return rows, completions
 
-    def _completions(self, part, u, m):
-        """Per partly placed closing, the rows of its completions ending at
-        u whose unplaced nodes pass their checks above m; None when one
-        closing has none.  A closing's completions are read largest index
-        of the first unplaced node at its level first, down to m."""
-        out = []
-        for placed, checks in part:
-            j, l = len(placed), checks[0][1]
-            group = self.closing.get((placed, u, l))
-            if group is None:
-                group = self.closing[placed, u, l] = sorted(
-                    ((e[1][j][l], e) for e in self.index[placed].get(u, ())),
-                    key=itemgetter(0), reverse=True)
-            rows = []
-            for top, e in group:
-                if top <= m:
+    def _completions(self, placed, checks, u, m):
+        """The rows of a partly placed closing's completions ending at u
+        whose unplaced nodes pass their checks above m; None when it has
+        none.  They are read largest index of the first unplaced node at
+        its level first, down to m."""
+        j, l = len(placed), checks[0][1]
+        group = self.closing.get((placed, u, l))
+        if group is None:
+            group = self.closing[placed, u, l] = sorted(
+                ((e[1][j][l], e) for e in self.index[placed].get(u, ())),
+                key=itemgetter(0), reverse=True)
+        rows = []
+        for top, e in group:
+            if top <= m:
+                break
+            b = e[1]
+            for i, l, prefix, at in checks:
+                x = b[i]
+                if x[l] <= m or prefix is not None and x[:l] != prefix \
+                        or at is not None and x[:l] != b[at][:l]:
                     break
-                b = e[1]
-                for i, l, prefix, at in checks:
-                    x = b[i]
-                    if x[l] <= m or prefix is not None and x[:l] != prefix \
-                            or at is not None and x[:l] != b[at][:l]:
-                        break
-                else:
-                    rows.append(self.row(e))
-            if not rows:
-                return None
-            out.append(rows)
+            else:
+                rows.append(self.row(e))
+        return rows or None
+
+    def _takers(self, testers, rows, completions):
+        """The testers whose map takes the placed closings' pairs together,
+        and with them one completion's pair of each partly placed closing
+        (_rows' answer)."""
+        item = self.item
+        out = [f for f in testers if f.takes(map(item[f], rows))]
+        for group in completions:
+            out = [f for f in out if any(
+                f.takes([*map(item[f], rows), item[f](row)]) for row in group)]
         return out
 
-    def _fills(self, f, rows, completions):
-        """Whether f's map takes the ready rows' pairs together, and with
-        them one completion's pair of each partly placed closing."""
-        get = self.item[f]
-        ready = [get(row) for row in rows]
-        return f.takes(ready) and all(
-            any(f.takes([*ready, get(row)]) for row in group) for group in completions)
-
-    def _tops(self, c, prefix, testers, m, part=(), grown=()):
+    def _tops(self, c, prefix, testers, m, shapes, node):
         """Per tester, the index at c's level of a node that fills c's
-        positions for it; a vector with none is left out.  Every tester
-        reads the ready closings, and one in grown the partly placed
-        closings part too.  The candidates are those of the closing with
-        the fewest, a ready one while a tester not in grown reads them."""
-        pools, ready = [], []
-        for placed in self.ready[c]:
+        positions for it, reading the closings of the given shapes
+        (_shapes), with node(i) the node placed at position i; a vector
+        with none is left out.  A tester that reads a partly placed
+        closing re-tests its residual support first and keeps the node it
+        finds as the next.  The candidates are those of the closing with
+        the fewest."""
+        groups = []
+        for positions, checks in shapes:
+            placed = tuple(map(node, positions))
             group = self.index.get(placed)
             if group is None:
                 return {}
-            pools.append((len(group), placed))
-            ready.append(group)
-        l, lp, item = c[0], len(prefix), self.item
+            groups.append((group, placed, checks and tuple(
+                (i, l, None if a is None else node(a)[:l], at) for i, l, a, at in checks)))
+        l, lp, partly = c[0], len(prefix), bool(shapes[-1][1])
         tops = {}
-        if part:
-            if any(placed not in self.index for placed, _ in part):
-                testers, part = [f for f in testers if f not in grown], ()
-            elif all(f in grown for f in testers):
-                pools += [(len(self.index[placed]), placed) for placed, _ in part]
-            for f in grown if part else ():
-                u = self.support.get((f, c))
-                if u is None or u[l] <= m or u[:lp] != prefix:
-                    continue
-                rows = self._rows(ready, u)
-                completions = rows is not None and self._completions(part, u, m)
-                if completions and self._fills(f, rows, completions):
-                    tops[f] = u[l]
-        if not pools:
-            return tops
+        for f in testers if partly else ():
+            u = self.support.get((f, c))
+            if u is None or u[l] <= m or u[:lp] != prefix:
+                continue
+            got = self._rows(groups, u, m)
+            if got is not None and self._takers([f], *got):
+                tops[f] = u[l]
         need = [f for f in testers if f not in tops] if tops else testers
-        for u, _ in self._by_level(min(pools)[1], l):
+        for u, _ in self._by_level(min(groups, key=lambda g: len(g[0]))[1], l):
             if not need or u[l] <= m:
                 break
             if u[:lp] != prefix:
                 continue
-            rows = self._rows(ready, u) if ready else []
-            if rows is None:
+            got = self._rows(groups, u, m)
+            if got is None:
                 continue
-            completions = None
-            for f in need:
-                if not part or f not in grown:
-                    if f.takes(map(item[f], rows)):
-                        tops[f] = u[l]
-                    continue
-                if completions is None:
-                    completions = self._completions(part, u, m) or ()
-                if completions and self._fills(f, rows, completions):
-                    tops[f] = u[l]
+            found = self._takers(need, *got)
+            for f in found:
+                tops[f] = u[l]
+                if partly:
                     self.support[f, c] = u
-            if len(tops) > len(testers) - len(need):
+            if found:
                 need = [f for f in need if f not in tops]
         return tops
 
@@ -1166,9 +1131,7 @@ class _VectorLookAhead:
         """The vectors of live that every constraint tested after w is
         placed can still take; pushed says whether their filters were."""
         p, m = len(nodes), max(w)
-        for c, o in self.newly.get(p, ()):
-            self.ready[c].append(tuple(w if i == p else nodes[i] for i in o))
-        prev, bound, full, cheap, grown = self.bounds[-1][1], {}, [], [], []
+        prev, bound, full, cheap, grown = self.bounds[-1], {}, [], [], []
         for f in live:
             b = prev.get(f, -1)
             if pushed and f.trail[-1]:
@@ -1179,44 +1142,41 @@ class _VectorLookAhead:
                 continue
             full.append(f)
             bound[f] = inf
-        shapes = self._shapes(p) if grown else {}
-        changed = self.changed.get(p, {})
+        shapes, changed = self._shapes(p), self.changed.get(p, {})
+
+        def node(i):
+            return w if i == p else nodes[i]
+
         for c in self.order[bisect_right(self.lasts, p):] if full else changed:
             testers = full + cheap if c in changed else full
             if not testers:
                 continue
             prefix = self._prefix(c[0], c[1], nodes, w, p)
-            part = self._partly(shapes[c], nodes, w, p) if grown and c in shapes else ()
-            if part:
-                if prefix is None or not self.ready[c]:
-                    testers = grown
-                tops = self._tops(c, prefix or (), testers, m, part, grown)
-            elif prefix is None or not self.ready[c]:
-                continue
-            else:
-                tops = self._tops(c, prefix, testers, m)
-            for f in testers:
+            every, placed = shapes[c]
+            keyed = grown if len(placed) < len(every) else []
+            others = ([f for f in testers if f not in keyed] if keyed else testers) \
+                if prefix is not None and placed else []
+            tops = self._tops(c, prefix or (), keyed, m, every, node) if keyed else {}
+            if others:
+                tops.update(self._tops(c, prefix, others, m, placed, node))
+            for f in keyed + others:
                 top = tops.get(f)
                 if top is None:
                     del bound[f]
                 elif top < bound[f]:
                     bound[f] = top
-            if len(tops) < len(testers):
+            if len(tops) < len(keyed) + len(others):
                 if not bound:
                     break
                 full = [f for f in full if f in bound]
                 cheap = [f for f in cheap if f in bound]
                 grown = [f for f in grown if f in bound]
-        self.bounds.append((p, bound))
-        if not bound:
-            self.pop()
-            return []
+        if bound:
+            self.bounds.append(bound)
         return [f for f in live if f in bound]
 
     def pop(self):
-        p, _ = self.bounds.pop()
-        for c, _ in self.newly.get(p, ()):
-            self.ready[c].pop()
+        self.bounds.pop()
 
 
 def _walk(X, closed):

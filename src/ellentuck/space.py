@@ -385,16 +385,9 @@ def _approximation_positions(k: int, n: int, stop: int) -> tuple:
     in the order of a depth-first walk. A member built by the slot rule
     from no prefix is a copy of W_k, so its n-approximations sit at
     exactly these positions. Trusted: k, n and stop must be checked."""
-    template = build_w.trusted(k, stop).nodes
     layer = [()]
     for _ in range(n):
-        grown = []
-        for ps in layer:
-            a = tuple(template[p] for p in ps)
-            slot = _Slot(k, a, max((max(w) for w in a), default=-1))
-            grown.extend(ps + (q,) for q in range(ps[-1] + 1 if ps else 0, stop)
-                         if slot.admits(template[q]))
-        layer = grown
+        layer = [ps + (q,) for ps in layer for q in _extension_positions(k, ps, stop)]
     return tuple(layer)
 
 

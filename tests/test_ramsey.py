@@ -1716,6 +1716,38 @@ def test_relation_look_ahead_loses_nothing_by_waiting_for_the_anchor(data):
         assert _outcome(canonize_relation, args) == got
 
 
+@pytest.mark.parametrize("k, n, size, vector, changed, states", [
+    (2, 2, 100, (0, 2), 176, 551),
+    (3, 2, 100, (0, 3), 142, 286),
+    (3, 3, 45, (2, 0, 3), 95, 279),
+], ids=["k2-n2", "k3-n2", "k3-n3"])
+def test_the_unanchored_look_ahead_is_reached_on_the_benchmark_calls(
+        k, n, size, vector, changed, states):
+    """_VectorLookAhead._prefix is the one place that decides a test's
+    prefix, so helpers.UnanchoredVectorLookAhead, which overrides it, is
+    what the test above runs. On relation-canon's three calls
+    (bench/relation_canon.py's CASES) the override turns that many of
+    _prefix's answers from None (anchor not placed) into a prefix, and
+    the search gives the same outcome in the same states either way."""
+    X = build_w(k, size)
+    relation = Relation.from_key_function(
+        lambda b: tuple(w[:l] for w, l in zip(b.nodes, vector)), approxs_of_length(X, n))
+    anchored, decisions = ramsey._VectorLookAhead._prefix, []
+
+    class Counting(UnanchoredVectorLookAhead):
+        def _prefix(self, *args):
+            got = super()._prefix(*args)
+            decisions.append(got != anchored(self, *args))
+            return got
+
+    want = _outcome(canonize_relation, (relation, k, n, X, 8))
+    with mock.patch.object(ramsey, "_VectorLookAhead", Counting):
+        got = _outcome(canonize_relation, (relation, k, n, X, 8))
+    assert sum(decisions) == changed
+    assert got == want
+    assert want[1] == states
+
+
 def test_relation_look_ahead_keeps_every_outcome_of_the_look_ahead_free_search_on_a_grid():
     """The hypothesis draws at n = 3 stop at 10 nodes and a target of n + 4,
     so they seldom reach position 6, where the k = 3 closings partly
@@ -1727,7 +1759,11 @@ def test_relation_look_ahead_keeps_every_outcome_of_the_look_ahead_free_search_o
     at n = 2 and 3 and targets 7 and 8. At budgets from 1 to 3,000 and
     the default, canonize_relation gives the outcome of the search without
     the look-ahead (or, where the budget cuts that one short, Exhausted or
-    its own outcome at the default budget), and spends no more states."""
+    its own outcome at the default budget), and spends no more states.
+    The states it spends, summed per budget, are pinned as recorded at
+    commit 9230bc3: a refactor of the look-ahead that moves any of the
+    1,000 calls fails here."""
+    spent_by_limit = Counter()
     for X in (build_w(3, 12), build_w(2, 14)):
         for member, n in itertools.product((X, bumped(X, 3)), (2, 3)):
             dom = approxs_of_length(member, n)
@@ -1748,17 +1784,22 @@ def test_relation_look_ahead_keeps_every_outcome_of_the_look_ahead_free_search_o
                 if want == _ran_out_at(spent) and got != want:
                     want, _ = _outcome(canonize_relation, args)
                 assert got == want, case
+                spent_by_limit[limit] += used
+    assert [spent_by_limit[limit] for limit in (1, 30, 300, 3000, DEFAULT_BUDGET)] == [
+        400, 5591, 8914, 8914, 8914]
+    assert sum(spent_by_limit.values()) == 32733
 
 
 def test_relation_look_ahead_work_on_a_long_target_is_bounded(monkeypatch):
-    """The relation look-ahead's candidate tests (_rows calls) on a
-    1,500-node target, counted in items, not seconds: the parity classes
-    of the 3,000 nodes of X leave only the vector (0,), whose search is
-    parity pigeonhole at n = 1, and it runs out of its 20,000 states.
-    With one bound per vector and per push the look-ahead makes 32,875
-    candidate tests; it made 251,345 when every push re-tested every
-    pending constraint. A constraint serves every position of its level,
-    anchor and closings, 54 of them here for 1,500 positions."""
+    """The relation look-ahead's candidate tests (_rows calls, each
+    reading every closing a test reads at one candidate) on a 1,500-node
+    target, counted in items, not seconds: the parity classes of the
+    3,000 nodes of X leave only the vector (0,), whose search is parity
+    pigeonhole at n = 1, and it runs out of its 20,000 states. With one
+    bound per vector and per push the look-ahead makes 32,875 candidate
+    tests; it made 251,345 when every push re-tested every pending
+    constraint. A constraint serves every position of its level, anchor
+    and closings, 54 of them here for 1,500 positions."""
     X = build_w(2, 3000)
     relation = Relation({Approx(2, (w,)): max(w) % 2 for w in X.nodes})
     calls = [0]
@@ -1774,13 +1815,15 @@ def test_relation_look_ahead_work_on_a_long_target_is_bounded(monkeypatch):
 
 
 def test_partly_placed_closing_work_on_a_long_target_is_bounded(monkeypatch):
-    """The partly placed closings' candidate tests (_completions calls) on a
-    200-node target, counted in items, not seconds: the parity classes of
-    the 2-approximations of 400 nodes of W_2 leave a search that runs out
-    of its 20,000 states. A push tests the partly placed closings only
-    for the vectors it inserts a key for: 213 candidate tests. Run on every
-    push, the same test made 506,855 and took about nine times as long. At
-    n = 1 no closing is partly placed, so the test above keeps its count."""
+    """The partly placed closings' candidate tests (_completions calls,
+    one per closing and candidate) on a 200-node target, counted in
+    items, not seconds: the parity classes of the 2-approximations of 400
+    nodes of W_2 leave a search that runs out of its 20,000 states. A push
+    tests the partly placed closings only for the vectors it inserts a
+    key for: 358 closing tests at 213 candidates. Run on every push, the
+    same test read 506,855 candidates and took about nine times as long.
+    At n = 1 no closing is partly placed, so the test above keeps its
+    count."""
     X = build_w(2, 400)
     relation = Relation({a: max(a.nodes[-1]) % 2 for a in approxs_of_length(X, 2)})
     calls = [0]
